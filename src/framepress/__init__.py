@@ -68,7 +68,6 @@ from .pipeline import (
     train_toy,
 )
 from .sampler import (
-    FrameScores,
     SampledTokens,
     sample_video,
     score_frame,
@@ -90,7 +89,6 @@ __all__ = [
     "EmptyInputError",
     "FitError",
     "FormatError",
-    "FrameScores",
     "FrameTokenGrid",
     "FramepressError",
     "ImagePlane",

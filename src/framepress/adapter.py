@@ -27,7 +27,7 @@ import numpy as np
 from . import ftv1
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
-from .linalg import cross_attention, frozen_matrix, make_rng
+from .linalg import as_matrix, cross_attention, make_rng
 
 CHECKPOINT_HEADER = "adapter.json"
 _CHECKPOINT_FORMAT = "framepress-adapter"
@@ -38,10 +38,7 @@ _CHECKPOINT_VERSION = 1
 class AdapterParams:
     """All trainable tensors of the adapter plus its attention scale.
 
-    ``scale`` defaults to ``1 / sqrt(width)`` when not given. ``query_pos``
-    is an optional additive query-side positional term; it is off by
-    default because the query bank is itself learnable and can absorb any
-    constant offset.
+    ``scale`` defaults to ``1 / sqrt(width)`` when not given.
     """
 
     input_proj: np.ndarray  # (D, C)
@@ -49,13 +46,12 @@ class AdapterParams:
     pos_table: np.ndarray  # (M, C)
     temporal: np.ndarray  # (T, D)
     scale: float | None = None
-    query_pos: np.ndarray | None = None
 
     def __post_init__(self):
-        proj = frozen_matrix(self.input_proj, "input projection")
-        queries = frozen_matrix(self.queries, "query bank")
-        pos = frozen_matrix(self.pos_table, "positional table")
-        temporal = frozen_matrix(self.temporal, "temporal table")
+        proj = as_matrix(self.input_proj, "input projection")
+        queries = as_matrix(self.queries, "query bank")
+        pos = as_matrix(self.pos_table, "positional table")
+        temporal = as_matrix(self.temporal, "temporal table")
         d, c = proj.shape
         if queries.shape[1] != c:
             raise ShapeError(
@@ -75,20 +71,11 @@ class AdapterParams:
         scale = float(scale)
         if not np.isfinite(scale) or scale <= 0.0:
             raise ParameterError(f"scale must be finite and > 0, got {scale}")
-        qpos = self.query_pos
-        if qpos is not None:
-            qpos = frozen_matrix(qpos, "query positional term")
-            if qpos.shape != queries.shape:
-                raise ShapeError(
-                    f"query positional shape {qpos.shape} != query bank "
-                    f"shape {queries.shape}"
-                )
         object.__setattr__(self, "input_proj", proj)
         object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "pos_table", pos)
         object.__setattr__(self, "temporal", temporal)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "query_pos", qpos)
 
     @property
     def feature_dim(self) -> int:
@@ -110,56 +97,46 @@ class AdapterParams:
     def frame_count(self) -> int:
         return self.temporal.shape[0]
 
-    def effective_queries(self) -> np.ndarray:
-        if self.query_pos is None:
-            return self.queries
-        return self.queries + self.query_pos
-
 
 @dataclass(frozen=True)
 class AdapterOutput:
-    """Per-frame compressed tokens and the attention that produced them."""
+    """Compressed tokens of every frame and the attention that produced them."""
 
-    tokens: tuple[np.ndarray, ...]  # T arrays of shape (N, C)
-    attention: tuple[np.ndarray, ...]  # T arrays of shape (N, M)
+    tokens: np.ndarray  # (T, N, C)
+    attention: np.ndarray  # (T, N, M)
 
     def __post_init__(self):
-        tokens = tuple(frozen_matrix(t, "compressed tokens") for t in self.tokens)
-        attention = tuple(frozen_matrix(a, "attention weights") for a in self.attention)
-        if not tokens:
-            raise ShapeError("adapter output needs at least one frame")
-        if len(tokens) != len(attention):
+        tokens = as_matrix(self.tokens, "compressed tokens", ndim=3)
+        attention = as_matrix(self.attention, "attention weights", ndim=3)
+        if tokens.shape[0] == 0 or tokens.shape[1] == 0:
+            raise ShapeError(f"adapter output needs frames and tokens, got {tokens.shape}")
+        if attention.shape[:2] != tokens.shape[:2]:
             raise ShapeError(
-                f"{len(tokens)} token frames vs {len(attention)} attention frames"
+                f"tokens {tokens.shape} and attention {attention.shape} "
+                "disagree on frames or rows"
             )
-        for i, (tok, att) in enumerate(zip(tokens, attention)):
-            if tok.shape != tokens[0].shape or att.shape != attention[0].shape:
-                raise ShapeError(f"frame {i} shape differs from frame 0")
-            if tok.shape[0] != att.shape[0]:
-                raise ShapeError(
-                    f"frame {i}: {tok.shape[0]} tokens vs {att.shape[0]} attention rows"
-                )
-            sums = att.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > 1e-9:
-                raise ShapeError(f"frame {i}: attention rows do not sum to 1")
+        deviation = np.abs(attention.sum(axis=2) - 1.0).max(axis=1)
+        if np.max(deviation) > 1e-9:
+            frame = int(np.argmax(deviation))
+            raise ShapeError(f"frame {frame}: attention rows do not sum to 1")
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "attention", attention)
 
     @property
     def frame_count(self) -> int:
-        return len(self.tokens)
+        return self.tokens.shape[0]
 
     @property
     def query_count(self) -> int:
-        return self.tokens[0].shape[0]
+        return self.tokens.shape[1]
 
     @property
     def width(self) -> int:
-        return self.tokens[0].shape[1]
+        return self.tokens.shape[2]
 
     @property
     def source_tokens(self) -> int:
-        return self.attention[0].shape[1]
+        return self.attention.shape[2]
 
 
 @dataclass(frozen=True)
@@ -170,7 +147,6 @@ class AdapterGrads:
     queries: np.ndarray
     pos_table: np.ndarray
     temporal: np.ndarray
-    query_pos: np.ndarray | None = None
 
 
 def sinusoidal_pos_table(grid_h: int, grid_w: int, width: int) -> np.ndarray:
@@ -204,7 +180,6 @@ def init_adapter_params(
     frames: int,
     seed: int,
     scale: float | None = None,
-    use_query_pos: bool = False,
 ) -> AdapterParams:
     """Fresh training-ready parameters.
 
@@ -220,7 +195,6 @@ def init_adapter_params(
     bank = rng.normal(size=(queries, width)) / np.sqrt(width)
     pos = sinusoidal_pos_table(grid_h, grid_w, width)
     temporal = np.zeros((frames, feature_dim))
-    qpos = rng.normal(size=(queries, width)) / np.sqrt(width) if use_query_pos else None
 
     def f32(a):
         return a.astype(np.float32).astype(np.float64)
@@ -231,7 +205,6 @@ def init_adapter_params(
         pos_table=f32(pos),
         temporal=f32(temporal),
         scale=scale,
-        query_pos=None if qpos is None else f32(qpos),
     )
 
 
@@ -243,7 +216,6 @@ def random_adapter_params(
     frames: int,
     seed: int,
     scale: float | None = None,
-    use_query_pos: bool = False,
 ) -> AdapterParams:
     """Fully random parameters (including positional and temporal tables).
 
@@ -257,7 +229,6 @@ def random_adapter_params(
         pos_table=rng.normal(size=(source_tokens, width)),
         temporal=rng.normal(size=(frames, feature_dim)),
         scale=scale,
-        query_pos=rng.normal(size=(queries, width)) if use_query_pos else None,
     )
 
 
@@ -275,7 +246,9 @@ def add_temporal(video: VideoTokenTensor, temporal: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"temporal width {table.shape[1]} != feature dim {video.feature_dim}"
         )
-    return video.stacked() + table[:, None, :]
+    shifted = video.stacked()
+    shifted += table[:, None, :]
+    return shifted
 
 
 def adapt_frame(
@@ -302,7 +275,7 @@ def adapt_frame(
         )
     projected = feats @ params.input_proj
     weights, out = cross_attention(
-        params.effective_queries(),
+        params.queries,
         projected + params.pos_table,
         projected,
         scale=params.scale,
@@ -318,13 +291,14 @@ def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput
             f"{params.source_tokens}"
         )
     shifted = add_temporal(video, params.temporal)
-    tokens = []
-    attention = []
-    for t in range(video.frame_count):
-        out, weights = adapt_frame(shifted[t], params)
-        tokens.append(out)
-        attention.append(weights)
-    return AdapterOutput(tokens=tuple(tokens), attention=tuple(attention))
+    t_count, n, m = video.frame_count, params.query_count, params.source_tokens
+    tokens = np.empty((t_count, n, params.width))
+    attention = np.empty((t_count, n, m))
+    for t in range(t_count):
+        tokens[t], attention[t] = adapt_frame(shifted[t], params)
+    tokens.setflags(write=False)
+    attention.setflags(write=False)
+    return AdapterOutput(tokens=tokens, attention=attention)
 
 
 def adapter_gradients(
@@ -338,8 +312,7 @@ def adapter_gradients(
     ``token_grads`` holds dLoss/dTokens per frame ((T, N, C) array or a
     sequence of T (N, C) arrays); ``attention_grads`` optionally adds
     dLoss/dAttention per frame ((T, N, M)). Gradients are returned for the
-    projection, query bank, positional table, temporal table, and — when
-    present — the query positional term.
+    projection, query bank, positional table and temporal table.
     """
     g_tokens = np.asarray(token_grads, dtype=np.float64)
     t_count = video.frame_count
@@ -360,8 +333,7 @@ def adapter_gradients(
         g_att_all = None
 
     shifted = add_temporal(video, params.temporal)
-    queries_eff = params.effective_queries()
-    scale = params.scale
+    queries, scale = params.queries, params.scale
 
     g_proj = np.zeros((d, c))
     g_queries = np.zeros((n, c))
@@ -372,7 +344,7 @@ def adapter_gradients(
         x = shifted[t]  # (M, D)
         projected = x @ params.input_proj  # (M, C)
         keys = projected + params.pos_table
-        att, _ = cross_attention(queries_eff, keys, projected, scale=scale)
+        att, _ = cross_attention(queries, keys, projected, scale=scale)
 
         g_out = g_tokens[t]  # (N, C)
         g_att = g_out @ projected.T  # (N, M) via the value-mixing path
@@ -381,7 +353,7 @@ def adapter_gradients(
         # Softmax backward, row-wise.
         g_logits = att * (g_att - np.sum(g_att * att, axis=1, keepdims=True))
         g_queries += scale * (g_logits @ keys)
-        g_keys = scale * (g_logits.T @ queries_eff)  # (M, C)
+        g_keys = scale * (g_logits.T @ queries)  # (M, C)
         g_pos += g_keys
         # projected feeds both the values and (through the positional add)
         # the keys.
@@ -395,7 +367,6 @@ def adapter_gradients(
         queries=g_queries,
         pos_table=g_pos,
         temporal=g_temporal,
-        query_pos=None if params.query_pos is None else g_queries.copy(),
     )
 
 
@@ -403,16 +374,12 @@ def apply_grads(params: AdapterParams, grads: AdapterGrads, lr: float) -> Adapte
     """One plain gradient step; immutable in, immutable out."""
     if not np.isfinite(lr):
         raise ParameterError("learning rate must be finite")
-    qpos = params.query_pos
-    if qpos is not None and grads.query_pos is not None:
-        qpos = qpos - lr * grads.query_pos
     return replace(
         params,
         input_proj=params.input_proj - lr * grads.input_proj,
         queries=params.queries - lr * grads.queries,
         pos_table=params.pos_table - lr * grads.pos_table,
         temporal=params.temporal - lr * grads.temporal,
-        query_pos=qpos,
     )
 
 
@@ -429,7 +396,6 @@ def save_checkpoint(params: AdapterParams, dirpath) -> None:
         "source_tokens": params.source_tokens,
         "frames": params.frame_count,
         "scale": params.scale,
-        "query_pos": params.query_pos is not None,
     }
     (root / CHECKPOINT_HEADER).write_text(
         json.dumps(header, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -438,12 +404,15 @@ def save_checkpoint(params: AdapterParams, dirpath) -> None:
     ftv1.write_tensor(root / "queries.ftv1", params.queries)
     ftv1.write_tensor(root / "pos_table.ftv1", params.pos_table)
     ftv1.write_tensor(root / "temporal.ftv1", params.temporal)
-    if params.query_pos is not None:
-        ftv1.write_tensor(root / "query_pos.ftv1", params.query_pos)
 
 
 def load_checkpoint(dirpath) -> AdapterParams:
-    """Read a checkpoint directory written by :func:`save_checkpoint`."""
+    """Read a checkpoint directory written by :func:`save_checkpoint`.
+
+    Older checkpoints may carry an additive query term (``"query_pos":
+    true`` and ``query_pos.ftv1``); it is folded into the query bank, which
+    gives the same attention.
+    """
     root = Path(dirpath)
     header_path = root / CHECKPOINT_HEADER
     if not header_path.is_file():
@@ -456,16 +425,20 @@ def load_checkpoint(dirpath) -> AdapterParams:
         raise FormatError(f"not an adapter checkpoint: {header_path}")
     if header.get("version") != _CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {header.get('version')!r}")
-    qpos = None
+    queries = ftv1.read_tensor(root / "queries.ftv1", expect_rank=2)
     if header.get("query_pos"):
-        qpos = ftv1.read_tensor(root / "query_pos.ftv1", expect_rank=2)
+        query_pos = ftv1.read_tensor(root / "query_pos.ftv1", expect_rank=2)
+        if query_pos.shape != queries.shape:
+            raise FormatError(
+                f"query_pos shape {query_pos.shape} != query bank shape {queries.shape}"
+            )
+        queries = queries + query_pos
     params = AdapterParams(
         input_proj=ftv1.read_tensor(root / "input_proj.ftv1", expect_rank=2),
-        queries=ftv1.read_tensor(root / "queries.ftv1", expect_rank=2),
+        queries=queries,
         pos_table=ftv1.read_tensor(root / "pos_table.ftv1", expect_rank=2),
         temporal=ftv1.read_tensor(root / "temporal.ftv1", expect_rank=2),
         scale=float(header["scale"]),
-        query_pos=qpos,
     )
     declared = (
         header.get("queries"),

@@ -3,7 +3,7 @@
 One subcommand per pipeline step (encode, adapt, compress, assemble),
 plus the cost model, dataset tooling, the toy training loop, and the
 self-verification suite. Exit codes: 0 on success, 1 when verification
-fails, 2 on bad input.
+fails, 2 on bad input (including files that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ def _cmd_adapt(args) -> int:
     video = load_features(args.features)
     params = _load_or_init_params(args, video)
     out = adapt_video(video, params)
-    ftv1.write_tensor(args.out, np.stack(out.tokens))
+    ftv1.write_tensor(args.out, out.tokens)
     if args.attention_out:
-        ftv1.write_tensor(args.attention_out, np.stack(out.attention))
+        ftv1.write_tensor(args.attention_out, out.attention)
     print(
         f"compressed {out.source_tokens} -> {out.query_count} tokens per frame "
         f"({out.frame_count} frames) -> {args.out}"
@@ -135,11 +135,22 @@ def _read_calibration_csv(path) -> list[tuple[int, float]]:
             continue  # header row
         if len(parts) < 2:
             raise ParameterError(f"{path}:{lineno}: expected 'k,tflops'")
-        points.append((int(parts[0]), float(parts[1])))
+        try:
+            points.append((int(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{lineno}: expected 'k,tflops', got {line!r}") from exc
     return points
 
 
+def _parse_ks(text: str) -> list[int]:
+    try:
+        return [int(k) for k in text.split(",")]
+    except ValueError as exc:
+        raise ParameterError(f"--k must be comma-separated integers, got {text!r}") from exc
+
+
 def _cmd_cost(args) -> int:
+    ks = _parse_ks(args.k) if args.k else None
     points = (
         _read_calibration_csv(args.calibrate)
         if args.calibrate
@@ -147,7 +158,7 @@ def _cmd_cost(args) -> int:
     )
     result = cost.calibrate(points, frames=args.frames, prompt_len=args.prompt_len)
     print(cost.calibration_report_text(result), end="")
-    ks = [int(k) for k in args.k.split(",")] if args.k else [k for k, _ in points]
+    ks = ks or [k for k, _ in points]
     template = cost.calibrated_config(
         result, frames=args.frames, tokens_per_frame=ks[0], prompt_len=args.prompt_len
     )
@@ -310,7 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FramepressError as exc:
+    except (FramepressError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

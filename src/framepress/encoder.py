@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ftv1
 from .errors import EmptyInputError, ParameterError, ShapeError
-from .linalg import frozen_matrix, make_rng
+from .linalg import as_matrix, make_rng
 
 DEFAULT_PATCH_SIZE = 14
 DEFAULT_IMAGE_SIDE = 112  # 8 x 8 patch grid at the default patch size
@@ -63,7 +63,7 @@ class FrameTokenGrid:
     def __post_init__(self):
         if self.grid_h < 1 or self.grid_w < 1:
             raise ShapeError(f"patch grid must be non-empty, got {self.grid_h}x{self.grid_w}")
-        feats = frozen_matrix(self.features, "frame features")
+        feats = as_matrix(self.features, "frame features")
         if feats.shape[0] != self.grid_h * self.grid_w:
             raise ShapeError(
                 f"feature rows ({feats.shape[0]}) must equal grid_h*grid_w "
@@ -161,7 +161,9 @@ def patchify_encode(img: ImagePlane, patch_size: int, projection) -> FrameTokenG
     # (gh, p, gw, p, 3) -> (gh, gw, p, p, 3) -> (M, 3p^2)
     patches = img.pixels.reshape(grid_h, patch_size, grid_w, patch_size, 3)
     patches = patches.transpose(0, 2, 1, 3, 4).reshape(grid_h * grid_w, flat)
-    return FrameTokenGrid(grid_h, grid_w, patches @ proj)
+    features = patches @ proj
+    features.setflags(write=False)
+    return FrameTokenGrid(grid_h, grid_w, features)
 
 
 def sample_frames(video_frame_count: int, t: int) -> list[int]:
@@ -183,6 +185,7 @@ def save_features(video: VideoTokenTensor, path) -> None:
 def load_features(path) -> VideoTokenTensor:
     """Read a rank-4 (T, grid_h, grid_w, D) FTV1 file into a video tensor."""
     arr = ftv1.read_tensor(path, expect_rank=4)
+    arr.setflags(write=False)
     t, gh, gw, d = arr.shape
     frames = tuple(
         FrameTokenGrid(gh, gw, arr[i].reshape(gh * gw, d)) for i in range(t)
@@ -201,6 +204,7 @@ def synthetic_video(
     rng = make_rng(seed)
     raw = rng.normal(size=(frames, grid_h * grid_w, feature_dim))
     vals = raw.astype(np.float32).astype(np.float64)
+    vals.setflags(write=False)
     return VideoTokenTensor(
         tuple(FrameTokenGrid(grid_h, grid_w, vals[i]) for i in range(frames))
     )

@@ -24,26 +24,36 @@ _MAX_RANK = 32
 
 
 def write_tensor(path, values) -> None:
-    """Write an array of rank >= 1 as an FTV1 file."""
+    """Write an array of rank >= 1 as an FTV1 file.
+
+    Raises NumericError for non-finite values and for finite ones too large
+    for float32 storage.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim < 1:
         raise ShapeError("FTV1 tensors must have rank >= 1")
     if arr.size == 0:
         raise ShapeError(f"FTV1 tensors must be non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    with np.errstate(over="ignore"):
+        stored = arr.astype("<f4")
+    # Casting keeps NaN and inf and turns float32 overflow into inf, so one
+    # scan of the stored values catches both.
+    if not np.all(np.isfinite(stored)):
+        if np.all(np.isfinite(arr)):
+            raise NumericError("FTV1 values overflow float32 storage")
         raise NumericError("FTV1 tensors must be finite")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(stored.tobytes())
 
 
 def read_tensor(path, expect_rank: int | None = None) -> np.ndarray:
     """Read an FTV1 file into a float64 array.
 
     Raises FormatError (carrying the byte offset) on bad magic, rank
-    mismatch, truncation, or trailing bytes.
+    mismatch, truncation, trailing bytes, or a non-finite value.
     """
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != MAGIC:
@@ -71,4 +81,8 @@ def read_tensor(path, expect_rank: int | None = None) -> np.ndarray:
     if payload_bytes > 4 * count:
         raise FormatError("trailing bytes after payload", offset=dims_end + 4 * count)
     flat = np.frombuffer(data, dtype="<f4", count=count, offset=dims_end)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise FormatError(f"non-finite value {flat[bad]}", offset=dims_end + 4 * bad)
     return flat.astype(np.float64).reshape(dims)

@@ -1,8 +1,9 @@
 """Dense float64 kernels everything else builds on.
 
-Row-wise softmax, single-head cross-attention with exposed weights, seeded
-RNG streams, and central-difference gradients for verification. All
-operations are pure functions of their inputs and return fresh arrays.
+The package's one input validator, row-wise softmax, single-head
+cross-attention with exposed weights, seeded RNG streams, and
+central-difference gradients for verification. The kernels are pure
+functions of their inputs and return fresh arrays.
 """
 
 from __future__ import annotations
@@ -15,35 +16,37 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Validate ``values`` as a finite 2-D float64 array (no copy if already one)."""
+def as_matrix(values, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Validate ``values`` as a finite float64 array of rank ``ndim``.
+
+    This is the package's one validator, called where data enters the
+    system. The result is read-only, so it can be passed on and shared
+    without further copies; a writable input is copied first, so later
+    writes by the caller never reach it.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{name} contains non-finite entries")
-    return arr
-
-
-def frozen_matrix(values, name: str = "matrix") -> np.ndarray:
-    """A validated, read-only float64 copy, safe to share across threads."""
-    arr = np.array(values, dtype=np.float64, order="C", copy=True)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max-subtraction for stability.
 
-    Every output row is nonnegative and sums to 1 within 1e-12.
+    Every output row is nonnegative and sums to 1 within 1e-12. Raises
+    ShapeError unless ``m`` is a non-empty matrix and NumericError if it
+    has non-finite entries.
     """
-    arr = as_matrix(m, "softmax input")
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
+    arr = np.asarray(m, dtype=np.float64)
+    if arr.ndim != 2 or arr.size == 0:
         raise ShapeError(f"softmax requires a non-empty matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NumericError("softmax input contains non-finite entries")
     shifted = arr - arr.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=1, keepdims=True)
@@ -60,11 +63,15 @@ def cross_attention(
     Returns ``(weights, output)`` where ``weights = softmax(queries @ keys.T
     * scale)`` row-wise and ``output = weights @ values``. The weight matrix
     is returned so callers can score tokens by their attention responses.
-    ``scale`` defaults to ``1 / sqrt(embed_dim)``.
+    ``scale`` defaults to ``1 / sqrt(embed_dim)``. Raises ShapeError on
+    operands that are not compatible matrices and NumericError on
+    non-finite scores.
     """
-    q = as_matrix(queries, "queries")
-    k = as_matrix(keys, "keys")
-    v = as_matrix(values, "values")
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (queries, keys, values))
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ShapeError(
+            f"attention operands must be 2-D, got {q.shape}, {k.shape}, {v.shape}"
+        )
     if q.shape[1] != k.shape[1]:
         raise ShapeError(
             f"queries and keys must share a column count, got {q.shape} vs {k.shape}"

@@ -19,14 +19,16 @@ import numpy as np
 
 from . import cost
 from .adapter import (
+    AdapterGrads,
     AdapterParams,
     adapt_video,
     adapter_gradients,
+    apply_grads,
     init_adapter_params,
 )
 from .encoder import FrameTokenGrid, VideoTokenTensor
 from .errors import NumericError, ParameterError, ShapeError
-from .linalg import frozen_matrix, split_rng
+from .linalg import as_matrix, split_rng
 from .sampler import SampledTokens, sample_video
 
 SCHEMA_VERSION = 1
@@ -43,7 +45,7 @@ class SequenceAssembly:
     frame_boundaries: tuple[int, ...]  # T+1 fence posts into video_tokens
 
     def __post_init__(self):
-        tokens = frozen_matrix(self.video_tokens, "video tokens")
+        tokens = as_matrix(self.video_tokens, "video tokens")
         if self.prompt_len < 0:
             raise ParameterError(f"prompt_len must be >= 0, got {self.prompt_len}")
         bounds = tuple(int(b) for b in self.frame_boundaries)
@@ -71,14 +73,11 @@ def assemble_sequence(sampled: SampledTokens, prompt_len: int) -> SequenceAssemb
     """Concatenate kept tokens frame by frame and account for the prompt."""
     if prompt_len < 0:
         raise ParameterError(f"prompt_len must be >= 0, got {prompt_len}")
-    widths = {t.shape for t in sampled.tokens}
-    if len(widths) != 1:
-        raise ShapeError(f"frames are ragged: shapes {sorted(widths)}")
-    stacked = np.concatenate(sampled.tokens, axis=0)
-    k = sampled.keep
-    bounds = tuple(k * i for i in range(sampled.frame_count + 1))
+    t, k, c = sampled.tokens.shape
     return SequenceAssembly(
-        video_tokens=stacked, prompt_len=prompt_len, frame_boundaries=bounds
+        video_tokens=sampled.tokens.reshape(t * k, c),
+        prompt_len=prompt_len,
+        frame_boundaries=tuple(k * i for i in range(t + 1)),
     )
 
 
@@ -252,7 +251,7 @@ def _forward(spec: ToyTaskSpec, batch: _ToyBatch, params: AdapterParams, head):
     outputs = [adapt_video(video, params) for video in batch.videos]
     sampled = [sample_video(out, spec.keep) for out in outputs]
     pooled = np.stack(
-        [np.concatenate(s.tokens, axis=0).mean(axis=0) for s in sampled]
+        [s.tokens.reshape(-1, s.width).mean(axis=0) for s in sampled]
     )  # (B, C)
     preds = pooled @ head  # (B, out)
     diff = preds - batch.targets
@@ -292,6 +291,8 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
     b, t, k = spec.batch_videos, spec.frames, spec.keep
     n, c = spec.queries, spec.embed_dim
     denom = b * spec.out_dim
+    zero_pos = np.zeros_like(params.pos_table)
+    frame_rows = np.arange(t)[:, None]
     curve = []
     for step in range(spec.steps + 1):
         try:
@@ -315,25 +316,20 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
         g_queries = np.zeros_like(params.queries)
         g_temporal = np.zeros_like(params.temporal)
         for vb in range(b):
+            # Mean pooling spreads the gradient evenly over the kept tokens.
             token_grads = np.zeros((t, n, c))
-            per_token = g_pooled[vb] / (t * k)
-            for ft in range(t):
-                token_grads[ft, sampled[vb].indices[ft], :] = per_token
+            token_grads[frame_rows, sampled[vb].indices] = g_pooled[vb] / (t * k)
             grads = adapter_gradients(batch.videos[vb], params, token_grads)
             g_proj += grads.input_proj
             g_queries += grads.queries
             g_temporal += grads.temporal
-        lr = spec.learning_rate
+        # The positional table is not trained: its step is zero.
+        grads = AdapterGrads(g_proj, g_queries, zero_pos, g_temporal)
         try:
-            params = replace(
-                params,
-                input_proj=params.input_proj - lr * g_proj,
-                queries=params.queries - lr * g_queries,
-                temporal=params.temporal - lr * g_temporal,
-            )
+            params = apply_grads(params, grads, spec.learning_rate)
         except NumericError as exc:
             raise NumericError(f"loss diverged at step {step}: {exc}") from exc
-        head = head - lr * g_head
+        head = head - spec.learning_rate * g_head
 
     checks = _run_checks(outputs, sampled, curve)
     calibration = cost.calibrate()
@@ -356,10 +352,9 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
 
 def _run_checks(outputs, sampled, curve) -> list[dict]:
     """Cheap invariants evaluated on the final state of a training run."""
-    worst_row = 0.0
-    for out in outputs:
-        for att in out.attention:
-            worst_row = max(worst_row, float(np.max(np.abs(att.sum(axis=1) - 1.0))))
+    worst_row = max(
+        float(np.max(np.abs(out.attention.sum(axis=2) - 1.0))) for out in outputs
+    )
     rows_ok = worst_row <= 1e-9
     kept_ok = all(
         np.unique(idx).size == idx.size for s in sampled for idx in s.indices

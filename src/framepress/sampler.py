@@ -18,55 +18,43 @@ import numpy as np
 from . import ftv1
 from .adapter import AdapterOutput
 from .errors import FormatError, ParameterError, ShapeError
-from .linalg import frozen_matrix
+from .linalg import as_matrix
 
 KEEP_ORDERS = ("score", "index")
 
-
-@dataclass(frozen=True)
-class FrameScores:
-    """Per-token relevance scores for one frame."""
-
-    values: np.ndarray  # (N,)
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ShapeError(f"scores must be a non-empty vector, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ParameterError("scores must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def token_count(self) -> int:
-        return self.values.size
+# Largest token index a sidecar may hold: the int64 range.
+_MAX_INDEX = np.iinfo(np.int64).max
 
 
-def score_frame(attention: np.ndarray) -> FrameScores:
-    """Row maxima of an (N, M) attention matrix.
+def score_frame(attention) -> np.ndarray:
+    """Row maxima of attention along the last axis.
 
-    With rows summing to one, every score lands in [1/M, 1]: a token that
+    An (N, M) matrix gives N scores, a (T, N, M) video gives (T, N). With
+    rows summing to one, every score lands in [1/M, 1]: a token that
     spreads evenly scores 1/M, a token locked onto a single source patch
     scores 1.
     """
     att = np.asarray(attention, dtype=np.float64)
-    if att.ndim != 2 or att.shape[0] == 0 or att.shape[1] == 0:
+    if att.ndim < 2 or 0 in att.shape:
         raise ShapeError(f"attention must be a non-empty matrix, got shape {att.shape}")
-    return FrameScores(att.max(axis=1))
+    return att.max(axis=-1)
 
 
-def select_topk(scores: FrameScores, k: int) -> np.ndarray:
-    """Indices of the k highest scores, ties broken toward lower index.
+def select_topk(scores, k: int) -> np.ndarray:
+    """Indices of the k highest scores along the last axis, ties broken
+    toward lower index.
 
     The result is ordered by descending score (ascending index within a
     tie), so its length-J prefix is exactly the selection for k=J.
     """
-    n = scores.token_count
+    values = np.asarray(scores, dtype=np.float64)
+    if values.ndim < 1 or 0 in values.shape:
+        raise ShapeError(f"scores must be non-empty, got shape {values.shape}")
+    n = values.shape[-1]
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
-    order = np.lexsort((np.arange(n), -scores.values))
-    return order[:k].copy()
+    # A stable sort keeps equal scores in index order.
+    return np.argsort(-values, axis=-1, kind="stable")[..., :k].copy()
 
 
 @dataclass(frozen=True)
@@ -74,47 +62,41 @@ class SampledTokens:
     """The kept tokens of each frame and where they came from."""
 
     keep: int
-    indices: tuple[np.ndarray, ...]  # T arrays of shape (K,), int64
-    tokens: tuple[np.ndarray, ...]  # T arrays of shape (K, C)
+    indices: np.ndarray  # (T, K) int64
+    tokens: np.ndarray  # (T, K, C)
 
     def __post_init__(self):
         if self.keep < 1:
             raise ParameterError(f"keep must be >= 1, got {self.keep}")
-        if not self.indices or len(self.indices) != len(self.tokens):
-            raise ShapeError("indices and tokens must cover the same frames")
-        frozen_idx = []
-        for i, idx in enumerate(self.indices):
-            arr = np.array(idx, dtype=np.int64, copy=True)
-            if arr.shape != (self.keep,):
-                raise ShapeError(
-                    f"frame {i}: expected {self.keep} indices, got shape {arr.shape}"
-                )
-            if arr.min() < 0:
-                raise ShapeError(f"frame {i}: negative token index")
-            if np.unique(arr).size != arr.size:
-                raise ShapeError(f"frame {i}: duplicate token indices")
-            arr.setflags(write=False)
-            frozen_idx.append(arr)
-        frozen_tok = []
-        for i, tok in enumerate(self.tokens):
-            mat = frozen_matrix(tok, "sampled tokens")
-            if mat.shape[0] != self.keep:
-                raise ShapeError(
-                    f"frame {i}: expected {self.keep} token rows, got {mat.shape[0]}"
-                )
-            if frozen_tok and mat.shape[1] != frozen_tok[0].shape[1]:
-                raise ShapeError(f"frame {i}: token width differs from frame 0")
-            frozen_tok.append(mat)
-        object.__setattr__(self, "indices", tuple(frozen_idx))
-        object.__setattr__(self, "tokens", tuple(frozen_tok))
+        tokens = as_matrix(self.tokens, "sampled tokens", ndim=3)
+        indices = np.array(self.indices, dtype=np.int64)
+        indices.setflags(write=False)
+        frames = tokens.shape[0]
+        if frames == 0:
+            raise ShapeError("sampled tokens need at least one frame")
+        if tokens.shape[1] != self.keep:
+            raise ShapeError(
+                f"expected {self.keep} token rows per frame, got {tokens.shape[1]}"
+            )
+        if indices.shape != (frames, self.keep):
+            raise ShapeError(
+                f"expected indices of shape {(frames, self.keep)}, got {indices.shape}"
+            )
+        if indices.min() < 0:
+            raise ShapeError("token indices must be >= 0")
+        repeats = np.any(np.diff(np.sort(indices, axis=1), axis=1) == 0, axis=1)
+        if repeats.any():
+            raise ShapeError(f"frame {int(np.argmax(repeats))}: duplicate token indices")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "tokens", tokens)
 
     @property
     def frame_count(self) -> int:
-        return len(self.tokens)
+        return self.tokens.shape[0]
 
     @property
     def width(self) -> int:
-        return self.tokens[0].shape[1]
+        return self.tokens.shape[2]
 
 
 def sample_video(output: AdapterOutput, k: int, order: str = "score") -> SampledTokens:
@@ -130,26 +112,19 @@ def sample_video(output: AdapterOutput, k: int, order: str = "score") -> Sampled
         raise ParameterError(
             f"k must be in [1, {output.query_count}], got {k}"
         )
-    indices = []
-    tokens = []
-    for att, tok in zip(output.attention, output.tokens):
-        idx = select_topk(score_frame(att), k)
-        if order == "index":
-            idx = np.sort(idx)
-        indices.append(idx)
-        tokens.append(tok[idx])
-    return SampledTokens(keep=k, indices=tuple(indices), tokens=tuple(tokens))
+    indices = select_topk(score_frame(output.attention), k)
+    if order == "index":
+        indices.sort(axis=1)
+    tokens = np.take_along_axis(output.tokens, indices[:, :, None], axis=1)
+    tokens.setflags(write=False)
+    return SampledTokens(keep=k, indices=indices, tokens=tokens)
 
 
 def save_sampled(sampled: SampledTokens, path) -> None:
     """Write kept tokens as a rank-3 FTV1 file plus a JSON index sidecar."""
     path = Path(path)
-    stacked = np.stack([t for t in sampled.tokens])
-    ftv1.write_tensor(path, stacked)
-    sidecar = {
-        "keep": sampled.keep,
-        "indices": [idx.tolist() for idx in sampled.indices],
-    }
+    ftv1.write_tensor(path, sampled.tokens)
+    sidecar = {"keep": sampled.keep, "indices": sampled.indices.tolist()}
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -166,12 +141,24 @@ def load_sampled(path) -> SampledTokens:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"unreadable index sidecar: {exc}") from exc
-    indices = sidecar.get("indices")
+    if not isinstance(sidecar, dict):
+        raise FormatError(f"index sidecar {sidecar_path} is not a JSON object")
     keep = sidecar.get("keep")
-    if not isinstance(indices, list) or len(indices) != stacked.shape[0]:
-        raise FormatError("index sidecar does not match token file")
-    return SampledTokens(
-        keep=int(keep),
-        indices=tuple(np.asarray(ix, dtype=np.int64) for ix in indices),
-        tokens=tuple(stacked[i] for i in range(stacked.shape[0])),
-    )
+    if type(keep) is not int:
+        raise FormatError(f"index sidecar needs an integer 'keep', got {keep!r}")
+    frames = stacked.shape[0]
+    indices = sidecar.get("indices")
+    if not (
+        isinstance(indices, list)
+        and len(indices) == frames
+        and all(
+            isinstance(row, list)
+            and len(row) == keep
+            and all(type(i) is int and 0 <= i <= _MAX_INDEX for i in row)
+            for row in indices
+        )
+    ):
+        raise FormatError(
+            f"index sidecar 'indices' must be {frames} lists of {keep} token indices"
+        )
+    return SampledTokens(keep=keep, indices=indices, tokens=stacked)

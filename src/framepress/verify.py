@@ -29,7 +29,7 @@ from .encoder import synthetic_video
 from .errors import FramepressError
 from .linalg import fd_gradient, make_rng, softmax_rows, split_rng
 from .pipeline import RunReport, ToyTaskSpec, assemble_sequence, train_toy
-from .sampler import FrameScores, SampledTokens, sample_video, score_frame, select_topk
+from .sampler import SampledTokens, sample_video, score_frame, select_topk
 
 # Fixed-seed toy configurations for the compression-robustness check.
 # The pruned run keeps half the queries; the baseline keeps all of them.
@@ -140,9 +140,9 @@ def check_sampler_oracle(cases: int = 1000, seed: int = 2026) -> CheckResult:
             dup = int(rng.integers(0, n))
             logits[dup] = logits[src]
         att = softmax_rows(logits)
-        out = AdapterOutput(tokens=(np.zeros((n, 2)),), attention=(att,))
+        out = AdapterOutput(tokens=np.zeros((1, n, 2)), attention=att[None])
         scores = score_frame(out.attention[0])
-        oracle = _oracle_order(scores.values)
+        oracle = _oracle_order(scores)
         for k in range(1, n + 1):
             got = set(select_topk(scores, k).tolist())
             want = set(oracle[:k])
@@ -169,10 +169,9 @@ def check_nesting(cases: int = 500, seed: int = 2027, select_fn=None) -> CheckRe
         n = int(rng.integers(2, 33))
         # Coarse quantization makes exact ties common.
         values = np.round(rng.random(size=n), 1)
-        scores = FrameScores(values)
-        prev = set(fn(scores, 1).tolist())
+        prev = set(fn(values, 1).tolist())
         for k in range(2, n + 1):
-            cur = set(fn(scores, k).tolist())
+            cur = set(fn(values, k).tolist())
             if not prev <= cur:
                 return CheckResult(
                     name,
@@ -210,7 +209,7 @@ def check_attention_validity(passes: int = 1000, seed: int = 2028) -> CheckResul
             return CheckResult(
                 name, False, f"case {case}: row sum off by {row_dev:.3e}"
             )
-        r = score_frame(att).values
+        r = score_frame(att)
         if r.min() < 1.0 / m or r.max() > 1.0:
             return CheckResult(
                 name,
@@ -232,13 +231,10 @@ def _grad_check_point(seed: int, step: float, k: int, margin: float):
     )
 
     def selection_gap() -> float:
-        gap = np.inf
-        out = adapt_video(video, params)
-        for att in out.attention:
-            s = np.sort(score_frame(att).values)[::-1]
-            if k < s.size:
-                gap = min(gap, float(s[k - 1] - s[k]))
-        return gap
+        s = np.sort(score_frame(adapt_video(video, params).attention), axis=1)[:, ::-1]
+        if k >= s.shape[1]:
+            return np.inf
+        return float(np.min(s[:, k - 1] - s[:, k]))
 
     if selection_gap() < margin:
         return None
@@ -464,9 +460,11 @@ def check_sequence_arithmetic() -> CheckResult:
     for t in (1, 8):
         for k in (4, 16, 128):
             for prompt in (0, 64):
-                tokens = tuple(rng.normal(size=(k, 4)) for _ in range(t))
-                indices = tuple(np.arange(k) for _ in range(t))
-                sampled = SampledTokens(keep=k, indices=indices, tokens=tokens)
+                sampled = SampledTokens(
+                    keep=k,
+                    indices=np.tile(np.arange(k), (t, 1)),
+                    tokens=rng.normal(size=(t, k, 4)),
+                )
                 seq = assemble_sequence(sampled, prompt)
                 want = t * k + prompt
                 if seq.total_len != want:

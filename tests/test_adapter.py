@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from framepress import ftv1
 from framepress.adapter import (
     AdapterOutput,
     AdapterParams,
@@ -177,16 +178,6 @@ def test_attention_grads_feed_back():
     assert err < 1e-4
 
 
-def test_query_pos_gradients_when_enabled():
-    params = small_params(seed=23, use_query_pos=True)
-    video = synthetic_video(2, 2, 2, 3, seed=24)
-    out = adapt_video(video, params)
-    grads = adapter_gradients(video, params, np.stack([2 * t for t in out.tokens]))
-    assert grads.query_pos is not None
-    # The additive query term sees exactly the query-bank gradient.
-    np.testing.assert_array_equal(grads.query_pos, grads.queries)
-
-
 def test_apply_grads_moves_params():
     params = small_params(seed=25)
     video = synthetic_video(2, 2, 2, 3, seed=26)
@@ -210,23 +201,27 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.pos_table, params.pos_table)
     np.testing.assert_array_equal(back.temporal, params.temporal)
     assert back.scale == params.scale
-    assert back.query_pos is None
+    assert "query_pos" not in (tmp_path / "ckpt" / "adapter.json").read_text()
 
 
-def test_checkpoint_with_query_pos(tmp_path):
+def test_checkpoint_legacy_query_pos_is_folded(tmp_path):
+    """A checkpoint with the former additive query term loads with that
+    term added to the query bank, which attends identically."""
     params = init_adapter_params(
-        queries=2,
-        width=4,
-        feature_dim=3,
-        grid_h=2,
-        grid_w=2,
-        frames=1,
-        seed=32,
-        use_query_pos=True,
+        queries=2, width=4, feature_dim=3, grid_h=2, grid_w=2, frames=1, seed=32
     )
-    save_checkpoint(params, tmp_path / "ckpt")
-    back = load_checkpoint(tmp_path / "ckpt")
-    np.testing.assert_array_equal(back.query_pos, params.query_pos)
+    root = tmp_path / "ckpt"
+    save_checkpoint(params, root)
+    header = root / "adapter.json"
+    header.write_text(header.read_text().replace("{", '{"query_pos": true,', 1))
+    query_pos = make_rng(33).normal(size=(2, 4)).astype(np.float32).astype(np.float64)
+    ftv1.write_tensor(root / "query_pos.ftv1", query_pos)
+    back = load_checkpoint(root)
+    np.testing.assert_array_equal(back.queries, params.queries + query_pos)
+    np.testing.assert_array_equal(back.input_proj, params.input_proj)
+    ftv1.write_tensor(root / "query_pos.ftv1", np.zeros((3, 4)))
+    with pytest.raises(FormatError):
+        load_checkpoint(root)
 
 
 def test_checkpoint_header_mismatch_detected(tmp_path):

@@ -115,6 +115,53 @@ def test_filter_unknown_type_exits_2(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def _assemble_with_sidecar(tmp_path, sidecar):
+    """``assemble`` argv for a valid 2-frame, keep-2 token file whose index
+    sidecar holds ``sidecar``."""
+    kept = tmp_path / "kept.ftv1"
+    ftv1.write_tensor(kept, np.zeros((2, 2, 3)))
+    (tmp_path / "kept.ftv1.json").write_text(sidecar, encoding="utf-8")
+    return ["assemble", "--tokens", str(kept)]
+
+
+def _cost_with_csv(tmp_path, text):
+    csv = tmp_path / "measured.csv"
+    csv.write_text(text, encoding="utf-8")
+    return ["cost", "--calibrate", str(csv)]
+
+
+BAD_INPUTS = {
+    "missing features": lambda tmp: [
+        "compress", "--features", str(tmp / "absent.ftv1"), "--k", "2", "--out", str(tmp / "k.ftv1")
+    ],
+    "missing tokens": lambda tmp: ["assemble", "--tokens", str(tmp / "absent.ftv1")],
+    "missing images": lambda tmp: [
+        "encode", "--images", str(tmp / "absent.npy"), "--out", str(tmp / "f.ftv1")
+    ],
+    "non-integer --k": lambda tmp: ["cost", "--k", "a,b"],
+    "non-numeric csv": lambda tmp: _cost_with_csv(tmp, "k,tflops\n4,32.1\n16,lots\n"),
+    "sidecar not an object": lambda tmp: _assemble_with_sidecar(tmp, "[2]"),
+    "sidecar without keep": lambda tmp: _assemble_with_sidecar(tmp, '{"indices": [[0, 1], [0, 1]]}'),
+    "sidecar keep not integer": lambda tmp: _assemble_with_sidecar(
+        tmp, '{"keep": "2", "indices": [[0, 1], [0, 1]]}'
+    ),
+    "sidecar indices not TxK": lambda tmp: _assemble_with_sidecar(
+        tmp, '{"keep": 2, "indices": [[0, 1], "ab"]}'
+    ),
+    "sidecar indices not integers": lambda tmp: _assemble_with_sidecar(
+        tmp, '{"keep": 2, "indices": [[0, 1], [0, 1.5]]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+    code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_plan_command(tmp_path, capsys):
     code, out, _ = run(
         capsys, "plan", "--strategy", "S4-V", "--instruct-fraction", "0.1",

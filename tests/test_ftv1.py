@@ -59,6 +59,10 @@ def test_write_rejects_bad_tensors(tmp_path):
         ftv1.write_tensor(path, np.zeros((2, 0)))
     with pytest.raises(NumericError):
         ftv1.write_tensor(path, np.array([np.inf]))
+    # Finite in float64 but beyond float32: must not be stored as inf.
+    with pytest.raises(NumericError):
+        ftv1.write_tensor(path, np.array([1.0, 1e39]))
+    assert not path.exists()
 
 
 def test_read_errors_carry_byte_offsets(tmp_path):
@@ -69,6 +73,8 @@ def test_read_errors_carry_byte_offsets(tmp_path):
         (b"FTV1" + struct.pack("<I", 99), 4),  # rank absurd
         (b"FTV1" + struct.pack("<I", 2) + struct.pack("<I", 3), 12),  # dims cut
         (b"FTV1" + struct.pack("<II", 1, 0), 8),  # zero-sized dim
+        (b"FTV1" + struct.pack("<II", 1, 2) + struct.pack("<2f", 1, np.nan), 16),
+        (b"FTV1" + struct.pack("<II", 1, 1) + struct.pack("<f", np.inf), 12),
     ]
     for i, (payload, offset) in enumerate(cases):
         path = tmp_path / f"bad{i}.bin"

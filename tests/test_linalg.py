@@ -9,7 +9,6 @@ from framepress.linalg import (
     as_matrix,
     cross_attention,
     fd_gradient,
-    frozen_matrix,
     make_rng,
     softmax_rows,
     split_rng,
@@ -79,17 +78,24 @@ def test_cross_attention_shape_errors():
         cross_attention(ok, np.zeros((2, 3)), np.zeros((5, 3)))
 
 
-def test_as_matrix_and_frozen_matrix_validation():
+def test_as_matrix_validation():
     with pytest.raises(ShapeError):
         as_matrix(np.zeros(3))
+    with pytest.raises(ShapeError):
+        as_matrix(np.zeros((2, 2)), ndim=3)
     with pytest.raises(NumericError):
         as_matrix([[np.inf]])
-    frozen = frozen_matrix([[1.0, 2.0]])
+    frozen = as_matrix([[1.0, 2.0]])
     assert not frozen.flags.writeable
+    # A writable input is copied, so later writes do not reach the result.
     src = np.ones((2, 2))
-    copy = frozen_matrix(src)
+    copy = as_matrix(src)
     src[0, 0] = 7.0
     assert copy[0, 0] == 1.0
+    # A read-only float64 input is passed on as is.
+    assert as_matrix(frozen) is frozen
+    stacked = as_matrix(np.zeros((2, 3, 4)), ndim=3)
+    assert stacked.shape == (2, 3, 4) and not stacked.flags.writeable
 
 
 def test_make_rng_is_deterministic_and_split_streams_differ():

@@ -7,7 +7,6 @@ from framepress.adapter import AdapterOutput
 from framepress.errors import FormatError, ParameterError, ShapeError
 from framepress.linalg import make_rng, softmax_rows
 from framepress.sampler import (
-    FrameScores,
     SampledTokens,
     load_sampled,
     sample_video,
@@ -19,17 +18,19 @@ from framepress.sampler import (
 
 def random_output(seed, frames=2, n=6, m=10, c=4):
     rng = make_rng(seed)
-    att = tuple(softmax_rows(rng.normal(size=(n, m))) for _ in range(frames))
-    tok = tuple(rng.normal(size=(n, c)) for _ in range(frames))
+    att = np.stack([softmax_rows(rng.normal(size=(n, m))) for _ in range(frames)])
+    tok = rng.normal(size=(frames, n, c))
     return AdapterOutput(tokens=tok, attention=att)
 
 
 def test_score_frame_is_row_max():
     att = softmax_rows(np.array([[0.0, 5.0, 1.0], [2.0, 2.0, 2.0]]))
     scores = score_frame(att)
-    np.testing.assert_array_equal(scores.values, att.max(axis=1))
+    np.testing.assert_array_equal(scores, att.max(axis=1))
     # The uniform row scores exactly 1/M.
-    assert scores.values[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert scores[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    # A video's (T, N, M) attention scores every frame at once.
+    np.testing.assert_array_equal(score_frame(np.stack([att, att[::-1]])), [scores, scores[::-1]])
 
 
 def test_score_frame_rejects_empty():
@@ -38,21 +39,25 @@ def test_score_frame_rejects_empty():
 
 
 def test_select_topk_explicit_cases():
-    scores = FrameScores(np.array([0.1, 0.9, 0.4, 0.9, 0.2]))
+    scores = np.array([0.1, 0.9, 0.4, 0.9, 0.2])
     np.testing.assert_array_equal(select_topk(scores, 1), [1])
     # Tie at 0.9: lower index first.
     np.testing.assert_array_equal(select_topk(scores, 2), [1, 3])
     np.testing.assert_array_equal(select_topk(scores, 3), [1, 3, 2])
     np.testing.assert_array_equal(select_topk(scores, 5), [1, 3, 2, 4, 0])
+    # Rows of a (T, N) score matrix are selected independently.
+    np.testing.assert_array_equal(
+        select_topk(np.stack([scores, [0.5, 0.1, 0.5, 0.7, 0.0]]), 2), [[1, 3], [3, 0]]
+    )
 
 
 def test_select_topk_all_tied_prefers_low_indices():
-    scores = FrameScores(np.full(6, 0.5))
+    scores = np.full(6, 0.5)
     np.testing.assert_array_equal(select_topk(scores, 3), [0, 1, 2])
 
 
 def test_select_topk_bounds():
-    scores = FrameScores(np.array([0.3, 0.7]))
+    scores = np.array([0.3, 0.7])
     with pytest.raises(ParameterError):
         select_topk(scores, 0)
     with pytest.raises(ParameterError):
@@ -66,11 +71,10 @@ def test_select_topk_bounds():
 )
 @settings(max_examples=200, deadline=None)
 def test_select_topk_prefixes_nest(values):
-    scores = FrameScores(values)
     n = values.size
-    full = select_topk(scores, n)
+    full = select_topk(values, n)
     for k in range(1, n):
-        np.testing.assert_array_equal(select_topk(scores, k), full[:k])
+        np.testing.assert_array_equal(select_topk(values, k), full[:k])
 
 
 def test_sample_video_orders():
@@ -80,7 +84,7 @@ def test_sample_video_orders():
     for t in range(out.frame_count):
         assert set(by_score.indices[t].tolist()) == set(by_index.indices[t].tolist())
         assert np.all(np.diff(by_index.indices[t]) > 0)
-        scores = score_frame(out.attention[t]).values
+        scores = score_frame(out.attention[t])
         kept = by_score.indices[t]
         assert np.all(np.diff(scores[kept]) <= 0)
         np.testing.assert_array_equal(by_score.tokens[t], out.tokens[t][kept])
@@ -100,14 +104,20 @@ def test_sampled_tokens_validation():
     with pytest.raises(ShapeError):
         SampledTokens(
             keep=2,
-            indices=(np.array([1, 1]),),  # duplicate
-            tokens=(np.zeros((2, 3)),),
+            indices=np.array([[0, 1], [1, 1]]),  # duplicate in frame 1
+            tokens=np.zeros((2, 2, 3)),
         )
     with pytest.raises(ShapeError):
         SampledTokens(
             keep=2,
-            indices=(np.array([0, 1]),),
-            tokens=(np.zeros((3, 3)),),  # row count != keep
+            indices=np.array([[0, 1]]),
+            tokens=np.zeros((1, 3, 3)),  # row count != keep
+        )
+    with pytest.raises(ShapeError):
+        SampledTokens(
+            keep=2,
+            indices=np.array([[0, 1]]),  # one frame of indices for two of tokens
+            tokens=np.zeros((2, 2, 3)),
         )
 
 

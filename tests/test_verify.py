@@ -33,9 +33,9 @@ def test_light_checks_pass():
 def _tiebreak_flips_with_parity(scores, k):
     """A deliberately broken selector: ties go to the lower index for odd
     K and to the higher index for even K, so keep-sets cannot nest."""
-    n = scores.token_count
+    n = scores.size
     tiebreak = np.arange(n) if k % 2 else -np.arange(n)
-    order = np.lexsort((tiebreak, -scores.values))
+    order = np.lexsort((tiebreak, -scores))
     return order[:k]
 
 
