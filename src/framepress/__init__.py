@@ -35,10 +35,12 @@ from .curriculum import (
     QaRecord,
     StagePlan,
     StageSpec,
+    filter_file,
     filter_type,
     make_plan,
     read_manifest,
     subsample,
+    subsample_file,
     take_n,
     write_manifest,
 )
@@ -113,6 +115,7 @@ __all__ = [
     "calibrate",
     "calibrated_config",
     "estimate",
+    "filter_file",
     "filter_type",
     "init_adapter_params",
     "load_checkpoint",
@@ -125,6 +128,7 @@ __all__ = [
     "score_frame",
     "select_topk",
     "subsample",
+    "subsample_file",
     "sweep",
     "synthetic_video",
     "take_n",

@@ -38,6 +38,10 @@ from .pipeline import assemble_sequence, spec_from_dict, train_toy
 from .sampler import load_sampled, sample_video, save_sampled
 from .verify import format_report, verify_all
 
+# Adapter shape of a checkpoint that --queries/--width do not set.
+DEFAULT_QUERIES = 32
+DEFAULT_WIDTH = 32
+
 
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
@@ -69,11 +73,21 @@ def _cmd_encode(args) -> int:
 
 def _load_or_init_params(args, video: VideoTokenTensor):
     if args.checkpoint and Path(args.checkpoint, "adapter.json").is_file():
-        return load_checkpoint(args.checkpoint)
+        params = load_checkpoint(args.checkpoint)
+        for flag, given, stored in (
+            ("--queries", args.queries, params.query_count),
+            ("--width", args.width, params.width),
+        ):
+            if given is not None and given != stored:
+                raise ParameterError(
+                    f"{flag} {given} conflicts with the checkpoint in "
+                    f"{args.checkpoint}, which has {stored}"
+                )
+        return params
     gh, gw = video.grid_shape
     params = init_adapter_params(
-        queries=args.queries,
-        width=args.width,
+        queries=DEFAULT_QUERIES if args.queries is None else args.queries,
+        width=DEFAULT_WIDTH if args.width is None else args.width,
         feature_dim=video.feature_dim,
         grid_h=gh,
         grid_w=gw,
@@ -167,25 +181,21 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_subsample(args) -> int:
-    manifest = curriculum.read_manifest(args.manifest)
-    sub = curriculum.subsample(
-        manifest, args.fraction, args.seed, qa_cap_per_video=args.qa_cap
+    videos, qa_pairs, kept_videos, kept_pairs = curriculum.subsample_file(
+        args.manifest, args.out, args.fraction, args.seed, qa_cap_per_video=args.qa_cap
     )
-    curriculum.write_manifest(sub, args.out)
     print(
-        f"{manifest.unique_videos} videos / {manifest.qa_pairs} QA pairs -> "
-        f"{sub.unique_videos} videos / {sub.qa_pairs} QA pairs -> {args.out}"
+        f"{videos} videos / {qa_pairs} QA pairs -> "
+        f"{kept_videos} videos / {kept_pairs} QA pairs -> {args.out}"
     )
     return 0
 
 
 def _cmd_filter(args) -> int:
-    manifest = curriculum.read_manifest(args.manifest)
     types = {t.strip() for t in args.types.split(",") if t.strip()}
-    filtered = curriculum.filter_type(manifest, types)
-    curriculum.write_manifest(filtered, args.out)
+    qa_pairs, kept_pairs = curriculum.filter_file(args.manifest, args.out, types)
     print(
-        f"kept {filtered.qa_pairs} of {manifest.qa_pairs} QA pairs "
+        f"kept {kept_pairs} of {qa_pairs} QA pairs "
         f"({', '.join(sorted(types))}) -> {args.out}"
     )
     return 0
@@ -207,7 +217,10 @@ def _cmd_plan(args) -> int:
 def _cmd_train_toy(args) -> int:
     raw = {}
     if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ParameterError(f"{args.config}: bad config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParameterError("config must be a JSON object of ToyTaskSpec fields")
     spec = spec_from_dict(raw)
@@ -258,8 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--features", required=True, help="FTV1 (T, gh, gw, D) file")
         p.add_argument("--checkpoint", help="adapter checkpoint directory")
-        p.add_argument("--queries", type=int, default=32)
-        p.add_argument("--width", type=int, default=32)
+        p.add_argument(
+            "--queries", type=int, help=f"new checkpoints: default {DEFAULT_QUERIES}"
+        )
+        p.add_argument(
+            "--width", type=int, help=f"new checkpoints: default {DEFAULT_WIDTH}"
+        )
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
         if name == "adapt":

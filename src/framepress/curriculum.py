@@ -10,8 +10,14 @@ enters the schedule.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
+import os
+import secrets
+import stat
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,51 +110,127 @@ class DatasetManifest:
         return out
 
 
+def _record_line(rec: QaRecord) -> str:
+    """One manifest line for ``rec``: its five fields in a fixed order.
+
+    The same text as ``json.dumps`` of the field dict with
+    ``ensure_ascii=False`` (it quotes each string with the same function),
+    at about two thirds of the cost.
+    """
+    quote = json.encoder.encode_basestring
+    return (
+        f'{{"video_id": {quote(rec.video_id)}, "qa_id": {quote(rec.qa_id)}, '
+        f'"question": {quote(rec.question)}, "answer": {quote(rec.answer)}, '
+        f'"data_type": {quote(rec.data_type)}}}\n'
+    )
+
+
+def _parse_line(path, lineno: int, raw: bytes) -> QaRecord | None:
+    """The record on one raw manifest line, or None for a blank line."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+    if not line:
+        return None
+    try:
+        fields = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{lineno}: bad record: {exc}") from exc
+    if not isinstance(fields, dict):
+        raise FormatError(f"{path}:{lineno}: record is not an object")
+    try:
+        return QaRecord(
+            video_id=str(fields["video_id"]),
+            qa_id=str(fields["qa_id"]),
+            question=str(fields.get("question", "")),
+            answer=str(fields.get("answer", "")),
+            data_type=str(fields.get("data_type", "unspecified")),
+        )
+    except KeyError as exc:
+        raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
+
+
+def _scan(path):
+    """Yield ``(lineno, record)`` for every non-blank line of a manifest file,
+    validating each line and rejecting a repeated (video_id, qa_id) key."""
+    seen = set()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            rec = _parse_line(path, lineno, raw)
+            if rec is None:
+                continue
+            key = (rec.video_id, rec.qa_id)
+            if key in seen:
+                raise FormatError(f"{path}:{lineno}: duplicate record key {key}")
+            seen.add(key)
+            yield lineno, rec
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file that replaces ``path`` only if the block finishes.
+
+    The data goes to a temporary file next to ``path`` first, so an error
+    leaves neither a partial output nor a clobbered old one, and ``path``
+    may be the file being read.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_manifest(manifest: DatasetManifest, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for rec in manifest.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "video_id": rec.video_id,
-                        "qa_id": rec.qa_id,
-                        "question": rec.question,
-                        "answer": rec.answer,
-                        "data_type": rec.data_type,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            fh.write(_record_line(rec))
 
 
 def read_manifest(path, name: str | None = None) -> DatasetManifest:
-    path = Path(path)
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: bad record: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise FormatError(f"{path}:{lineno}: record is not an object")
-            try:
-                records.append(
-                    QaRecord(
-                        video_id=str(raw["video_id"]),
-                        qa_id=str(raw["qa_id"]),
-                        question=str(raw.get("question", "")),
-                        answer=str(raw.get("answer", "")),
-                        data_type=str(raw.get("data_type", "unspecified")),
-                    )
-                )
-            except KeyError as exc:
-                raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
-    return DatasetManifest(name=name or path.stem, records=tuple(records))
+    records = tuple(rec for _, rec in _scan(path))
+    return DatasetManifest(name=name or Path(path).stem, records=records)
+
+
+def _check_subsample_args(fraction: float, qa_cap_per_video: int | None) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
+    if qa_cap_per_video is not None and qa_cap_per_video < 1:
+        raise ParameterError(f"qa_cap_per_video must be >= 1, got {qa_cap_per_video}")
+
+
+def _kept_positions(
+    video_ids, fraction: float, seed: int, qa_cap_per_video: int | None
+) -> tuple[list[int], int]:
+    """Positions (ascending) of the records ``subsample`` keeps, given each
+    record's video id, and the number of distinct videos."""
+    distinct = list(dict.fromkeys(video_ids))
+    if not distinct:
+        raise EmptyInputError("cannot subsample an empty manifest")
+    n_keep = math.floor(fraction * len(distinct))
+    rng = make_rng(seed)
+    chosen = rng.choice(len(distinct), size=n_keep, replace=False).tolist()
+    keep_ids = {distinct[i] for i in chosen}
+    kept = [i for i, vid in enumerate(video_ids) if vid in keep_ids]
+    if qa_cap_per_video is not None:
+        by_video: dict[str, list[int]] = {}
+        for i in kept:
+            by_video.setdefault(video_ids[i], []).append(i)
+        capped = []
+        # Videos come in first-appearance order, so the rng consumption is
+        # deterministic.
+        for indices in by_video.values():
+            if len(indices) > qa_cap_per_video:
+                picked = rng.choice(len(indices), size=qa_cap_per_video, replace=False)
+                indices = [indices[j] for j in sorted(picked.tolist())]
+            capped.extend(indices)
+        kept = sorted(capped)
+    return kept, len(distinct)
 
 
 def subsample(
@@ -165,46 +247,57 @@ def subsample(
     (again drawn uniformly), for corpora whose QA counts per video are
     heavily skewed.
     """
-    if manifest.qa_pairs == 0:
-        raise EmptyInputError("cannot subsample an empty manifest")
-    if not 0.0 < fraction <= 1.0:
-        raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
-    if qa_cap_per_video is not None and qa_cap_per_video < 1:
-        raise ParameterError(f"qa_cap_per_video must be >= 1, got {qa_cap_per_video}")
-    ids = manifest.video_ids()
-    n_keep = math.floor(fraction * len(ids))
-    rng = make_rng(seed)
-    chosen = set(rng.choice(len(ids), size=n_keep, replace=False).tolist())
-    keep_ids = {ids[i] for i in chosen}
-    kept_indices = [
-        i for i, rec in enumerate(manifest.records) if rec.video_id in keep_ids
-    ]
-    if qa_cap_per_video is not None:
-        by_video: dict[str, list[int]] = {}
-        for i in kept_indices:
-            by_video.setdefault(manifest.records[i].video_id, []).append(i)
-        capped = []
-        # Iterate videos in first-appearance order so the rng consumption
-        # is deterministic.
-        for vid in ids:
-            if vid not in keep_ids:
-                continue
-            indices = by_video[vid]
-            if len(indices) > qa_cap_per_video:
-                picked = rng.choice(
-                    len(indices), size=qa_cap_per_video, replace=False
-                )
-                indices = [indices[j] for j in sorted(picked.tolist())]
-            capped.extend(indices)
-        kept_indices = sorted(capped)
+    _check_subsample_args(fraction, qa_cap_per_video)
+    kept, _ = _kept_positions(
+        [rec.video_id for rec in manifest.records], fraction, seed, qa_cap_per_video
+    )
     return DatasetManifest(
-        name=manifest.name,
-        records=tuple(manifest.records[i] for i in kept_indices),
+        name=manifest.name, records=tuple(manifest.records[i] for i in kept)
     )
 
 
-def filter_type(manifest: DatasetManifest, types) -> DatasetManifest:
-    """Records whose data_type lies in ``types``, order preserved."""
+def subsample_file(
+    src, dst, fraction: float, seed: int, qa_cap_per_video: int | None = None
+) -> tuple[int, int, int, int]:
+    """``write_manifest(subsample(read_manifest(src), ...), dst)`` without
+    holding the manifest in memory.
+
+    The first pass validates every record and keeps only each record's line
+    number and key; the second re-reads ``src`` and parses only the kept
+    lines, so ``src`` must be a regular file that stays unchanged between
+    the passes. Returns (videos, QA pairs) of ``src`` and of the output.
+    """
+    _check_subsample_args(fraction, qa_cap_per_video)
+    if not stat.S_ISREG(os.stat(src).st_mode):
+        raise FormatError(f"{src}: not a regular file; subsample reads it twice")
+    linenos = array("q")
+    video_ids: list[str] = []
+    qa_ids: list[str] = []
+    for lineno, rec in _scan(src):
+        linenos.append(lineno)
+        video_ids.append(rec.video_id)
+        qa_ids.append(rec.qa_id)
+    kept, videos = _kept_positions(video_ids, fraction, seed, qa_cap_per_video)
+    with open(src, "rb") as fh, _replacing(dst) as out:
+        at = 0
+        for i in kept:
+            raw = next(itertools.islice(fh, linenos[i] - at - 1, None), None)
+            at = linenos[i]
+            if raw is None:
+                raise FormatError(
+                    f"{src}: ended before line {at} on the second read; the file changed"
+                )
+            rec = _parse_line(src, at, raw)
+            if rec is None or (rec.video_id, rec.qa_id) != (video_ids[i], qa_ids[i]):
+                raise FormatError(
+                    f"{src}:{at}: expected record ({video_ids[i]!r}, {qa_ids[i]!r}) "
+                    "on the second read; the file changed"
+                )
+            out.write(_record_line(rec))
+    return videos, len(video_ids), len({video_ids[i] for i in kept}), len(kept)
+
+
+def _check_types(types) -> set[str]:
     wanted = set(types)
     if not wanted:
         raise ParameterError("type set must be non-empty")
@@ -213,10 +306,30 @@ def filter_type(manifest: DatasetManifest, types) -> DatasetManifest:
         raise ParameterError(
             f"unknown data types {sorted(unknown)}; expected from {DATA_TYPES}"
         )
+    return wanted
+
+
+def filter_type(manifest: DatasetManifest, types) -> DatasetManifest:
+    """Records whose data_type lies in ``types``, order preserved."""
+    wanted = _check_types(types)
     return DatasetManifest(
         name=manifest.name,
         records=tuple(r for r in manifest.records if r.data_type in wanted),
     )
+
+
+def filter_file(src, dst, types) -> tuple[int, int]:
+    """``write_manifest(filter_type(read_manifest(src), types), dst)`` in one
+    streaming pass. Returns the QA pairs read and the QA pairs kept."""
+    wanted = _check_types(types)
+    read = kept = 0
+    with _replacing(dst) as out:
+        for _, rec in _scan(src):
+            read += 1
+            if rec.data_type in wanted:
+                kept += 1
+                out.write(_record_line(rec))
+    return read, kept
 
 
 def take_n(manifest: DatasetManifest, n: int, seed: int) -> DatasetManifest:

@@ -153,12 +153,30 @@ class ToyTaskSpec:
 
 
 def spec_from_dict(raw: dict) -> ToyTaskSpec:
-    """Build a :class:`ToyTaskSpec` from parsed config text, rejecting unknown keys."""
-    known = set(ToyTaskSpec().as_dict())
-    unknown = set(raw) - known
+    """Build a :class:`ToyTaskSpec` from parsed config text.
+
+    Unknown keys are rejected, and each value must have its default's type:
+    an int field takes an int (not a bool), a float field an int or a float,
+    ``target_mode`` a string.
+    """
+    defaults = ToyTaskSpec().as_dict()
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ParameterError(f"unknown config keys {sorted(unknown)}")
-    return ToyTaskSpec(**raw)
+    fields = {}
+    for key, value in raw.items():
+        want = type(defaults[key])
+        allowed = (int, float) if want is float else (want,)
+        try:
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise TypeError
+            fields[key] = want(value)
+        except (TypeError, OverflowError):  # float() overflows past 1.8e308
+            raise ParameterError(
+                f"config key {key!r} must be {want.__name__}, "
+                f"got {type(value).__name__} {value!r}"
+            ) from None
+    return ToyTaskSpec(**fields)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from framepress import cli, ftv1
+from framepress import cli, curriculum, ftv1
+from framepress.adapter import load_checkpoint
 from framepress.curriculum import synthetic_manifest, write_manifest
 from framepress.verify import CheckResult
 
@@ -130,6 +132,24 @@ def _cost_with_csv(tmp_path, text):
     return ["cost", "--calibrate", str(csv)]
 
 
+def _train_toy_with_config(tmp_path, text):
+    cfg = tmp_path / "toy.json"
+    cfg.write_text(text, encoding="utf-8")
+    return ["train-toy", "--config", str(cfg)]
+
+
+def _with_checkpoint(tmp_path, name, *flags):
+    """``name`` argv against a 6-query, 8-wide checkpoint, plus ``flags``."""
+    feats, ckpt = tmp_path / "feats.ftv1", tmp_path / "ckpt"
+    assert cli.main(["encode", "--frames", "2", "--grid", "2x2", "--dim", "4", "--out", str(feats)]) == 0
+    assert cli.main([
+        "adapt", "--features", str(feats), "--checkpoint", str(ckpt), "--queries", "6",
+        "--width", "8", "--out", str(tmp_path / "tok.ftv1"),
+    ]) == 0
+    argv = [name, "--features", str(feats), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.ftv1")]
+    return argv + (["--k", "2"] if name == "compress" else []) + list(flags)
+
+
 BAD_INPUTS = {
     "missing features": lambda tmp: [
         "compress", "--features", str(tmp / "absent.ftv1"), "--k", "2", "--out", str(tmp / "k.ftv1")
@@ -151,6 +171,13 @@ BAD_INPUTS = {
     "sidecar indices not integers": lambda tmp: _assemble_with_sidecar(
         tmp, '{"keep": 2, "indices": [[0, 1], [0, 1.5]]}'
     ),
+    "malformed config": lambda tmp: _train_toy_with_config(tmp, '{"steps": 5'),
+    "config value of the wrong type": lambda tmp: _train_toy_with_config(tmp, '{"steps": "2"}'),
+    "config int given a bool": lambda tmp: _train_toy_with_config(tmp, '{"frames": true}'),
+    "compress --queries conflicts with checkpoint": lambda tmp: _with_checkpoint(
+        tmp, "compress", "--queries", "12"
+    ),
+    "adapt --width conflicts with checkpoint": lambda tmp: _with_checkpoint(tmp, "adapt", "--width", "16"),
 }
 
 
@@ -160,6 +187,125 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def test_checkpoint_flags_must_match_an_existing_checkpoint(tmp_path, capsys):
+    argv = _with_checkpoint(tmp_path, "compress")
+    for flags in ([], ["--queries", "6"], ["--queries", "6", "--width", "8"]):
+        code, out, _ = run(capsys, *argv, *flags)
+        assert code == 0 and "top-2 of 6" in out
+    code, _, err = run(capsys, *argv, "--queries", "12")
+    assert code == 2 and "--queries 12" in err and "has 6" in err
+    code, _, err = run(capsys, *argv, "--width", "16")
+    assert code == 2 and "--width 16" in err and "has 8" in err
+    # Without the flags, a new checkpoint still starts at 32 queries, 32 wide.
+    fresh = tmp_path / "fresh"
+    code, out, _ = run(capsys, *argv[:4], str(fresh), *argv[5:])
+    assert code == 0 and "top-2 of 32" in out
+    assert load_checkpoint(fresh).width == 32
+
+
+def _manifest(tmp_path, tail=b""):
+    """A 6-video manifest at ``tmp_path/m.jsonl``, ``tail`` appended."""
+    path = tmp_path / "m.jsonl"
+    write_manifest(synthetic_manifest(6, 2, seed=1), path)
+    with open(path, "ab") as fh:
+        fh.write(tail)
+    return path
+
+
+def _first_line(tmp_path):
+    return _manifest(tmp_path).read_bytes().splitlines(keepends=True)[0]
+
+
+BAD_MANIFEST_TAILS = {
+    "bad JSON last line": lambda tmp: b'{"video_id": "v9", "qa_id": \n',
+    "late duplicate key": _first_line,
+    "non-UTF-8 bytes": lambda tmp: b'{"video_id": "v9", "qa_id": "q\xff"}\n',
+}
+
+MANIFEST_COMMANDS = {
+    "subsample": ["--fraction", "0.5", "--seed", "3", "--qa-cap", "1"],
+    "filter": ["--types", "vqa,reasoning"],
+}
+
+
+def _assert_fails_cleanly(capsys, argv, out):
+    """Exit 2 with one error line; ``out`` and its directory are untouched,
+    whether ``out`` existed before or not."""
+    for existing in (None, b"an older output\n"):
+        if existing is not None:
+            out.write_bytes(existing)
+        args = argv()
+        before = sorted(os.listdir(out.parent))
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(out.parent)) == before
+        if existing is not None:
+            assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize("case", list(BAD_MANIFEST_TAILS))
+@pytest.mark.parametrize("command", list(MANIFEST_COMMANDS))
+def test_bad_manifest_leaves_output_alone(command, case, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+
+    def argv():
+        src = _manifest(tmp_path, BAD_MANIFEST_TAILS[case](tmp_path))
+        return [command, str(src), *MANIFEST_COMMANDS[command], "--out", str(out)]
+
+    _assert_fails_cleanly(capsys, argv, out)
+
+
+def _reverse_lines(path):
+    path.write_bytes(b"".join(reversed(path.read_bytes().splitlines(keepends=True))))
+
+
+def _keep_three_lines(path):
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:3]))
+
+
+@pytest.mark.parametrize("change", [_reverse_lines, _keep_three_lines])
+def test_subsample_detects_a_manifest_changed_between_passes(change, tmp_path, capsys, monkeypatch):
+    src, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+    first_pass = curriculum._kept_positions
+
+    def select_then_change(*args):
+        kept = first_pass(*args)
+        change(src)
+        return kept
+
+    monkeypatch.setattr(curriculum, "_kept_positions", select_then_change)
+
+    def argv():
+        _manifest(tmp_path)
+        return ["subsample", str(src), "--fraction", "1", "--seed", "0", "--out", str(out)]
+
+    _assert_fails_cleanly(capsys, argv, out)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_subsample_rejects_a_pipe(tmp_path, capsys):
+    fifo, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+    os.mkfifo(fifo)
+    _assert_fails_cleanly(
+        capsys,
+        lambda: ["subsample", str(fifo), "--fraction", "1", "--seed", "0", "--out", str(out)],
+        out,
+    )
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_COMMANDS))
+def test_manifest_commands_may_overwrite_their_input(command, tmp_path, capsys):
+    src = _manifest(tmp_path)
+    other = tmp_path / "other.jsonl"
+    args = MANIFEST_COMMANDS[command]
+    assert run(capsys, command, str(src), *args, "--out", str(other))[0] == 0
+    assert run(capsys, command, str(src), *args, "--out", str(src))[0] == 0
+    assert src.read_bytes() == other.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["m.jsonl", "other.jsonl"]
 
 
 def test_plan_command(tmp_path, capsys):

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framepress import cli
 from framepress.curriculum import (
     DATA_TYPES,
     IMAGE_DATASET_ROLES,
@@ -23,6 +28,8 @@ from framepress.curriculum import (
     write_manifest,
 )
 from framepress.errors import EmptyInputError, FormatError, ParameterError, PlanError
+
+TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
 
 
 def test_record_and_manifest_validation():
@@ -167,6 +174,100 @@ def test_read_manifest_rejects_garbage(tmp_path):
     path.write_text('{"qa_id": "q"}\n', encoding="utf-8")
     with pytest.raises(FormatError):
         read_manifest(path)
+
+
+@given(st.lists(st.tuples(TEXT, TEXT), max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_write_manifest_lines_are_json_dumps(texts):
+    records = tuple(
+        QaRecord(video_id=f"v{i}{q}", qa_id="q", question=q, answer=a, data_type="vqa")
+        for i, (q, a) in enumerate(texts)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.jsonl"
+        write_manifest(DatasetManifest(name="m", records=records), path)
+        written = path.read_bytes().decode("utf-8")
+    assert written == "".join(
+        json.dumps(
+            {"video_id": r.video_id, "qa_id": r.qa_id, "question": r.question,
+             "answer": r.answer, "data_type": r.data_type},
+            ensure_ascii=False,
+        ) + "\n"
+        for r in records
+    )
+
+
+def test_read_manifest_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    good = '{"video_id": "v", "qa_id": "q"}\n'
+    path.write_bytes(good.encode() + b'{"video_id": "v", "qa_id": "\xff"}\n')
+    with pytest.raises(FormatError, match=f"{path}:2: not UTF-8"):
+        read_manifest(path)
+    path.write_text(good + "\n" + good, encoding="utf-8")
+    with pytest.raises(FormatError, match=f"{path}:3: duplicate record key"):
+        read_manifest(path)
+
+
+@st.composite
+def manifest_lines(draw):
+    """JSONL text of a small manifest: videos interleaved, optional and extra
+    fields, non-ASCII text, escaped or raw, and blank lines."""
+    records = []
+    for v in range(draw(st.integers(1, 6))):
+        video_id = f"v{v}{draw(TEXT)}"
+        for q in range(draw(st.integers(1, 4))):
+            rec = {"video_id": video_id, "qa_id": f"q{q}"}
+            for key in ("question", "answer", "extra"):
+                if draw(st.booleans()):
+                    rec[key] = draw(TEXT)
+            if draw(st.booleans()):
+                rec["data_type"] = draw(st.sampled_from(DATA_TYPES))
+            records.append(rec)
+    lines = []
+    for rec in draw(st.permutations(records)):
+        lines.append(json.dumps(rec, ensure_ascii=draw(st.booleans())))
+        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=1)))
+    return "\n".join(lines) + "\n"
+
+
+def _cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([str(a) for a in argv]) == 0
+    return out.getvalue()
+
+
+@given(
+    manifest_lines(),
+    st.floats(0.01, 1.0),
+    st.integers(0, 1000),
+    st.none() | st.integers(1, 3),
+    st.sets(st.sampled_from(DATA_TYPES), min_size=1),
+)
+@settings(max_examples=40, deadline=None)
+def test_streaming_cli_matches_in_memory_functions(text, fraction, seed, cap, types):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        src, want, got = tmp / "m.jsonl", tmp / "want.jsonl", tmp / "got.jsonl"
+        src.write_text(text, encoding="utf-8")
+        manifest = read_manifest(src)
+
+        sub = subsample(manifest, fraction, seed, qa_cap_per_video=cap)
+        write_manifest(sub, want)
+        argv = ["subsample", src, "--fraction", fraction, "--seed", seed, "--out", got]
+        out = _cli_stdout(argv + ([] if cap is None else ["--qa-cap", cap]))
+        assert got.read_bytes() == want.read_bytes()
+        assert out.startswith(
+            f"{manifest.unique_videos} videos / {manifest.qa_pairs} QA pairs -> "
+            f"{sub.unique_videos} videos / {sub.qa_pairs} QA pairs -> "
+        )
+
+        filtered = filter_type(manifest, types)
+        write_manifest(filtered, want)
+        out = _cli_stdout(["filter", src, "--types", ",".join(types), "--out", got])
+        assert got.read_bytes() == want.read_bytes()
+        assert out.startswith(f"kept {filtered.qa_pairs} of {manifest.qa_pairs} QA pairs")
+        assert sorted(p.name for p in tmp.iterdir()) == ["got.jsonl", "m.jsonl", "want.jsonl"]
 
 
 def test_make_plan_stage_placement():

@@ -106,6 +106,23 @@ def test_spec_from_dict_round_trip_and_unknown_keys():
         spec_from_dict({"stepz": 3})
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [{"steps": "2"}, {"steps": True}, {"steps": 2.0}, {"steps": None},
+     {"learning_rate": "0.5"}, {"learning_rate": False}, {"learning_rate": 10**400},
+     {"target_mode": 1}],
+)
+def test_spec_from_dict_rejects_mistyped_values(raw):
+    with pytest.raises(ParameterError, match=repr(next(iter(raw)))):
+        spec_from_dict(raw)
+
+
+def test_spec_from_dict_float_field_takes_an_int():
+    spec = spec_from_dict({"learning_rate": 1, "noise_scale": 0})
+    assert type(spec.learning_rate) is float and spec.learning_rate == 1.0
+    assert type(spec.noise_scale) is float and spec.noise_scale == 0.0
+
+
 def test_train_toy_learns_on_quick_task():
     report = train_toy(replace(QUICK_SPEC, steps=60))
     assert report.final_metrics["final_loss"] < report.final_metrics["initial_loss"]
