@@ -41,15 +41,12 @@ from .curriculum import (
     read_manifest,
     subsample,
     subsample_file,
-    take_n,
     write_manifest,
 )
 from .encoder import (
-    FrameTokenGrid,
     ImagePlane,
     VideoTokenTensor,
     patchify_encode,
-    sample_frames,
     synthetic_video,
 )
 from .errors import (
@@ -91,7 +88,6 @@ __all__ = [
     "EmptyInputError",
     "FitError",
     "FormatError",
-    "FrameTokenGrid",
     "FramepressError",
     "ImagePlane",
     "NumericError",
@@ -122,7 +118,6 @@ __all__ = [
     "make_plan",
     "patchify_encode",
     "read_manifest",
-    "sample_frames",
     "sample_video",
     "save_checkpoint",
     "score_frame",
@@ -131,7 +126,6 @@ __all__ = [
     "subsample_file",
     "sweep",
     "synthetic_video",
-    "take_n",
     "train_toy",
     "verify_all",
     "write_manifest",

@@ -27,6 +27,7 @@ import numpy as np
 from . import ftv1
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
+from .ftv1 import _replacing
 from .linalg import as_matrix, cross_attention, make_rng
 
 CHECKPOINT_HEADER = "adapter.json"
@@ -232,23 +233,15 @@ def random_adapter_params(
     )
 
 
-def add_temporal(video: VideoTokenTensor, temporal: np.ndarray) -> np.ndarray:
-    """Features as (T, M, D) with the frame vector added to every patch token."""
-    table = np.asarray(temporal, dtype=np.float64)
-    if table.ndim != 2:
-        raise ShapeError(f"temporal table must be 2-D, got shape {table.shape}")
-    if table.shape[0] != video.frame_count:
+def _shifted_tokens(video: VideoTokenTensor, params: AdapterParams) -> np.ndarray:
+    """The video's (T, M, D) tokens with each frame's temporal vector added."""
+    have = (video.frame_count, video.token_count, video.feature_dim)
+    want = (params.frame_count, params.source_tokens, params.feature_dim)
+    if have != want:
         raise ShapeError(
-            f"temporal table covers {table.shape[0]} frames, video has "
-            f"{video.frame_count}"
+            f"video has (frames, tokens, dim) {have}, adapter expects {want}"
         )
-    if table.shape[1] != video.feature_dim:
-        raise ShapeError(
-            f"temporal width {table.shape[1]} != feature dim {video.feature_dim}"
-        )
-    shifted = video.stacked()
-    shifted += table[:, None, :]
-    return shifted
+    return video.tokens() + params.temporal[:, None, :]
 
 
 def adapt_frame(
@@ -285,12 +278,7 @@ def adapt_frame(
 
 def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput:
     """Compress every frame of a video, preserving frame order."""
-    if video.token_count != params.source_tokens:
-        raise ShapeError(
-            f"video has {video.token_count} tokens per frame, adapter expects "
-            f"{params.source_tokens}"
-        )
-    shifted = add_temporal(video, params.temporal)
+    shifted = _shifted_tokens(video, params)
     t_count, n, m = video.frame_count, params.query_count, params.source_tokens
     tokens = np.empty((t_count, n, params.width))
     attention = np.empty((t_count, n, m))
@@ -314,6 +302,7 @@ def adapter_gradients(
     dLoss/dAttention per frame ((T, N, M)). Gradients are returned for the
     projection, query bank, positional table and temporal table.
     """
+    shifted = _shifted_tokens(video, params)
     g_tokens = np.asarray(token_grads, dtype=np.float64)
     t_count = video.frame_count
     n, c = params.query_count, params.width
@@ -332,7 +321,6 @@ def adapter_gradients(
     else:
         g_att_all = None
 
-    shifted = add_temporal(video, params.temporal)
     queries, scale = params.queries, params.scale
 
     g_proj = np.zeros((d, c))
@@ -397,13 +385,16 @@ def save_checkpoint(params: AdapterParams, dirpath) -> None:
         "frames": params.frame_count,
         "scale": params.scale,
     }
-    (root / CHECKPOINT_HEADER).write_text(
-        json.dumps(header, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # The header goes last and atomically: a directory holds a header only
+    # once all four tensors under it are written.
+    header_path = root / CHECKPOINT_HEADER
+    header_path.unlink(missing_ok=True)
     ftv1.write_tensor(root / "input_proj.ftv1", params.input_proj)
     ftv1.write_tensor(root / "queries.ftv1", params.queries)
     ftv1.write_tensor(root / "pos_table.ftv1", params.pos_table)
     ftv1.write_tensor(root / "temporal.ftv1", params.temporal)
+    with _replacing(header_path) as fh:
+        fh.write(json.dumps(header, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(dirpath) -> AdapterParams:
@@ -419,12 +410,15 @@ def load_checkpoint(dirpath) -> AdapterParams:
         raise FormatError(f"missing checkpoint header {header_path}")
     try:
         header = json.loads(header_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"unreadable checkpoint header: {exc}") from exc
-    if header.get("format") != _CHECKPOINT_FORMAT:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"unreadable checkpoint header {header_path}: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_FORMAT:
         raise FormatError(f"not an adapter checkpoint: {header_path}")
     if header.get("version") != _CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {header.get('version')!r}")
+    scale = header.get("scale")
+    if type(scale) not in (int, float):
+        raise FormatError(f"checkpoint header needs a numeric 'scale', got {scale!r}")
     queries = ftv1.read_tensor(root / "queries.ftv1", expect_rank=2)
     if header.get("query_pos"):
         query_pos = ftv1.read_tensor(root / "query_pos.ftv1", expect_rank=2)
@@ -438,7 +432,7 @@ def load_checkpoint(dirpath) -> AdapterParams:
         queries=queries,
         pos_table=ftv1.read_tensor(root / "pos_table.ftv1", expect_rank=2),
         temporal=ftv1.read_tensor(root / "temporal.ftv1", expect_rank=2),
-        scale=float(header["scale"]),
+        scale=scale,
     )
     declared = (
         header.get("queries"),

@@ -33,7 +33,7 @@ from .encoder import (
     save_features,
     synthetic_video,
 )
-from .errors import FramepressError, ParameterError
+from .errors import FramepressError, ParameterError, ShapeError
 from .pipeline import assemble_sequence, spec_from_dict, train_toy
 from .sampler import load_sampled, sample_video, save_sampled
 from .verify import format_report, verify_all
@@ -54,12 +54,17 @@ def _parse_grid(text: str) -> tuple[int, int]:
 def _cmd_encode(args) -> int:
     if args.images:
         proj = frozen_projection(args.patch, args.dim)
-        frames = []
-        for path in args.images:
-            pixels = np.load(path)
-            img = ImagePlane(pixels)
-            frames.append(patchify_encode(img, args.patch, proj))
-        video = VideoTokenTensor(tuple(frames))
+        grids = []
+        for i, path in enumerate(args.images):
+            grid = patchify_encode(ImagePlane(np.load(path)), args.patch, proj)
+            if grids and grid.shape != grids[0].shape:
+                raise ShapeError(
+                    f"frame {i} shape {grid.shape} differs from frame 0 {grids[0].shape}"
+                )
+            grids.append(grid)
+        feats = np.stack(grids)
+        feats.setflags(write=False)
+        video = VideoTokenTensor(feats)
     else:
         gh, gw = _parse_grid(args.grid)
         video = synthetic_video(args.frames, gh, gw, args.dim, args.seed)
@@ -139,8 +144,12 @@ def _cmd_assemble(args) -> int:
 
 
 def _read_calibration_csv(path) -> list[tuple[int, float]]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text: {exc}") from exc
     points = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue

@@ -3,25 +3,23 @@
 Manifests are JSON Lines files of QA records tied to videos. The
 operations here are the data-side levers of the training recipe:
 video-level subsampling (pick a fraction of the *videos*, keep their QA
-pairs), instruction-type filtering, fixed-size QA sampling, and
-generation of multi-stage training plans that differ in where video data
-enters the schedule.
+pairs), instruction-type filtering, and generation of multi-stage
+training plans that differ in where video data enters the schedule.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
 import os
-import secrets
 import stat
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyInputError, FormatError, ParameterError, PlanError
+from .ftv1 import _replacing
 from .linalg import make_rng
 
 DATA_TYPES = (
@@ -165,25 +163,6 @@ def _scan(path):
                 raise FormatError(f"{path}:{lineno}: duplicate record key {key}")
             seen.add(key)
             yield lineno, rec
-
-
-@contextlib.contextmanager
-def _replacing(path):
-    """A text file that replaces ``path`` only if the block finishes.
-
-    The data goes to a temporary file next to ``path`` first, so an error
-    leaves neither a partial output nor a clobbered old one, and ``path``
-    may be the file being read.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
@@ -330,22 +309,6 @@ def filter_file(src, dst, types) -> tuple[int, int]:
                 kept += 1
                 out.write(_record_line(rec))
     return read, kept
-
-
-def take_n(manifest: DatasetManifest, n: int, seed: int) -> DatasetManifest:
-    """A uniform seeded sample of n QA records, original order preserved."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if n > manifest.qa_pairs:
-        raise ParameterError(
-            f"n={n} exceeds the manifest's {manifest.qa_pairs} QA pairs"
-        )
-    rng = make_rng(seed)
-    picked = rng.choice(manifest.qa_pairs, size=n, replace=False)
-    return DatasetManifest(
-        name=manifest.name,
-        records=tuple(manifest.records[i] for i in sorted(picked.tolist())),
-    )
 
 
 def synthetic_manifest(

@@ -1,8 +1,8 @@
 """Per-frame patch tokenization.
 
 A deterministic toy patch encoder (one frozen linear projection) stands in
-for a large pretrained vision backbone: it turns an image into an M x D grid
-of patch tokens with the right shape and ordering, supplying structure
+for a large pretrained vision backbone: it turns an image into a (grid_h, grid_w, D)
+grid of patch tokens with the right shape and ordering, supplying structure
 rather than semantics. Precomputed features can also be loaded from FTV1
 files.
 """
@@ -53,72 +53,43 @@ class ImagePlane:
 
 
 @dataclass(frozen=True)
-class FrameTokenGrid:
-    """Patch tokens of one frame, ordered raster-scan over the patch grid."""
+class VideoTokenTensor:
+    """Patch tokens of every frame as one (T, grid_h, grid_w, D) array.
 
-    grid_h: int
-    grid_w: int
-    features: np.ndarray  # (M, D) with M = grid_h * grid_w
+    This is the FTV1 features layout. Within a frame, token index
+    ``row * grid_w + col`` is patch (row, col), the raster-scan order of
+    :meth:`tokens`.
+    """
+
+    features: np.ndarray  # (T, grid_h, grid_w, D)
 
     def __post_init__(self):
-        if self.grid_h < 1 or self.grid_w < 1:
-            raise ShapeError(f"patch grid must be non-empty, got {self.grid_h}x{self.grid_w}")
-        feats = as_matrix(self.features, "frame features")
-        if feats.shape[0] != self.grid_h * self.grid_w:
-            raise ShapeError(
-                f"feature rows ({feats.shape[0]}) must equal grid_h*grid_w "
-                f"({self.grid_h * self.grid_w})"
-            )
+        feats = as_matrix(self.features, "video features", ndim=4)
+        if feats.shape[0] == 0:
+            raise EmptyInputError("a video needs at least one frame")
+        if 0 in feats.shape:
+            raise ShapeError(f"video features must be non-empty, got shape {feats.shape}")
         object.__setattr__(self, "features", feats)
 
     @property
-    def token_count(self) -> int:
+    def frame_count(self) -> int:
         return self.features.shape[0]
 
     @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class VideoTokenTensor:
-    """An ordered sequence of frame token grids with homogeneous shapes."""
-
-    frames: tuple[FrameTokenGrid, ...]
-
-    def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
-            raise EmptyInputError("a video needs at least one frame")
-        first = frames[0]
-        for i, frame in enumerate(frames[1:], start=1):
-            if (frame.grid_h, frame.grid_w, frame.feature_dim) != (
-                first.grid_h,
-                first.grid_w,
-                first.feature_dim,
-            ):
-                raise ShapeError(f"frame {i} shape differs from frame 0")
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.frames)
+    def grid_shape(self) -> tuple[int, int]:
+        return self.features.shape[1:3]
 
     @property
     def token_count(self) -> int:
-        return self.frames[0].token_count
+        return self.features.shape[1] * self.features.shape[2]
 
     @property
     def feature_dim(self) -> int:
-        return self.frames[0].feature_dim
+        return self.features.shape[3]
 
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.frames[0].grid_h, self.frames[0].grid_w
-
-    def stacked(self) -> np.ndarray:
-        """Features as one (T, M, D) array."""
-        return np.stack([f.features for f in self.frames])
+    def tokens(self) -> np.ndarray:
+        """The features as a (T, M, D) view, M = grid_h * grid_w."""
+        return self.features.reshape(self.frame_count, self.token_count, self.feature_dim)
 
 
 def frozen_projection(
@@ -137,11 +108,11 @@ def frozen_projection(
     return proj.astype(np.float32).astype(np.float64)
 
 
-def patchify_encode(img: ImagePlane, patch_size: int, projection) -> FrameTokenGrid:
+def patchify_encode(img: ImagePlane, patch_size: int, projection) -> np.ndarray:
     """Flatten each non-overlapping p x p x 3 patch and project it to D dims.
 
-    Patches are flattened row-major with channels innermost and ordered
-    raster-scan over the patch grid, so positional tables line up with
+    Returns a read-only (grid_h, grid_w, D) array. Patches are flattened
+    row-major with channels innermost, so positional tables line up with
     token index ``row * grid_w + col``.
     """
     if patch_size < 1:
@@ -161,36 +132,21 @@ def patchify_encode(img: ImagePlane, patch_size: int, projection) -> FrameTokenG
     # (gh, p, gw, p, 3) -> (gh, gw, p, p, 3) -> (M, 3p^2)
     patches = img.pixels.reshape(grid_h, patch_size, grid_w, patch_size, 3)
     patches = patches.transpose(0, 2, 1, 3, 4).reshape(grid_h * grid_w, flat)
-    features = patches @ proj
+    features = (patches @ proj).reshape(grid_h, grid_w, proj.shape[1])
     features.setflags(write=False)
-    return FrameTokenGrid(grid_h, grid_w, features)
-
-
-def sample_frames(video_frame_count: int, t: int) -> list[int]:
-    """Indices of ``t`` evenly spaced frames: ``floor(i * count / t)``."""
-    if video_frame_count < 1:
-        raise EmptyInputError("cannot sample frames from an empty video")
-    if t < 1:
-        raise ParameterError(f"frame count t must be >= 1, got {t}")
-    return [(i * video_frame_count) // t for i in range(t)]
+    return features
 
 
 def save_features(video: VideoTokenTensor, path) -> None:
     """Write a video's features as a rank-4 (T, grid_h, grid_w, D) FTV1 file."""
-    gh, gw = video.grid_shape
-    t, d = video.frame_count, video.feature_dim
-    ftv1.write_tensor(path, video.stacked().reshape(t, gh, gw, d))
+    ftv1.write_tensor(path, video.features)
 
 
 def load_features(path) -> VideoTokenTensor:
     """Read a rank-4 (T, grid_h, grid_w, D) FTV1 file into a video tensor."""
     arr = ftv1.read_tensor(path, expect_rank=4)
     arr.setflags(write=False)
-    t, gh, gw, d = arr.shape
-    frames = tuple(
-        FrameTokenGrid(gh, gw, arr[i].reshape(gh * gw, d)) for i in range(t)
-    )
-    return VideoTokenTensor(frames)
+    return VideoTokenTensor(arr)
 
 
 def synthetic_video(
@@ -201,10 +157,10 @@ def synthetic_video(
     seed: int,
 ) -> VideoTokenTensor:
     """A seeded random video tensor with float32-representable values."""
+    if min(frames, grid_h, grid_w, feature_dim) < 1:
+        raise ParameterError("frames, grid dims and feature_dim must be >= 1")
     rng = make_rng(seed)
-    raw = rng.normal(size=(frames, grid_h * grid_w, feature_dim))
+    raw = rng.normal(size=(frames, grid_h, grid_w, feature_dim))
     vals = raw.astype(np.float32).astype(np.float64)
     vals.setflags(write=False)
-    return VideoTokenTensor(
-        tuple(FrameTokenGrid(grid_h, grid_w, vals[i]) for i in range(frames))
-    )
+    return VideoTokenTensor(vals)

@@ -5,11 +5,17 @@ unsigned 32-bit little-endian dims, then ``prod(dims)`` IEEE-754 32-bit
 little-endian floats in row-major order. Storage is 32-bit; in-memory
 compute is 64-bit, so a value round-trips bit-exactly iff it is
 representable in float32.
+
+Also home to ``_replacing``, the atomic text-file write shared by the
+manifest and checkpoint writers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -86,3 +92,22 @@ def read_tensor(path, expect_rank: int | None = None) -> np.ndarray:
         bad = int(np.argmin(finite))
         raise FormatError(f"non-finite value {flat[bad]}", offset=dims_end + 4 * bad)
     return flat.astype(np.float64).reshape(dims)
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file that replaces ``path`` only if the block finishes.
+
+    The data goes to a temporary file next to ``path`` first, so an error
+    leaves neither a partial output nor a clobbered old one, and ``path``
+    may be the file being read.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

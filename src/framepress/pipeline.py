@@ -26,7 +26,7 @@ from .adapter import (
     apply_grads,
     init_adapter_params,
 )
-from .encoder import FrameTokenGrid, VideoTokenTensor
+from .encoder import VideoTokenTensor
 from .errors import NumericError, ParameterError, ShapeError
 from .linalg import as_matrix, split_rng
 from .sampler import SampledTokens, sample_video
@@ -252,13 +252,10 @@ def _make_batch(spec: ToyTaskSpec, data_rng, target_rng) -> _ToyBatch:
             axis=0,
         )
         targets[vb] = signal_mean @ readout
+    # Read-only, so each video wraps a view of the batch without a copy.
+    feats.setflags(write=False)
     videos = [
-        VideoTokenTensor(
-            tuple(
-                FrameTokenGrid(spec.grid_h, spec.grid_w, feats[vb, ft])
-                for ft in range(t)
-            )
-        )
+        VideoTokenTensor(feats[vb].reshape(t, spec.grid_h, spec.grid_w, d))
         for vb in range(b)
     ]
     return _ToyBatch(videos=videos, targets=targets, signal_positions=positions)

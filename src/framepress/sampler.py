@@ -139,8 +139,8 @@ def load_sampled(path) -> SampledTokens:
         raise FormatError(f"missing index sidecar {sidecar_path}")
     try:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"unreadable index sidecar: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"unreadable index sidecar {sidecar_path}: {exc}") from exc
     if not isinstance(sidecar, dict):
         raise FormatError(f"index sidecar {sidecar_path} is not a JSON object")
     keep = sidecar.get("keep")

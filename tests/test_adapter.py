@@ -15,7 +15,7 @@ from framepress.adapter import (
     save_checkpoint,
     sinusoidal_pos_table,
 )
-from framepress.encoder import FrameTokenGrid, VideoTokenTensor, synthetic_video
+from framepress.encoder import VideoTokenTensor, synthetic_video
 from framepress.errors import FormatError, ParameterError, ShapeError
 from framepress.linalg import fd_gradient, make_rng
 
@@ -62,14 +62,11 @@ def test_temporal_vectors_shift_features_before_projection():
     params = small_params(seed=16)
     out = adapt_video(video, params)
     # Manually shift the features in D-space, then adapt with zero temporal.
-    shifted_frames = tuple(
-        FrameTokenGrid(2, 2, video.frames[t].features + params.temporal[t])
-        for t in range(2)
-    )
+    shifted = VideoTokenTensor(video.features + params.temporal[:, None, None, :])
     from dataclasses import replace
 
     zero_t = replace(params, temporal=np.zeros_like(params.temporal))
-    manual = adapt_video(VideoTokenTensor(shifted_frames), zero_t)
+    manual = adapt_video(shifted, zero_t)
     for t in range(2):
         np.testing.assert_array_equal(out.tokens[t], manual.tokens[t])
         np.testing.assert_array_equal(out.attention[t], manual.attention[t])
@@ -242,3 +239,9 @@ def test_adapt_video_rejects_wrong_token_count():
     params = small_params(seed=35, source_tokens=5)
     with pytest.raises(ShapeError):
         adapt_video(video, params)
+    # The backward pass checks the same shapes: a 6-token video against
+    # 4-token params.
+    wide = synthetic_video(2, 2, 3, 3, seed=36)
+    params = small_params(seed=37)
+    with pytest.raises(ShapeError, match="tokens"):
+        adapter_gradients(wide, params, np.zeros((2, 3, 4)))

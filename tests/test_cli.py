@@ -1,11 +1,15 @@
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from framepress import cli, curriculum, ftv1
-from framepress.adapter import load_checkpoint
+from framepress.adapter import load_checkpoint, save_checkpoint
 from framepress.curriculum import synthetic_manifest, write_manifest
 from framepress.verify import CheckResult
 
@@ -117,19 +121,31 @@ def test_filter_unknown_type_exits_2(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def _write(path, data):
+    """Write ``data``, text as UTF-8 or bytes as they are."""
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+
+
 def _assemble_with_sidecar(tmp_path, sidecar):
     """``assemble`` argv for a valid 2-frame, keep-2 token file whose index
     sidecar holds ``sidecar``."""
     kept = tmp_path / "kept.ftv1"
     ftv1.write_tensor(kept, np.zeros((2, 2, 3)))
-    (tmp_path / "kept.ftv1.json").write_text(sidecar, encoding="utf-8")
+    _write(tmp_path / "kept.ftv1.json", sidecar)
     return ["assemble", "--tokens", str(kept)]
 
 
 def _cost_with_csv(tmp_path, text):
     csv = tmp_path / "measured.csv"
-    csv.write_text(text, encoding="utf-8")
+    _write(csv, text)
     return ["cost", "--calibrate", str(csv)]
+
+
+def _encode_images(tmp_path, *shapes):
+    paths = [str(tmp_path / f"img{i}.npy") for i in range(len(shapes))]
+    for path, shape in zip(paths, shapes):
+        np.save(path, np.full(shape, 0.5))
+    return ["encode", "--images", *paths, "--out", str(tmp_path / "f.ftv1")]
 
 
 def _train_toy_with_config(tmp_path, text):
@@ -148,6 +164,15 @@ def _with_checkpoint(tmp_path, name, *flags):
     ]) == 0
     argv = [name, "--features", str(feats), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.ftv1")]
     return argv + (["--k", "2"] if name == "compress" else []) + list(flags)
+
+
+def _with_header(tmp_path, old, new):
+    """``compress`` against a checkpoint whose header has ``old`` replaced
+    by ``new``."""
+    argv = _with_checkpoint(tmp_path, "compress")
+    header = tmp_path / "ckpt" / "adapter.json"
+    header.write_bytes(header.read_bytes().replace(old, new))
+    return argv
 
 
 BAD_INPUTS = {
@@ -178,6 +203,22 @@ BAD_INPUTS = {
         tmp, "compress", "--queries", "12"
     ),
     "adapt --width conflicts with checkpoint": lambda tmp: _with_checkpoint(tmp, "adapt", "--width", "16"),
+    "mismatched --images sizes": lambda tmp: _encode_images(tmp, (28, 28, 3), (28, 42, 3)),
+    "negative --frames": lambda tmp: ["encode", "--frames", "-1", "--out", str(tmp / "f.ftv1")],
+    "non-UTF-8 csv": lambda tmp: _cost_with_csv(tmp, b"k,tflops\n4,32.1\xff\n"),
+    "non-UTF-8 sidecar": lambda tmp: _assemble_with_sidecar(
+        tmp, b'{"keep": 2, "indices": [[0, 1], [0, 1]]}\xff'
+    ),
+    "non-UTF-8 checkpoint header": lambda tmp: _with_header(tmp, b"}", b"}\xff"),
+    "checkpoint header without scale": lambda tmp: _with_header(tmp, b'"scale"', b'"sbale"'),
+}
+
+# What each case's error message must name.
+NAMED_IN_ERROR = {
+    "non-UTF-8 csv": "measured.csv",
+    "non-UTF-8 sidecar": "kept.ftv1.json",
+    "non-UTF-8 checkpoint header": "adapter.json",
+    "mismatched --images sizes": "frame 1",
 }
 
 
@@ -187,6 +228,110 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    assert NAMED_IN_ERROR.get(case, "") in err
+
+
+def _fuzz_features(tmp):
+    feats = tmp / "feats.ftv1"
+    assert cli.main(["encode", "--frames", "2", "--grid", "2x2", "--dim", "4", "--out", str(feats)]) == 0
+    return feats, ["compress", "--features", str(feats), "--k", "2", "--out", str(tmp / "k.ftv1")]
+
+
+def _fuzz_kept(tmp, suffix):
+    _, compress = _fuzz_features(tmp)
+    assert cli.main(compress) == 0
+    return tmp / f"k.ftv1{suffix}", ["assemble", "--tokens", str(tmp / "k.ftv1")]
+
+
+def _fuzz_config(tmp):
+    argv = _train_toy_with_config(tmp, json.dumps({
+        "steps": 2, "frames": 2, "grid_h": 2, "grid_w": 2, "feature_dim": 4, "queries": 4,
+        "embed_dim": 8, "keep": 2, "signal_patches": 1, "out_dim": 2, "batch_videos": 2,
+    }))
+    return tmp / "toy.json", argv
+
+
+def _fuzz_manifest(tmp):
+    argv = ["subsample", str(_manifest(tmp)), "--fraction", "0.5", "--seed", "3", "--qa-cap", "1",
+            "--out", str(tmp / "out.jsonl")]
+    return tmp / "m.jsonl", argv
+
+
+# Each builds valid inputs under a directory and returns the file to corrupt
+# and the argv that reads it.
+FUZZ_TARGETS = {
+    "features": _fuzz_features,
+    "kept tokens": lambda tmp: _fuzz_kept(tmp, ""),
+    "sidecar": lambda tmp: _fuzz_kept(tmp, ".json"),
+    "checkpoint header": lambda tmp: (tmp / "ckpt" / "adapter.json", _with_checkpoint(tmp, "compress")),
+    "calibration csv": lambda tmp: (
+        tmp / "measured.csv", _cost_with_csv(tmp, "k,tflops\n4,32.14\n16,33.47\n32,35.24\n64,38.79\n")
+    ),
+    "config": _fuzz_config,
+    "manifest": _fuzz_manifest,
+}
+
+
+@pytest.mark.parametrize("target", list(FUZZ_TARGETS))
+@settings(
+    max_examples=30, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(truncate=st.booleans(), where=st.integers(0, 2**16), mask=st.integers(1, 255))
+@example(truncate=False, where=0, mask=0x80)  # a byte that is not UTF-8
+def test_corrupted_inputs_never_end_in_a_traceback(target, truncate, where, mask, tmp_path, capsys):
+    """Flip the bits of one byte, or truncate, in a file a subcommand reads:
+    the command succeeds or fails with one error line, never a traceback."""
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        path, argv = FUZZ_TARGETS[target](Path(tmp))
+        capsys.readouterr()
+        data = path.read_bytes()
+        at = where % len(data)
+        path.write_bytes(data[:at] if truncate else data[:at] + bytes([data[at] ^ mask]) + data[at + 1:])
+        code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+    if code == 2:
+        assert err.startswith("error: "), err
+
+
+def test_checkpoint_header_is_written_last(tmp_path, capsys, monkeypatch):
+    """A checkpoint write that fails partway leaves no header, so the next
+    run starts the checkpoint afresh instead of failing on it."""
+    feats, ckpt = tmp_path / "feats.ftv1", tmp_path / "ckpt"
+    assert cli.main(["encode", "--frames", "2", "--grid", "2x2", "--dim", "4", "--out", str(feats)]) == 0
+    argv = ["compress", "--features", str(feats), "--checkpoint", str(ckpt), "--k", "2",
+            "--out", str(tmp_path / "k.ftv1")]
+    write_tensor, calls = ftv1.write_tensor, []
+
+    def fail_third_write(path, values):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        write_tensor(path, values)
+
+    monkeypatch.setattr(ftv1, "write_tensor", fail_third_write)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (2, "error: disk full\n")
+    assert not (ckpt / "adapter.json").exists()
+    monkeypatch.setattr(ftv1, "write_tensor", write_tensor)
+    assert run(capsys, *argv)[0] == 0
+    params = load_checkpoint(ckpt)
+    # Overwriting an existing checkpoint drops its old header first.
+    calls.clear()
+    monkeypatch.setattr(ftv1, "write_tensor", fail_third_write)
+    with pytest.raises(OSError):
+        save_checkpoint(params, ckpt)
+    assert not (ckpt / "adapter.json").exists()
+    monkeypatch.setattr(ftv1, "write_tensor", write_tensor)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "top-2 of 32" in out
+    back = load_checkpoint(ckpt)
+    for name in ("input_proj", "queries", "pos_table", "temporal"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
+    assert sorted(os.listdir(ckpt)) == [
+        "adapter.json", "input_proj.ftv1", "pos_table.ftv1", "queries.ftv1", "temporal.ftv1",
+    ]
 
 
 def test_checkpoint_flags_must_match_an_existing_checkpoint(tmp_path, capsys):

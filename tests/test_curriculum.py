@@ -24,7 +24,6 @@ from framepress.curriculum import (
     read_manifest,
     subsample,
     synthetic_manifest,
-    take_n,
     write_manifest,
 )
 from framepress.errors import EmptyInputError, FormatError, ParameterError, PlanError
@@ -128,20 +127,6 @@ def test_filter_type_rejects_unknown_and_empty():
         filter_type(m, {"sonnets"})
     with pytest.raises(ParameterError):
         filter_type(m, set())
-
-
-def test_take_n():
-    m = synthetic_manifest(20, 2, seed=17)
-    sub = take_n(m, 10, seed=18)
-    assert sub.qa_pairs == 10
-    keys = [(r.video_id, r.qa_id) for r in m.records]
-    positions = [keys.index((r.video_id, r.qa_id)) for r in sub.records]
-    assert positions == sorted(positions)
-    assert take_n(m, m.qa_pairs, seed=19) == m
-    with pytest.raises(ParameterError):
-        take_n(m, 0, seed=0)
-    with pytest.raises(ParameterError):
-        take_n(m, 41, seed=0)
 
 
 def test_manifest_file_round_trip(tmp_path):

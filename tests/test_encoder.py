@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from framepress.encoder import (
-    FrameTokenGrid,
     ImagePlane,
     VideoTokenTensor,
     frozen_projection,
     load_features,
     patchify_encode,
-    sample_frames,
     save_features,
     synthetic_video,
 )
@@ -26,11 +22,12 @@ def test_patchify_matches_manual_patch_extraction():
     img = ImagePlane(pixels)
     proj = np.eye(3 * 3 * 3)  # identity keeps the raw flattened patches
     grid = patchify_encode(img, 3, proj)
-    assert (grid.grid_h, grid.grid_w) == (2, 3)
+    assert grid.shape == (2, 3, 27)
+    assert not grid.flags.writeable
     for gi in range(2):
         for gj in range(3):
             manual = pixels[gi * 3 : gi * 3 + 3, gj * 3 : gj * 3 + 3, :].reshape(-1)
-            np.testing.assert_array_equal(grid.features[gi * 3 + gj], manual)
+            np.testing.assert_array_equal(grid[gi, gj], manual)
 
 
 def test_patchify_applies_projection():
@@ -39,7 +36,8 @@ def test_patchify_applies_projection():
     proj = rng.normal(size=(12, 5))
     grid = patchify_encode(img, 2, proj)
     patches = img.pixels.reshape(2, 2, 2, 2, 3).transpose(0, 2, 1, 3, 4).reshape(4, 12)
-    np.testing.assert_allclose(grid.features, patches @ proj, atol=1e-15)
+    assert grid.shape == (2, 2, 5)
+    np.testing.assert_allclose(grid.reshape(4, 5), patches @ proj, atol=1e-15)
 
 
 def test_patchify_requires_divisible_dims():
@@ -63,37 +61,25 @@ def test_frozen_projection_is_reproducible_and_f32_representable():
     assert a.shape == (12, 4)
 
 
-def test_sample_frames_known_case():
-    # 5 source frames spread over 8 slots
-    assert sample_frames(5, 8) == [0, 0, 1, 1, 2, 3, 3, 4]
-    assert sample_frames(100, 4) == [0, 25, 50, 75]
-    assert sample_frames(3, 3) == [0, 1, 2]
-
-
-@given(st.integers(1, 10_000), st.integers(1, 64))
-@settings(max_examples=200, deadline=None)
-def test_sample_frames_properties(count, t):
-    idx = sample_frames(count, t)
-    assert len(idx) == t
-    assert idx[0] == 0
-    assert all(0 <= i < count for i in idx)
-    assert all(a <= b for a, b in zip(idx, idx[1:]))
-
-
-def test_sample_frames_errors():
-    with pytest.raises(EmptyInputError):
-        sample_frames(0, 4)
-    with pytest.raises(ParameterError):
-        sample_frames(4, 0)
-
-
 def test_video_tensor_requires_homogeneous_frames():
-    a = FrameTokenGrid(2, 2, np.zeros((4, 3)))
-    b = FrameTokenGrid(2, 3, np.zeros((6, 3)))
+    """One (T, gh, gw, D) array makes every frame the same shape; what is
+    left to reject is a wrong rank, no frames, and an empty dimension."""
     with pytest.raises(ShapeError):
-        VideoTokenTensor((a, b))
+        VideoTokenTensor(np.zeros((4, 3)))
     with pytest.raises(EmptyInputError):
-        VideoTokenTensor(())
+        VideoTokenTensor(np.zeros((0, 2, 2, 3)))
+    with pytest.raises(ShapeError):
+        VideoTokenTensor(np.zeros((2, 2, 0, 3)))
+    video = VideoTokenTensor(np.arange(48.0).reshape(2, 2, 3, 4))
+    assert (video.frame_count, video.grid_shape, video.token_count, video.feature_dim) == (
+        2, (2, 3), 6, 4,
+    )
+    np.testing.assert_array_equal(video.tokens()[1, 4], video.features[1, 1, 1])
+    # A read-only array is wrapped as it is, a writable one is copied.
+    frozen = np.zeros((1, 1, 1, 2))
+    frozen.setflags(write=False)
+    assert VideoTokenTensor(frozen).features is frozen
+    assert not VideoTokenTensor(np.zeros((1, 1, 1, 2))).features.flags.writeable
 
 
 def test_features_file_round_trip(tmp_path):
@@ -104,12 +90,12 @@ def test_features_file_round_trip(tmp_path):
     assert back.frame_count == 3
     assert back.grid_shape == (2, 4)
     assert back.feature_dim == 5
-    np.testing.assert_array_equal(back.stacked(), video.stacked())
+    np.testing.assert_array_equal(back.features, video.features)
 
 
 def test_synthetic_video_deterministic():
     a = synthetic_video(2, 2, 2, 3, seed=4)
     b = synthetic_video(2, 2, 2, 3, seed=4)
-    np.testing.assert_array_equal(a.stacked(), b.stacked())
+    np.testing.assert_array_equal(a.features, b.features)
     c = synthetic_video(2, 2, 2, 3, seed=5)
-    assert not np.array_equal(a.stacked(), c.stacked())
+    assert not np.array_equal(a.features, c.features)
