@@ -11,7 +11,6 @@ from .adapter import (
     AdapterGrads,
     AdapterOutput,
     AdapterParams,
-    adapt_frame,
     adapt_video,
     adapter_gradients,
     init_adapter_params,
@@ -103,7 +102,6 @@ __all__ = [
     "StageSpec",
     "ToyTaskSpec",
     "VideoTokenTensor",
-    "adapt_frame",
     "adapt_video",
     "adapter_gradients",
     "analytic_config",

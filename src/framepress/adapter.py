@@ -191,10 +191,10 @@ def init_adapter_params(
     """
     if queries < 1 or frames < 1 or feature_dim < 1:
         raise ParameterError("queries, frames and feature_dim must be >= 1")
+    pos = sinusoidal_pos_table(grid_h, grid_w, width)  # validates the width
     rng = make_rng(seed)
     proj = rng.normal(size=(feature_dim, width)) / np.sqrt(feature_dim)
     bank = rng.normal(size=(queries, width)) / np.sqrt(width)
-    pos = sinusoidal_pos_table(grid_h, grid_w, width)
     temporal = np.zeros((frames, feature_dim))
 
     def f32(a):
@@ -244,36 +244,20 @@ def _shifted_tokens(video: VideoTokenTensor, params: AdapterParams) -> np.ndarra
     return video.tokens() + params.temporal[:, None, :]
 
 
-def adapt_frame(
-    features: np.ndarray, params: AdapterParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compress one frame's (M, D) features to (N, C) tokens.
+def _attend(x: np.ndarray, params: AdapterParams):
+    """One frame's attention step on its (M, D) temporally shifted tokens.
 
-    Returns ``(tokens, attention)`` where attention rows are the softmax
-    weights each query spread over the M source tokens. The caller is
-    responsible for adding temporal vectors first (see
-    :func:`adapt_video`).
+    Returns ``(projected, keys, attention, tokens)``: the (M, C) projected
+    features, which are the values; the keys, which add the positional
+    table to them; the (N, M) softmax weights each query spread over the M
+    source tokens; and the (N, C) compressed tokens.
     """
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ShapeError(f"frame features must be 2-D, got shape {feats.shape}")
-    if feats.shape[0] != params.source_tokens:
-        raise ShapeError(
-            f"frame has {feats.shape[0]} tokens, positional table expects "
-            f"{params.source_tokens}"
-        )
-    if feats.shape[1] != params.feature_dim:
-        raise ShapeError(
-            f"feature dim {feats.shape[1]} != projection input {params.feature_dim}"
-        )
-    projected = feats @ params.input_proj
-    weights, out = cross_attention(
-        params.queries,
-        projected + params.pos_table,
-        projected,
-        scale=params.scale,
+    projected = x @ params.input_proj
+    keys = projected + params.pos_table
+    attention, tokens = cross_attention(
+        params.queries, keys, projected, scale=params.scale
     )
-    return out, weights
+    return projected, keys, attention, tokens
 
 
 def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput:
@@ -283,61 +267,44 @@ def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput
     tokens = np.empty((t_count, n, params.width))
     attention = np.empty((t_count, n, m))
     for t in range(t_count):
-        tokens[t], attention[t] = adapt_frame(shifted[t], params)
+        _, _, attention[t], tokens[t] = _attend(shifted[t], params)
     tokens.setflags(write=False)
     attention.setflags(write=False)
     return AdapterOutput(tokens=tokens, attention=attention)
 
 
 def adapter_gradients(
-    video: VideoTokenTensor,
-    params: AdapterParams,
-    token_grads,
-    attention_grads=None,
+    video: VideoTokenTensor, params: AdapterParams, token_grads
 ) -> AdapterGrads:
     """Reverse-mode gradients of a loss through :func:`adapt_video`.
 
-    ``token_grads`` holds dLoss/dTokens per frame ((T, N, C) array or a
-    sequence of T (N, C) arrays); ``attention_grads`` optionally adds
-    dLoss/dAttention per frame ((T, N, M)). Gradients are returned for the
-    projection, query bank, positional table and temporal table.
+    ``token_grads`` is the (T, N, C) array dLoss/dTokens. Gradients are
+    returned for the projection, query bank, positional table and temporal
+    table. Each frame's attention is recomputed, not stored by the forward
+    pass.
     """
     shifted = _shifted_tokens(video, params)
     g_tokens = np.asarray(token_grads, dtype=np.float64)
     t_count = video.frame_count
     n, c = params.query_count, params.width
-    m, d = params.source_tokens, params.feature_dim
     if g_tokens.shape != (t_count, n, c):
         raise ShapeError(
             f"token grads must have shape {(t_count, n, c)}, got {g_tokens.shape}"
         )
-    if attention_grads is not None:
-        g_att_all = np.asarray(attention_grads, dtype=np.float64)
-        if g_att_all.shape != (t_count, n, m):
-            raise ShapeError(
-                f"attention grads must have shape {(t_count, n, m)}, "
-                f"got {g_att_all.shape}"
-            )
-    else:
-        g_att_all = None
 
     queries, scale = params.queries, params.scale
 
-    g_proj = np.zeros((d, c))
-    g_queries = np.zeros((n, c))
-    g_pos = np.zeros((m, c))
-    g_temporal = np.zeros((t_count, d))
+    g_proj = np.zeros_like(params.input_proj)
+    g_queries = np.zeros_like(queries)
+    g_pos = np.zeros_like(params.pos_table)
+    g_temporal = np.zeros_like(params.temporal)
 
     for t in range(t_count):
         x = shifted[t]  # (M, D)
-        projected = x @ params.input_proj  # (M, C)
-        keys = projected + params.pos_table
-        att, _ = cross_attention(queries, keys, projected, scale=scale)
+        projected, keys, att, _ = _attend(x, params)
 
         g_out = g_tokens[t]  # (N, C)
         g_att = g_out @ projected.T  # (N, M) via the value-mixing path
-        if g_att_all is not None:
-            g_att = g_att + g_att_all[t]
         # Softmax backward, row-wise.
         g_logits = att * (g_att - np.sum(g_att * att, axis=1, keepdims=True))
         g_queries += scale * (g_logits @ keys)

@@ -52,7 +52,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _cmd_encode(args) -> int:
-    if args.images:
+    if args.images is not None:
+        if not args.images:
+            raise ParameterError("--images needs at least one .npy file")
         proj = frozen_projection(args.patch, args.dim)
         grids = []
         for i, path in enumerate(args.images):
@@ -173,19 +175,18 @@ def _parse_ks(text: str) -> list[int]:
 
 
 def _cmd_cost(args) -> int:
-    ks = _parse_ks(args.k) if args.k else None
     points = (
         _read_calibration_csv(args.calibrate)
         if args.calibrate
         else cost.REFERENCE_TOTALS
     )
+    ks = _parse_ks(args.k) if args.k else [k for k, _ in points]
     result = cost.calibrate(points, frames=args.frames, prompt_len=args.prompt_len)
-    print(cost.calibration_report_text(result), end="")
-    ks = ks or [k for k, _ in points]
     template = cost.calibrated_config(
         result, frames=args.frames, tokens_per_frame=ks[0], prompt_len=args.prompt_len
     )
-    print(cost.sweep_csv(ks, template), end="")
+    # Build the whole text first: a run that fails prints no partial report.
+    print(cost.calibration_report_text(result) + cost.sweep_csv(ks, template), end="")
     return 0
 
 

@@ -86,16 +86,25 @@ def cross_attention(
     return weights, weights @ v
 
 
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(seed)
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic PCG64 stream; the seed alone fixes every draw."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    """Deterministic PCG64 stream; the seed alone fixes every draw.
+
+    Raises ParameterError for a negative seed.
+    """
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
 
 
 def split_rng(seed: int, n: int) -> list[np.random.Generator]:
     """``n`` independent child streams, reproducible from ``(seed, n)``."""
     if n < 0:
         raise ParameterError(f"cannot split into {n} streams")
-    children = np.random.SeedSequence(seed).spawn(n)
+    children = _seed_sequence(seed).spawn(n)
     return [np.random.Generator(np.random.PCG64(child)) for child in children]
 
 

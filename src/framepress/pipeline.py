@@ -13,7 +13,7 @@ suite measures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -132,25 +132,6 @@ class ToyTaskSpec:
     def patch_tokens(self) -> int:
         return self.grid_h * self.grid_w
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "frames": self.frames,
-            "grid_h": self.grid_h,
-            "grid_w": self.grid_w,
-            "feature_dim": self.feature_dim,
-            "queries": self.queries,
-            "embed_dim": self.embed_dim,
-            "keep": self.keep,
-            "out_dim": self.out_dim,
-            "signal_patches": self.signal_patches,
-            "noise_scale": self.noise_scale,
-            "steps": self.steps,
-            "learning_rate": self.learning_rate,
-            "batch_videos": self.batch_videos,
-            "target_mode": self.target_mode,
-        }
-
 
 def spec_from_dict(raw: dict) -> ToyTaskSpec:
     """Build a :class:`ToyTaskSpec` from parsed config text.
@@ -159,7 +140,7 @@ def spec_from_dict(raw: dict) -> ToyTaskSpec:
     an int field takes an int (not a bool), a float field an int or a float,
     ``target_mode`` a string.
     """
-    defaults = ToyTaskSpec().as_dict()
+    defaults = asdict(ToyTaskSpec())
     unknown = set(raw) - set(defaults)
     if unknown:
         raise ParameterError(f"unknown config keys {sorted(unknown)}")
@@ -229,7 +210,6 @@ class RunReport:
 class _ToyBatch:
     videos: list[VideoTokenTensor]
     targets: np.ndarray  # (B, out)
-    signal_positions: list[list[np.ndarray]] = field(default_factory=list)
 
 
 def _make_batch(spec: ToyTaskSpec, data_rng, target_rng) -> _ToyBatch:
@@ -258,7 +238,7 @@ def _make_batch(spec: ToyTaskSpec, data_rng, target_rng) -> _ToyBatch:
         VideoTokenTensor(feats[vb].reshape(t, spec.grid_h, spec.grid_w, d))
         for vb in range(b)
     ]
-    return _ToyBatch(videos=videos, targets=targets, signal_positions=positions)
+    return _ToyBatch(videos=videos, targets=targets)
 
 
 def _forward(spec: ToyTaskSpec, batch: _ToyBatch, params: AdapterParams, head):
@@ -353,7 +333,7 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
     )
     return RunReport(
         kind="train-toy",
-        config=spec.as_dict(),
+        config=asdict(spec),
         loss_curve=tuple(curve),
         final_metrics={
             "initial_loss": curve[0],

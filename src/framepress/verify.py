@@ -20,12 +20,11 @@ import numpy as np
 from . import cost, curriculum, ftv1
 from .adapter import (
     AdapterOutput,
-    adapt_frame,
     adapt_video,
     adapter_gradients,
     random_adapter_params,
 )
-from .encoder import synthetic_video
+from .encoder import VideoTokenTensor, synthetic_video
 from .errors import FramepressError
 from .linalg import fd_gradient, make_rng, softmax_rows, split_rng
 from .pipeline import RunReport, ToyTaskSpec, assemble_sequence, train_toy
@@ -201,14 +200,15 @@ def check_attention_validity(passes: int = 1000, seed: int = 2028) -> CheckResul
             frames=1,
             seed=int(rng.integers(0, 2**31)),
         )
+        params = replace(params, temporal=np.zeros((1, d)))
         feats = rng.normal(size=(m, d))
-        _, att = adapt_frame(feats, params)
+        try:
+            out = adapt_video(VideoTokenTensor(feats[None, :, None, :]), params)
+        except FramepressError as exc:  # AdapterOutput rejects rows off by > 1e-9
+            return CheckResult(name, False, f"case {case}: {exc}")
+        att = out.attention[0]
         row_dev = float(np.max(np.abs(att.sum(axis=1) - 1.0)))
         worst_sum = max(worst_sum, row_dev)
-        if row_dev > 1e-9:
-            return CheckResult(
-                name, False, f"case {case}: row sum off by {row_dev:.3e}"
-            )
         r = score_frame(att)
         if r.min() < 1.0 / m or r.max() > 1.0:
             return CheckResult(
@@ -354,13 +354,15 @@ def check_permutation_equivariance(cases: int = 100, seed: int = 2030) -> CheckR
             frames=1,
             seed=int(rng.integers(0, 2**31)),
         )
-        params = replace(params, pos_table=np.zeros((m, c)))
+        params = replace(
+            params, pos_table=np.zeros((m, c)), temporal=np.zeros((1, d))
+        )
         feats = rng.normal(size=(m, d))
         perm = rng.permutation(m)
-        out1, att1 = adapt_frame(feats, params)
-        out2, att2 = adapt_frame(feats[perm], params)
-        diff = float(np.max(np.abs(out1 - out2)))
-        att_diff = float(np.max(np.abs(att1[:, perm] - att2)))
+        out1 = adapt_video(VideoTokenTensor(feats[None, :, None, :]), params)
+        out2 = adapt_video(VideoTokenTensor(feats[None, perm, None, :]), params)
+        diff = float(np.max(np.abs(out1.tokens - out2.tokens)))
+        att_diff = float(np.max(np.abs(out1.attention[..., perm] - out2.attention)))
         worst = max(worst, diff, att_diff)
         if diff > 1e-12 or att_diff > 1e-12:
             return CheckResult(

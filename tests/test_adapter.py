@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from framepress import ftv1
 from framepress.adapter import (
     AdapterOutput,
     AdapterParams,
-    adapt_frame,
     adapt_video,
     adapter_gradients,
     apply_grads,
@@ -28,33 +29,45 @@ def small_params(seed=0, frames=2, **overrides):
     return random_adapter_params(**kwargs)
 
 
+def one_frame(feats):
+    """A one-frame video holding the (M, D) ``feats`` as an M x 1 grid."""
+    return VideoTokenTensor(feats[None, :, None, :])
+
+
 def test_adapt_frame_matches_manual_computation():
-    """One query at a time: project, add positions to keys only, softmax
-    the scaled scores, mix the *unpositioned* projected values."""
+    """One frame, one query at a time: add the temporal vector, project,
+    add positions to keys only, softmax the scaled scores, mix the
+    *unpositioned* projected values."""
     rng = make_rng(11)
-    params = small_params(seed=12)
+    params = small_params(seed=12, frames=1)
     feats = rng.normal(size=(4, 3))
-    tokens, att = adapt_frame(feats, params)
-    projected = feats @ params.input_proj
+    out = adapt_video(one_frame(feats), params)
+    projected = (feats + params.temporal[0]) @ params.input_proj
     keys = projected + params.pos_table
     for i in range(params.query_count):
         logits = params.scale * keys @ params.queries[i]
         e = np.exp(logits - logits.max())
         w = e / e.sum()
-        np.testing.assert_allclose(att[i], w, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(tokens[i], w @ projected, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(out.attention[0, i], w, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(out.tokens[0, i], w @ projected, atol=1e-12, rtol=0)
 
 
 def test_positional_table_touches_keys_not_values():
     """Zeroing the positional table changes attention but the values mixed
     by a fixed attention row are the bare projected features."""
-    params = small_params(seed=13)
+    params = small_params(seed=13, frames=1)
     rng = make_rng(14)
     feats = rng.normal(size=(4, 3))
-    _, att = adapt_frame(feats, params)
-    projected = feats @ params.input_proj
-    tokens, _ = adapt_frame(feats, params)
-    np.testing.assert_allclose(tokens, att @ projected, atol=1e-12, rtol=0)
+    projected = (feats + params.temporal[0]) @ params.input_proj
+    out = adapt_video(one_frame(feats), params)
+    unpositioned = adapt_video(
+        one_frame(feats), replace(params, pos_table=np.zeros_like(params.pos_table))
+    )
+    assert np.max(np.abs(out.attention - unpositioned.attention)) > 1e-3
+    for o in (out, unpositioned):
+        np.testing.assert_allclose(
+            o.tokens[0], o.attention[0] @ projected, atol=1e-12, rtol=0
+        )
 
 
 def test_temporal_vectors_shift_features_before_projection():
@@ -63,8 +76,6 @@ def test_temporal_vectors_shift_features_before_projection():
     out = adapt_video(video, params)
     # Manually shift the features in D-space, then adapt with zero temporal.
     shifted = VideoTokenTensor(video.features + params.temporal[:, None, None, :])
-    from dataclasses import replace
-
     zero_t = replace(params, temporal=np.zeros_like(params.temporal))
     manual = adapt_video(shifted, zero_t)
     for t in range(2):
@@ -124,7 +135,6 @@ def test_gradients_match_finite_differences_seed3():
     params = small_params(seed=3)
 
     names = ("input_proj", "queries", "pos_table", "temporal")
-    from dataclasses import replace
 
     def loss(p):
         out = adapt_video(video, p)
@@ -144,35 +154,6 @@ def test_gradients_match_finite_differences_seed3():
         analytic = getattr(grads, name)
         err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         assert err < 1e-4, f"{name}: relative error {err:.3e}"
-
-
-def test_attention_grads_feed_back():
-    """A loss on the attention weights themselves (random weighting, so it
-    is not constant under the rows-sum-to-one constraint) must flow back
-    into the query bank correctly."""
-    video = synthetic_video(1, 2, 2, 3, seed=21)
-    params = small_params(seed=22, frames=1)
-    rng = make_rng(20)
-    weighting = rng.normal(size=(1, 3, 4))
-    grads = adapter_gradients(
-        video, params, np.zeros((1, 3, 4)), attention_grads=weighting
-    )
-    assert np.linalg.norm(grads.queries) > 1e-6
-
-    def loss(p):
-        o = adapt_video(video, p)
-        return float(sum(np.sum(w * a) for w, a in zip(weighting, o.attention)))
-
-    from dataclasses import replace
-
-    base = params.queries
-
-    def f(x):
-        return loss(replace(params, queries=x.reshape(base.shape)))
-
-    fd = fd_gradient(f, base.ravel(), step=1e-5).reshape(base.shape)
-    err = np.linalg.norm(grads.queries - fd) / max(np.linalg.norm(fd), 1e-12)
-    assert err < 1e-4
 
 
 def test_apply_grads_moves_params():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -211,6 +212,15 @@ BAD_INPUTS = {
     ),
     "non-UTF-8 checkpoint header": lambda tmp: _with_header(tmp, b"}", b"}\xff"),
     "checkpoint header without scale": lambda tmp: _with_header(tmp, b'"scale"', b'"sbale"'),
+    "negative encode --seed": lambda tmp: ["encode", "--seed", "-1", "--out", str(tmp / "f.ftv1")],
+    "negative subsample --seed": lambda tmp: [
+        "subsample", str(_manifest(tmp)), "--fraction", "0.5", "--seed", "-1", "--out", str(tmp / "o.jsonl")
+    ],
+    "negative config seed": lambda tmp: _train_toy_with_config(tmp, '{"seed": -1}'),
+    "--images with no files": lambda tmp: ["encode", "--images", "--out", str(tmp / "f.ftv1")],
+    "negative --width for a new checkpoint": lambda tmp: _fuzz_features(tmp)[1] + ["--width", "-1"],
+    "cost --frames 0": lambda tmp: ["cost", "--frames", "0"],
+    "cost --k with a zero": lambda tmp: ["cost", "--k", "4,0"],
 }
 
 # What each case's error message must name.
@@ -219,16 +229,24 @@ NAMED_IN_ERROR = {
     "non-UTF-8 sidecar": "kept.ftv1.json",
     "non-UTF-8 checkpoint header": "adapter.json",
     "mismatched --images sizes": "frame 1",
+    "negative encode --seed": "seed must be >= 0, got -1",
+    "negative subsample --seed": "seed must be >= 0, got -1",
+    "negative config seed": "seed must be >= 0, got -1",
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
-    code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path))
+    argv = BAD_INPUTS[case](tmp_path)
+    capsys.readouterr()  # drop what setting up the inputs printed
+    files = sorted(os.listdir(tmp_path))
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert NAMED_IN_ERROR.get(case, "") in err
+    assert sorted(os.listdir(tmp_path)) == files  # nothing written
 
 
 def _fuzz_features(tmp):
@@ -293,6 +311,79 @@ def test_corrupted_inputs_never_end_in_a_traceback(target, truncate, where, mask
     assert err.count("\n") <= 1 and "Traceback" not in err, err
     if code == 2:
         assert err.startswith("error: "), err
+
+
+def _flags(**values):
+    """argv flags ``--name=value`` for drawn values; the ``=`` form lets
+    argparse take values that start with '-'."""
+    names = [name.replace("_", "-") for name in values]
+    return st.tuples(*values.values()).map(
+        lambda drawn: [f"--{name}={value}" for name, value in zip(names, drawn)]
+    )
+
+
+SIZES = st.integers(-1, 3)
+SEEDS = st.integers(-3, 3)
+
+# Each command: the argv of its fixed inputs, built under a directory, and a
+# strategy for the flags drawn on top. Sizes stay tiny: at most 3 frames and
+# grid sides, 8 dims.
+ARGV_FUZZ = {
+    "encode": (
+        lambda tmp: ["encode", "--out", str(tmp / "f.ftv1")],
+        _flags(
+            frames=SIZES,
+            grid=st.tuples(SIZES, SIZES).map(lambda g: f"{g[0]}x{g[1]}"),
+            dim=st.integers(-1, 8),
+            seed=SEEDS,
+        ),
+    ),
+    "compress": (
+        lambda tmp: [
+            "compress", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "kept.ftv1")
+        ],
+        _flags(k=st.integers(-1, 5), queries=st.integers(-1, 4), width=st.integers(-1, 8), seed=SEEDS),
+    ),
+    "assemble": (lambda tmp: _fuzz_kept(tmp, "")[1], _flags(prompt_len=st.integers(-2, 3))),
+    "cost": (
+        lambda tmp: ["cost"],
+        _flags(
+            frames=SIZES,
+            prompt_len=st.integers(-2, 3),
+            k=st.lists(st.integers(-1, 300), min_size=1, max_size=3).map(
+                lambda ks: ",".join(map(str, ks))
+            ),
+        ),
+    ),
+    "subsample": (
+        lambda tmp: ["subsample", str(_manifest(tmp)), "--out", str(tmp / "out.jsonl")],
+        _flags(
+            fraction=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.5]) | st.floats(-2, 2),
+            seed=SEEDS,
+            qa_cap=st.integers(-1, 3),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(ARGV_FUZZ))
+def test_fuzzed_flags_never_end_in_a_traceback(command, tmp_path, capsys):
+    """Drawn flag values, zero and negative ones included: the command
+    succeeds, or fails with one error line and prints nothing to stdout."""
+    inputs, flags = ARGV_FUZZ[command]
+    argv = inputs(tmp_path)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(drawn=flags)
+    def check(drawn):
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv, *drawn)
+        assert code in (0, 1, 2)
+        assert err.count("\n") <= 1 and "Traceback" not in err, err
+        if code == 2:
+            assert err.startswith("error: ") and out == "", (err, out)
+
+    check()
 
 
 def test_checkpoint_header_is_written_last(tmp_path, capsys, monkeypatch):

@@ -109,6 +109,13 @@ def test_make_rng_is_deterministic_and_split_streams_differ():
     np.testing.assert_array_equal(first[1], second[1])
 
 
+def test_negative_seed_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        make_rng(-1)
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -3"):
+        split_rng(-3, 2)
+
+
 def test_fd_gradient_on_quadratic():
     # f(x) = x'Ax has gradient (A + A')x
     rng = make_rng(7)

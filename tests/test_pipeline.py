@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -99,7 +99,7 @@ def test_toy_spec_validation():
 
 
 def test_spec_from_dict_round_trip_and_unknown_keys():
-    spec = spec_from_dict(QUICK_SPEC.as_dict())
+    spec = spec_from_dict(asdict(QUICK_SPEC))
     assert spec == QUICK_SPEC
     assert spec_from_dict({}) == ToyTaskSpec()
     with pytest.raises(ParameterError):

@@ -49,6 +49,21 @@ def test_nesting_check_accepts_real_selector():
     assert check_nesting(cases=300, select_fn=select_topk).passed
 
 
+def test_attention_check_reports_rows_that_do_not_sum_to_one(monkeypatch):
+    import framepress.adapter as adapter_mod
+
+    cross_attention = adapter_mod.cross_attention
+
+    def leaky(*args, **kwargs):
+        weights, out = cross_attention(*args, **kwargs)
+        return 1.01 * weights, out
+
+    monkeypatch.setattr(adapter_mod, "cross_attention", leaky)
+    result = check_attention_validity(passes=5)
+    assert not result.passed
+    assert result.detail.startswith("case 0: ")
+
+
 def test_format_report_lists_every_check():
     report = RunReport(
         kind="verify",
