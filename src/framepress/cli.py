@@ -9,6 +9,7 @@ fails, 2 on bad input (including files that cannot be read or written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -343,9 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs more than most parses.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (FramepressError, OSError) as exc:

@@ -9,7 +9,6 @@ training plans that differ in where video data enters the schedule.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -64,12 +63,18 @@ class QaRecord:
     data_type: str = "unspecified"
 
     def __post_init__(self):
-        if not self.video_id or not self.qa_id:
-            raise ParameterError("video_id and qa_id must be non-empty")
-        if self.data_type not in DATA_TYPES:
-            raise ParameterError(
-                f"unknown data_type {self.data_type!r}; expected one of {DATA_TYPES}"
-            )
+        problem = _field_problem(self.video_id, self.qa_id, self.data_type)
+        if problem:
+            raise ParameterError(problem)
+
+
+def _field_problem(video_id, qa_id, data_type) -> str | None:
+    """Why a record with these fields is invalid, or None if it is valid."""
+    if not video_id or not qa_id:
+        return "video_id and qa_id must be non-empty"
+    if data_type not in DATA_TYPES:
+        return f"unknown data_type {data_type!r}; expected one of {DATA_TYPES}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -108,71 +113,115 @@ class DatasetManifest:
         return out
 
 
-def _record_line(rec: QaRecord) -> str:
-    """One manifest line for ``rec``: its five fields in a fixed order.
+# A manifest line: the five fields in a fixed order, as ``json.dumps`` of
+# the field dict with ``ensure_ascii=False`` writes it.
+_FIELDS = ("video_id", "qa_id", "question", "answer", "data_type")
+_LINE = '{{"video_id": {}, "qa_id": {}, "question": {}, "answer": {}, "data_type": {}}}\n'
+_PLAIN_LINE = _LINE.replace("{}", '"{}"')
 
-    The same text as ``json.dumps`` of the field dict with
-    ``ensure_ascii=False`` (it quotes each string with the same function),
-    at about two thirds of the cost.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _record_line(fields, plain: bool = False) -> str:
+    """One manifest line for the five ``fields``, in ``_FIELDS`` order.
+
+    Each string is quoted as ``json.dumps`` quotes it. ``plain`` says that
+    no field holds a quote, a backslash or a control character, the only
+    characters json escapes; each is then quoted by concatenation.
     """
-    quote = json.encoder.encode_basestring
-    return (
-        f'{{"video_id": {quote(rec.video_id)}, "qa_id": {quote(rec.qa_id)}, '
-        f'"question": {quote(rec.question)}, "answer": {quote(rec.answer)}, '
-        f'"data_type": {quote(rec.data_type)}}}\n'
-    )
+    if plain:
+        return _PLAIN_LINE.format(*fields)
+    return _LINE.format(*map(json.encoder.encode_basestring, fields))
 
 
-def _parse_line(path, lineno: int, raw: bytes) -> QaRecord | None:
-    """The record on one raw manifest line, or None for a blank line."""
+def _as_strings(path, where, fields) -> tuple[str, ...]:
+    """``fields`` with numbers, booleans and nulls turned into text by
+    ``str``; a JSON object or array is an error."""
+    out = []
+    for name, value in zip(_FIELDS, fields):
+        if isinstance(value, (dict, list)):
+            kind = "an object" if isinstance(value, dict) else "an array"
+            raise FormatError(f"{path}:{where}: field {name!r} holds {kind}, not text")
+        out.append(str(value))
+    return tuple(out)
+
+
+def _parse_line(path, where, raw: bytes):
+    """``(fields, plain)`` for one raw manifest line, or None for a blank line.
+
+    ``fields`` are the five validated strings in ``_FIELDS`` order; ``plain``
+    is true when the line holds no backslash. A JSON string without one
+    holds no quote or control character, and ``str`` of a number, boolean
+    or null holds none either, so ``_record_line`` needs no escaping.
+    ``where`` (a line number, or ``byte N``) follows ``path`` in error
+    messages.
+    """
     try:
         line = raw.decode("utf-8").strip()
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+        raise FormatError(f"{path}:{where}: not UTF-8: {exc}") from exc
     if not line:
         return None
     try:
-        fields = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{lineno}: bad record: {exc}") from exc
-    if not isinstance(fields, dict):
-        raise FormatError(f"{path}:{lineno}: record is not an object")
+        obj, end = _raw_decode(line)
+    except (ValueError, RecursionError):
+        end = None
+    if end != len(line):
+        # Decode again for json's own message (trailing data, a BOM, ...).
+        # Beyond JSONDecodeError, json raises ValueError for an integer too
+        # long to convert and RecursionError for nesting too deep.
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}:{where}: bad record: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}:{where}: record is not an object")
     try:
-        return QaRecord(
-            video_id=str(fields["video_id"]),
-            qa_id=str(fields["qa_id"]),
-            question=str(fields.get("question", "")),
-            answer=str(fields.get("answer", "")),
-            data_type=str(fields.get("data_type", "unspecified")),
-        )
+        video_id, qa_id = obj["video_id"], obj["qa_id"]
     except KeyError as exc:
-        raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
+        raise FormatError(f"{path}:{where}: missing field {exc}") from exc
+    question = obj.get("question", "")
+    answer = obj.get("answer", "")
+    data_type = obj.get("data_type", "unspecified")
+    fields = (video_id, qa_id, question, answer, data_type)
+    if not (type(video_id) is type(qa_id) is type(question) is type(answer)
+            is type(data_type) is str):
+        fields = _as_strings(path, where, fields)
+        video_id, qa_id, _, _, data_type = fields
+    if not video_id or not qa_id or data_type not in DATA_TYPES:
+        raise FormatError(f"{path}:{where}: {_field_problem(video_id, qa_id, data_type)}")
+    return fields, "\\" not in line
 
 
 def _scan(path):
-    """Yield ``(lineno, record)`` for every non-blank line of a manifest file,
-    validating each line and rejecting a repeated (video_id, qa_id) key."""
+    """Yield ``(offset, fields, plain)`` for every non-blank line of a
+    manifest file, as ``_parse_line`` gives them, with the line's byte
+    offset; a repeated (video_id, qa_id) key is an error."""
     seen = set()
+    offset = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            rec = _parse_line(path, lineno, raw)
-            if rec is None:
-                continue
-            key = (rec.video_id, rec.qa_id)
-            if key in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate record key {key}")
-            seen.add(key)
-            yield lineno, rec
+            parsed = _parse_line(path, lineno, raw)
+            if parsed is not None:
+                fields, plain = parsed
+                key = fields[:2]
+                if key in seen:
+                    raise FormatError(f"{path}:{lineno}: duplicate record key {key}")
+                seen.add(key)
+                yield offset, fields, plain
+            offset += len(raw)
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
     with _replacing(path) as fh:
         for rec in manifest.records:
-            fh.write(_record_line(rec))
+            fh.write(
+                _record_line((rec.video_id, rec.qa_id, rec.question, rec.answer, rec.data_type))
+            )
 
 
 def read_manifest(path, name: str | None = None) -> DatasetManifest:
-    records = tuple(rec for _, rec in _scan(path))
+    records = tuple(QaRecord(*fields) for _, fields, _ in _scan(path))
     return DatasetManifest(name=name or Path(path).stem, records=records)
 
 
@@ -241,38 +290,36 @@ def subsample_file(
     """``write_manifest(subsample(read_manifest(src), ...), dst)`` without
     holding the manifest in memory.
 
-    The first pass validates every record and keeps only each record's line
-    number and key; the second re-reads ``src`` and parses only the kept
-    lines, so ``src`` must be a regular file that stays unchanged between
+    The first pass validates every record and keeps only each record's byte
+    offset and key; the second seeks to the kept records and parses only
+    those, so ``src`` must be a regular file that stays unchanged between
     the passes. Returns (videos, QA pairs) of ``src`` and of the output.
     """
     _check_subsample_args(fraction, qa_cap_per_video)
     if not stat.S_ISREG(os.stat(src).st_mode):
         raise FormatError(f"{src}: not a regular file; subsample reads it twice")
-    linenos = array("q")
+    offsets = array("q")
     video_ids: list[str] = []
     qa_ids: list[str] = []
-    for lineno, rec in _scan(src):
-        linenos.append(lineno)
-        video_ids.append(rec.video_id)
-        qa_ids.append(rec.qa_id)
+    for offset, fields, _ in _scan(src):
+        offsets.append(offset)
+        video_ids.append(fields[0])
+        qa_ids.append(fields[1])
     kept, videos = _kept_positions(video_ids, fraction, seed, qa_cap_per_video)
     with open(src, "rb") as fh, _replacing(dst) as out:
-        at = 0
         for i in kept:
-            raw = next(itertools.islice(fh, linenos[i] - at - 1, None), None)
-            at = linenos[i]
-            if raw is None:
+            at = offsets[i]
+            fh.seek(at)
+            try:
+                parsed = _parse_line(src, f"byte {at}", fh.readline())
+            except FormatError as exc:
+                raise FormatError(f"{exc}; the file changed after the first read") from exc
+            if parsed is None or parsed[0][:2] != (video_ids[i], qa_ids[i]):
                 raise FormatError(
-                    f"{src}: ended before line {at} on the second read; the file changed"
-                )
-            rec = _parse_line(src, at, raw)
-            if rec is None or (rec.video_id, rec.qa_id) != (video_ids[i], qa_ids[i]):
-                raise FormatError(
-                    f"{src}:{at}: expected record ({video_ids[i]!r}, {qa_ids[i]!r}) "
+                    f"{src}:byte {at}: expected record ({video_ids[i]!r}, {qa_ids[i]!r}) "
                     "on the second read; the file changed"
                 )
-            out.write(_record_line(rec))
+            out.write(_record_line(*parsed))
     return videos, len(video_ids), len({video_ids[i] for i in kept}), len(kept)
 
 
@@ -303,11 +350,11 @@ def filter_file(src, dst, types) -> tuple[int, int]:
     wanted = _check_types(types)
     read = kept = 0
     with _replacing(dst) as out:
-        for _, rec in _scan(src):
+        for _, fields, plain in _scan(src):
             read += 1
-            if rec.data_type in wanted:
+            if fields[4] in wanted:
                 kept += 1
-                out.write(_record_line(rec))
+                out.write(_record_line(fields, plain))
     return read, kept
 
 

@@ -7,7 +7,7 @@ compute is 64-bit, so a value round-trips bit-exactly iff it is
 representable in float32.
 
 Also home to ``_replacing``, the atomic text-file write shared by the
-manifest and checkpoint writers.
+manifest, checkpoint header and index sidecar writers.
 """
 
 from __future__ import annotations

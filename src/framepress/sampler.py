@@ -121,13 +121,19 @@ def sample_video(output: AdapterOutput, k: int, order: str = "score") -> Sampled
 
 
 def save_sampled(sampled: SampledTokens, path) -> None:
-    """Write kept tokens as a rank-3 FTV1 file plus a JSON index sidecar."""
+    """Write kept tokens as a rank-3 FTV1 file plus a JSON index sidecar.
+
+    The sidecar commits the pair: the old one is removed before the tokens
+    are written and the new one replaces nothing until it is complete, so a
+    failed write leaves no sidecar rather than new tokens beside an old one.
+    """
     path = Path(path)
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    sidecar_path.unlink(missing_ok=True)
     ftv1.write_tensor(path, sampled.tokens)
     sidecar = {"keep": sampled.keep, "indices": sampled.indices.tolist()}
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with ftv1._replacing(sidecar_path) as fh:
+        fh.write(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 def load_sampled(path) -> SampledTokens:

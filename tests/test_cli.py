@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from framepress import cli, curriculum, ftv1
 from framepress.adapter import load_checkpoint, save_checkpoint
 from framepress.curriculum import synthetic_manifest, write_manifest
+from framepress.errors import FormatError
+from framepress.sampler import load_sampled
 from framepress.verify import CheckResult
 
 
@@ -425,6 +428,32 @@ def test_checkpoint_header_is_written_last(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_sidecar_is_written_last(tmp_path, capsys, monkeypatch):
+    """A compress whose sidecar write fails leaves no sidecar, so the new
+    tokens never load beside the index of older ones."""
+    out = tmp_path / "k.ftv1"
+
+    def compress(seed):
+        feats = tmp_path / f"feats{seed}.ftv1"
+        assert cli.main(["encode", "--frames", "2", "--grid", "2x2", "--dim", "4",
+                         "--seed", str(seed), "--out", str(feats)]) == 0
+        return run(capsys, "compress", "--features", str(feats), "--k", "2", "--out", str(out))
+
+    assert compress(1)[0] == 0
+    load_sampled(out)
+
+    @contextlib.contextmanager
+    def failing(path):
+        raise OSError("disk full")
+        yield
+
+    monkeypatch.setattr(ftv1, "_replacing", failing)
+    code, _, err = compress(2)
+    assert (code, err) == (2, "error: disk full\n")
+    with pytest.raises(FormatError, match="missing index sidecar"):
+        load_sampled(out)
+
+
 def test_checkpoint_flags_must_match_an_existing_checkpoint(tmp_path, capsys):
     argv = _with_checkpoint(tmp_path, "compress")
     for flags in ([], ["--queries", "6"], ["--queries", "6", "--width", "8"]):
@@ -458,6 +487,10 @@ BAD_MANIFEST_TAILS = {
     "bad JSON last line": lambda tmp: b'{"video_id": "v9", "qa_id": \n',
     "late duplicate key": _first_line,
     "non-UTF-8 bytes": lambda tmp: b'{"video_id": "v9", "qa_id": "q\xff"}\n',
+    "JSON object as a field": lambda tmp: b'{"video_id": "v9", "qa_id": "q9", "question": {"a": 1}}\n',
+    "number too long": lambda tmp: b'{"video_id": "v9", "qa_id": ' + b"9" * 5000 + b"}\n",
+    "nesting too deep": lambda tmp: b'{"video_id": "v9", "qa_id": "q9", "question": '
+    + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
 }
 
 MANIFEST_COMMANDS = {
@@ -542,6 +575,20 @@ def test_manifest_commands_may_overwrite_their_input(command, tmp_path, capsys):
     assert run(capsys, command, str(src), *args, "--out", str(src))[0] == 0
     assert src.read_bytes() == other.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["m.jsonl", "other.jsonl"]
+
+
+def test_parser_is_built_once_and_reports_as_before(capsys):
+    """main reuses one parser, whose usage and error text are those of a
+    freshly built one, on every call."""
+    assert cli._parser() is cli._parser()
+    texts = []
+    for parse in (cli.build_parser().parse_args, cli.main, cli.main):
+        for argv in (["cost", "--frames", "x"], ["nonsense"], ["--help"]):
+            with pytest.raises(SystemExit):
+                parse(argv)
+            texts.append(capsys.readouterr())
+    assert texts[:3] == texts[3:6] == texts[6:]
+    assert "usage: framepress" in texts[2].out
 
 
 def test_plan_command(tmp_path, capsys):

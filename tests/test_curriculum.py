@@ -18,6 +18,8 @@ from framepress.curriculum import (
     QaRecord,
     StagePlan,
     StageSpec,
+    _parse_line,
+    _record_line,
     filter_type,
     make_plan,
     plan_to_text,
@@ -191,6 +193,76 @@ def test_read_manifest_names_file_and_line(tmp_path):
     path.write_text(good + "\n" + good, encoding="utf-8")
     with pytest.raises(FormatError, match=f"{path}:3: duplicate record key"):
         read_manifest(path)
+
+
+BAD_FIELD_LINES = {
+    '{"video_id": "", "qa_id": "q"}': "video_id and qa_id must be non-empty",
+    '{"video_id": "v", "qa_id": "q", "data_type": "poem"}': "unknown data_type 'poem'; expected one of",
+    '{"video_id": "v", "qa_id": "q", "question": {"a": "it\'s"}}': "field 'question' holds an object",
+    '{"video_id": "v", "qa_id": ["q"]}': "field 'qa_id' holds an array",
+}
+
+
+@pytest.mark.parametrize("line", list(BAD_FIELD_LINES))
+def test_bad_field_values_name_file_and_line(line, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"video_id": "v0", "qa_id": "q"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        read_manifest(path)
+    assert str(info.value).startswith(f"{path}:2: {BAD_FIELD_LINES[line]}")
+
+
+# Lines that the one-pass decode rejects and that json.loads decodes again
+# for its own message, which is the one an earlier json.loads-only reader gave.
+JSON_REJECTS = {
+    b'{"video_id": "v", "qa_id": "q"} x': "Extra data: line 1 column 33 (char 32)",
+    b'\xef\xbb\xbf{"video_id": "v", "qa_id": "q"}':
+        "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+    b'{"video_id": "v\x01", "qa_id": "q"}': "Invalid control character at: line 1 column 16 (char 15)",
+    b'{"video_id": "v", "qa_id": "q': "Unterminated string starting at: line 1 column 28 (char 27)",
+}
+
+
+@pytest.mark.parametrize("raw", list(JSON_REJECTS))
+def test_rejected_lines_keep_json_s_message(raw, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"video_id": "v0", "qa_id": "q"}\n' + raw + b"\n")
+    with pytest.raises(FormatError) as info:
+        read_manifest(path)
+    assert str(info.value) == f"{path}:2: bad record: {JSON_REJECTS[raw]}"
+
+
+SCALAR = st.integers() | st.floats() | st.booleans() | st.none()
+
+
+@given(
+    st.fixed_dictionaries(
+        {"video_id": TEXT.map("v{}".format), "qa_id": TEXT.map("q{}".format)},
+        optional={"question": TEXT, "answer": TEXT, "data_type": st.sampled_from(DATA_TYPES),
+                  "extra": TEXT},
+    ),
+    st.dictionaries(st.sampled_from(["video_id", "qa_id", "question", "answer"]), SCALAR),
+)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_record_line_is_json_dumps_of_the_parsed_fields(record, scalars):
+    """Raw text, escaped text and number/boolean/null values all give the
+    line json.dumps writes, on the plain path and the escaping one."""
+    for line in (
+        json.dumps(record, ensure_ascii=False),
+        json.dumps(record, ensure_ascii=True),
+        json.dumps({**record, **scalars}, ensure_ascii=False),
+    ):
+        obj = json.loads(line)
+        want = json.dumps(
+            {"video_id": str(obj["video_id"]), "qa_id": str(obj["qa_id"]),
+             "question": str(obj.get("question", "")), "answer": str(obj.get("answer", "")),
+             "data_type": obj.get("data_type", "unspecified")},
+            ensure_ascii=False,
+        ) + "\n"
+        fields, plain = _parse_line("m.jsonl", 1, line.encode("utf-8"))
+        assert plain == ("\\" not in line)
+        assert _record_line(fields, plain) == want
+        assert _record_line(fields) == want
 
 
 @st.composite
