@@ -30,17 +30,11 @@ from .cost import (
     sweep,
 )
 from .curriculum import (
-    DatasetManifest,
-    QaRecord,
     StagePlan,
     StageSpec,
     filter_file,
-    filter_type,
     make_plan,
-    read_manifest,
-    subsample,
     subsample_file,
-    write_manifest,
 )
 from .encoder import (
     ImagePlane,
@@ -82,7 +76,6 @@ __all__ = [
     "CalibrationResult",
     "CostConfig",
     "CostReport",
-    "DatasetManifest",
     "DecoderSpec",
     "EmptyInputError",
     "FitError",
@@ -92,7 +85,6 @@ __all__ = [
     "NumericError",
     "ParameterError",
     "PlanError",
-    "QaRecord",
     "REFERENCE_TOTALS",
     "RunReport",
     "SampledTokens",
@@ -110,21 +102,17 @@ __all__ = [
     "calibrated_config",
     "estimate",
     "filter_file",
-    "filter_type",
     "init_adapter_params",
     "load_checkpoint",
     "make_plan",
     "patchify_encode",
-    "read_manifest",
     "sample_video",
     "save_checkpoint",
     "score_frame",
     "select_topk",
-    "subsample",
     "subsample_file",
     "sweep",
     "synthetic_video",
     "train_toy",
     "verify_all",
-    "write_manifest",
 ]

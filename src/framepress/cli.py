@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .encoder import (
     save_features,
     synthetic_video,
 )
-from .errors import FramepressError, ParameterError, ShapeError
+from .errors import FormatError, FramepressError, ParameterError, ShapeError
 from .pipeline import assemble_sequence, spec_from_dict, train_toy
 from .sampler import load_sampled, sample_video, save_sampled
 from .verify import format_report, verify_all
@@ -59,7 +60,11 @@ def _cmd_encode(args) -> int:
         proj = frozen_projection(args.patch, args.dim)
         grids = []
         for i, path in enumerate(args.images):
-            grid = patchify_encode(ImagePlane(np.load(path)), args.patch, proj)
+            try:
+                pixels = np.load(path)
+            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+                raise FormatError(f"{path}: not a numeric .npy array: {exc}") from exc
+            grid = patchify_encode(ImagePlane(pixels), args.patch, proj)
             if grids and grid.shape != grids[0].shape:
                 raise ShapeError(
                     f"frame {i} shape {grid.shape} differs from frame 0 {grids[0].shape}"
@@ -220,7 +225,8 @@ def _cmd_plan(args) -> int:
     )
     text = curriculum.plan_to_text(plan)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with ftv1._replacing(args.out) as fh:
+            fh.write(text)
     print(text, end="")
     return 0
 
@@ -237,7 +243,8 @@ def _cmd_train_toy(args) -> int:
     spec = spec_from_dict(raw)
     report = train_toy(spec)
     if args.report:
-        Path(args.report).write_text(report.to_json(), encoding="utf-8")
+        with ftv1._replacing(args.report) as fh:
+            fh.write(report.to_json())
     metrics = report.final_metrics
     print(
         f"toy run: keep={spec.keep}/{spec.queries}, {spec.steps} steps, "
@@ -252,7 +259,8 @@ def _cmd_train_toy(args) -> int:
 def _cmd_verify(args) -> int:
     report = verify_all()
     if args.report:
-        Path(args.report).write_text(report.to_json(), encoding="utf-8")
+        with ftv1._replacing(args.report) as fh:
+            fh.write(report.to_json())
     print(format_report(report), end="")
     return 0 if report.all_passed else 1
 

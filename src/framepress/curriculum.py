@@ -15,7 +15,6 @@ import os
 import stat
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import EmptyInputError, FormatError, ParameterError, PlanError
 from .ftv1 import _replacing
@@ -52,65 +51,6 @@ STAGE_TRAINABLE = {
     "instruct": ("adapter", "llm"),
     "video-instruct": ("adapter", "llm"),
 }
-
-
-@dataclass(frozen=True)
-class QaRecord:
-    video_id: str
-    qa_id: str
-    question: str
-    answer: str
-    data_type: str = "unspecified"
-
-    def __post_init__(self):
-        problem = _field_problem(self.video_id, self.qa_id, self.data_type)
-        if problem:
-            raise ParameterError(problem)
-
-
-def _field_problem(video_id, qa_id, data_type) -> str | None:
-    """Why a record with these fields is invalid, or None if it is valid."""
-    if not video_id or not qa_id:
-        return "video_id and qa_id must be non-empty"
-    if data_type not in DATA_TYPES:
-        return f"unknown data_type {data_type!r}; expected one of {DATA_TYPES}"
-    return None
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """An ordered collection of QA records with unique (video_id, qa_id)."""
-
-    name: str
-    records: tuple[QaRecord, ...]
-
-    def __post_init__(self):
-        records = tuple(self.records)
-        seen = set()
-        for rec in records:
-            key = (rec.video_id, rec.qa_id)
-            if key in seen:
-                raise ParameterError(f"duplicate record key {key}")
-            seen.add(key)
-        object.__setattr__(self, "records", records)
-
-    @property
-    def qa_pairs(self) -> int:
-        return len(self.records)
-
-    @property
-    def unique_videos(self) -> int:
-        return len({rec.video_id for rec in self.records})
-
-    def video_ids(self) -> list[str]:
-        """Distinct video ids in first-appearance order."""
-        seen = set()
-        out = []
-        for rec in self.records:
-            if rec.video_id not in seen:
-                seen.add(rec.video_id)
-                out.append(rec.video_id)
-        return out
 
 
 # A manifest line: the five fields in a fixed order, as ``json.dumps`` of
@@ -188,9 +128,22 @@ def _parse_line(path, where, raw: bytes):
             is type(data_type) is str):
         fields = _as_strings(path, where, fields)
         video_id, qa_id, _, _, data_type = fields
-    if not video_id or not qa_id or data_type not in DATA_TYPES:
-        raise FormatError(f"{path}:{where}: {_field_problem(video_id, qa_id, data_type)}")
-    return fields, "\\" not in line
+    if not video_id or not qa_id:
+        raise FormatError(f"{path}:{where}: video_id and qa_id must be non-empty")
+    if data_type not in DATA_TYPES:
+        raise FormatError(
+            f"{path}:{where}: unknown data_type {data_type!r}; expected one of {DATA_TYPES}"
+        )
+    plain = "\\" not in line
+    if not plain:
+        # Only a \u escape can put a lone surrogate in a field, and UTF-8
+        # cannot encode one.
+        for name, value in zip(_FIELDS, fields):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise FormatError(f"{path}:{where}: field {name!r} holds a lone surrogate") from exc
+    return fields, plain
 
 
 def _scan(path):
@@ -212,19 +165,6 @@ def _scan(path):
             offset += len(raw)
 
 
-def write_manifest(manifest: DatasetManifest, path) -> None:
-    with _replacing(path) as fh:
-        for rec in manifest.records:
-            fh.write(
-                _record_line((rec.video_id, rec.qa_id, rec.question, rec.answer, rec.data_type))
-            )
-
-
-def read_manifest(path, name: str | None = None) -> DatasetManifest:
-    records = tuple(QaRecord(*fields) for _, fields, _ in _scan(path))
-    return DatasetManifest(name=name or Path(path).stem, records=records)
-
-
 def _check_subsample_args(fraction: float, qa_cap_per_video: int | None) -> None:
     if not 0.0 < fraction <= 1.0:
         raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
@@ -235,7 +175,7 @@ def _check_subsample_args(fraction: float, qa_cap_per_video: int | None) -> None
 def _kept_positions(
     video_ids, fraction: float, seed: int, qa_cap_per_video: int | None
 ) -> tuple[list[int], int]:
-    """Positions (ascending) of the records ``subsample`` keeps, given each
+    """Positions (ascending) of the records ``subsample_file`` keeps, given each
     record's video id, and the number of distinct videos."""
     distinct = list(dict.fromkeys(video_ids))
     if not distinct:
@@ -261,39 +201,23 @@ def _kept_positions(
     return kept, len(distinct)
 
 
-def subsample(
-    manifest: DatasetManifest,
-    fraction: float,
-    seed: int,
-    qa_cap_per_video: int | None = None,
-) -> DatasetManifest:
-    """Keep floor(fraction * unique_videos) videos and their QA records.
+def subsample_file(
+    src, dst, fraction: float, seed: int, qa_cap_per_video: int | None = None
+) -> tuple[int, int, int, int]:
+    """Keep floor(fraction * videos) of the videos in manifest ``src`` and
+    write their QA records to ``dst``.
 
     Videos are drawn uniformly without replacement under the seed;
     surviving records keep their original order. ``qa_cap_per_video``
     optionally limits how many QA records each chosen video contributes
     (again drawn uniformly), for corpora whose QA counts per video are
     heavily skewed.
-    """
-    _check_subsample_args(fraction, qa_cap_per_video)
-    kept, _ = _kept_positions(
-        [rec.video_id for rec in manifest.records], fraction, seed, qa_cap_per_video
-    )
-    return DatasetManifest(
-        name=manifest.name, records=tuple(manifest.records[i] for i in kept)
-    )
 
-
-def subsample_file(
-    src, dst, fraction: float, seed: int, qa_cap_per_video: int | None = None
-) -> tuple[int, int, int, int]:
-    """``write_manifest(subsample(read_manifest(src), ...), dst)`` without
-    holding the manifest in memory.
-
-    The first pass validates every record and keeps only each record's byte
-    offset and key; the second seeks to the kept records and parses only
-    those, so ``src`` must be a regular file that stays unchanged between
-    the passes. Returns (videos, QA pairs) of ``src`` and of the output.
+    The manifest is not held in memory. The first pass validates every
+    record and keeps only each record's byte offset and key; the second
+    seeks to the kept records and parses only those, so ``src`` must be a
+    regular file that stays unchanged between the passes. Returns
+    (videos, QA pairs) of ``src`` and of the output.
     """
     _check_subsample_args(fraction, qa_cap_per_video)
     if not stat.S_ISREG(os.stat(src).st_mode):
@@ -335,18 +259,10 @@ def _check_types(types) -> set[str]:
     return wanted
 
 
-def filter_type(manifest: DatasetManifest, types) -> DatasetManifest:
-    """Records whose data_type lies in ``types``, order preserved."""
-    wanted = _check_types(types)
-    return DatasetManifest(
-        name=manifest.name,
-        records=tuple(r for r in manifest.records if r.data_type in wanted),
-    )
-
-
 def filter_file(src, dst, types) -> tuple[int, int]:
-    """``write_manifest(filter_type(read_manifest(src), types), dst)`` in one
-    streaming pass. Returns the QA pairs read and the QA pairs kept."""
+    """Write the records of manifest ``src`` whose data_type lies in
+    ``types`` to ``dst``, order preserved, in one streaming pass. Returns
+    the QA pairs read and the QA pairs kept."""
     wanted = _check_types(types)
     read = kept = 0
     with _replacing(dst) as out:
@@ -358,32 +274,26 @@ def filter_file(src, dst, types) -> tuple[int, int]:
     return read, kept
 
 
-def synthetic_manifest(
-    videos: int,
-    qa_per_video: int,
-    seed: int = 0,
-    name: str = "synthetic",
-) -> DatasetManifest:
-    """A quick deterministic manifest for tests and demos."""
+def synthetic_manifest(path, videos: int, qa_per_video: int, seed: int = 0) -> None:
+    """Write a quick deterministic manifest to ``path``, for tests and demos."""
     if videos < 1 or qa_per_video < 1:
         raise ParameterError("videos and qa_per_video must be >= 1")
     rng = make_rng(seed)
-    type_idx = rng.integers(0, len(DATA_TYPES) - 1, size=videos * qa_per_video)
-    records = []
+    type_idx = rng.integers(0, len(DATA_TYPES) - 1, size=videos * qa_per_video).tolist()
     pos = 0
-    for v in range(videos):
-        for q in range(qa_per_video):
-            records.append(
-                QaRecord(
-                    video_id=f"vid{v:07d}",
-                    qa_id=f"qa{q:04d}",
-                    question=f"what happens in clip {v} segment {q}?",
-                    answer=f"event {v}-{q}",
-                    data_type=DATA_TYPES[int(type_idx[pos])],
+    # No field holds a character json escapes, so every line is plain.
+    with _replacing(path) as fh:
+        for v in range(videos):
+            for q in range(qa_per_video):
+                fields = (
+                    f"vid{v:07d}",
+                    f"qa{q:04d}",
+                    f"what happens in clip {v} segment {q}?",
+                    f"event {v}-{q}",
+                    DATA_TYPES[type_idx[pos]],
                 )
-            )
-            pos += 1
-    return DatasetManifest(name=name, records=tuple(records))
+                fh.write(_record_line(fields, plain=True))
+                pos += 1
 
 
 @dataclass(frozen=True)

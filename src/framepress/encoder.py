@@ -18,7 +18,6 @@ from .errors import EmptyInputError, ParameterError, ShapeError
 from .linalg import as_matrix, make_rng
 
 DEFAULT_PATCH_SIZE = 14
-DEFAULT_IMAGE_SIDE = 112  # 8 x 8 patch grid at the default patch size
 DEFAULT_FEATURE_DIM = 64
 
 # Seed of the frozen toy projection. Fixed so that every pipeline run,
@@ -33,7 +32,10 @@ class ImagePlane:
     pixels: np.ndarray  # (H, W, 3) float64
 
     def __post_init__(self):
-        arr = np.array(self.pixels, dtype=np.float64, order="C", copy=True)
+        raw = np.asarray(self.pixels)
+        if raw.dtype.kind not in "buif":
+            raise ParameterError(f"pixel values must be real numbers, got dtype {raw.dtype}")
+        arr = np.array(raw, dtype=np.float64, order="C", copy=True)
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise ShapeError(f"pixels must have shape (H, W, 3), got {arr.shape}")
         if arr.shape[0] == 0 or arr.shape[1] == 0:

@@ -7,7 +7,8 @@ compute is 64-bit, so a value round-trips bit-exactly iff it is
 representable in float32.
 
 Also home to ``_replacing``, the atomic text-file write shared by the
-manifest, checkpoint header and index sidecar writers.
+manifest, checkpoint header and index sidecar writers and by the CLI's
+plan and report outputs.
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ def check_reference_fit() -> CheckResult:
 
 
 def check_subsample_counts() -> CheckResult:
-    """Video-level subsampling hits the exact floor counts."""
+    """The video selection ``subsample_file`` runs hits the exact floor counts."""
     name = "subsample_counts"
     expectations = [
         (228_914, 0.1, 22_891),
@@ -89,21 +89,16 @@ def check_subsample_counts() -> CheckResult:
         (13_040, 0.3, 3_912),
         (13_040, 0.6, 7_824),
     ]
-    built = {}
+    ids = [f"vid{v:07d}" for v in range(228_914)]  # as synthetic_manifest writes them
     for videos, fraction, want in expectations:
-        if videos not in built:
-            built[videos] = curriculum.synthetic_manifest(videos, 1, seed=videos)
-        sub = curriculum.subsample(built[videos], fraction, seed=13)
-        if sub.unique_videos != want:
-            return CheckResult(
-                name,
-                False,
-                f"{videos} videos at {fraction} gave {sub.unique_videos}, "
-                f"expected {want}",
-            )
-        keys = {(r.video_id, r.qa_id) for r in built[videos].records}
-        if any((r.video_id, r.qa_id) not in keys for r in sub.records):
+        kept, _ = curriculum._kept_positions(ids[:videos], fraction, 13, None)
+        if kept != sorted(set(kept)) or not set(kept) <= set(range(videos)):
             return CheckResult(name, False, "subsample invented records")
+        got = len({ids[i] for i in kept})
+        if got != want:
+            return CheckResult(
+                name, False, f"{videos} videos at {fraction} gave {got}, expected {want}"
+            )
     return CheckResult(
         name, True, "228914@0.1->22891; 13040@0.1/0.3/0.6->1304/3912/7824"
     )
@@ -434,17 +429,20 @@ def check_determinism_roundtrips(
                 return CheckResult(
                     name, False, f"tensor file {i} (shape {dims}) changed in flight"
                 )
+        copy = tmp / "copy.jsonl"
         for i in range(manifests):
-            manifest = curriculum.synthetic_manifest(
+            path = tmp / f"m{i}.jsonl"
+            curriculum.synthetic_manifest(
+                path,
                 videos=int(rng.integers(1, 40)),
                 qa_per_video=int(rng.integers(1, 5)),
                 seed=int(rng.integers(0, 2**31)),
-                name=f"m{i}",
             )
-            path = tmp / f"m{i}.jsonl"
-            curriculum.write_manifest(manifest, path)
-            back = curriculum.read_manifest(path, name=manifest.name)
-            if back != manifest:
+            written = path.read_bytes()
+            curriculum.subsample_file(path, copy, 1.0, seed=0)
+            same = copy.read_bytes() == written
+            curriculum.filter_file(path, copy, curriculum.DATA_TYPES)
+            if not same or copy.read_bytes() != written:
                 return CheckResult(name, False, f"manifest {i} changed in flight")
     return CheckResult(
         name,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from framepress import cli, curriculum, ftv1
 from framepress.adapter import load_checkpoint, save_checkpoint
-from framepress.curriculum import synthetic_manifest, write_manifest
+from framepress.curriculum import synthetic_manifest
 from framepress.errors import FormatError
 from framepress.sampler import load_sampled
 from framepress.verify import CheckResult
@@ -99,7 +99,7 @@ def test_cost_uses_builtin_reference_by_default(capsys):
 
 def test_subsample_and_filter(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
-    write_manifest(synthetic_manifest(40, 2, seed=4), manifest)
+    synthetic_manifest(manifest, 40, 2, seed=4)
     code, out, _ = run(
         capsys, "subsample", str(manifest), "--fraction", "0.25", "--seed", "6",
         "--out", str(tmp_path / "sub.jsonl"),
@@ -117,7 +117,7 @@ def test_subsample_and_filter(tmp_path, capsys):
 
 def test_filter_unknown_type_exits_2(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
-    write_manifest(synthetic_manifest(3, 1, seed=5), manifest)
+    synthetic_manifest(manifest, 3, 1, seed=5)
     code, _, err = run(
         capsys, "filter", str(manifest), "--types", "haiku",
         "--out", str(tmp_path / "f.jsonl"),
@@ -150,6 +150,17 @@ def _encode_images(tmp_path, *shapes):
     for path, shape in zip(paths, shapes):
         np.save(path, np.full(shape, 0.5))
     return ["encode", "--images", *paths, "--out", str(tmp_path / "f.ftv1")]
+
+
+def _encode_npy(tmp_path, data):
+    """``encode --images`` of one ``.npy`` file holding ``data``, or the
+    bytes ``data`` when it is not an array."""
+    path = tmp_path / "img0.npy"
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        np.save(path, data, allow_pickle=True)
+    return ["encode", "--images", str(path), "--patch", "2", "--out", str(tmp_path / "f.ftv1")]
 
 
 def _train_toy_with_config(tmp_path, text):
@@ -224,6 +235,12 @@ BAD_INPUTS = {
     "negative --width for a new checkpoint": lambda tmp: _fuzz_features(tmp)[1] + ["--width", "-1"],
     "cost --frames 0": lambda tmp: ["cost", "--frames", "0"],
     "cost --k with a zero": lambda tmp: ["cost", "--k", "4,0"],
+    "text file as --images": lambda tmp: _encode_npy(tmp, b"0.5 0.5 0.5\n"),
+    "empty file as --images": lambda tmp: _encode_npy(tmp, b""),
+    "zip-like file as --images": lambda tmp: _encode_npy(tmp, b"PK\x03\x04 not a zip"),
+    "object array as --images": lambda tmp: _encode_npy(tmp, np.full((2, 2, 3), None)),
+    "string array as --images": lambda tmp: _encode_npy(tmp, np.full((2, 2, 3), "0.5")),
+    "complex array as --images": lambda tmp: _encode_npy(tmp, np.full((2, 2, 3), 0.5 + 0.5j)),
 }
 
 # What each case's error message must name.
@@ -235,6 +252,12 @@ NAMED_IN_ERROR = {
     "negative encode --seed": "seed must be >= 0, got -1",
     "negative subsample --seed": "seed must be >= 0, got -1",
     "negative config seed": "seed must be >= 0, got -1",
+    "text file as --images": "img0.npy",
+    "empty file as --images": "img0.npy",
+    "zip-like file as --images": "img0.npy",
+    "object array as --images": "img0.npy",
+    "string array as --images": "dtype <U3",
+    "complex array as --images": "dtype complex128",
 }
 
 
@@ -454,6 +477,50 @@ def test_sidecar_is_written_last(tmp_path, capsys, monkeypatch):
         load_sampled(out)
 
 
+# Each: the argv that writes a text output to the given path.
+TEXT_OUTPUTS = {
+    "plan --out": lambda out: ["plan", "--strategy", "S4-V", "--out", str(out)],
+    "train-toy --report": lambda out: _fuzz_config(out.parent)[1] + ["--report", str(out)],
+    "verify --report": lambda out: ["verify", "--report", str(out)],
+}
+
+
+@pytest.mark.parametrize("command", list(TEXT_OUTPUTS))
+def test_text_outputs_are_replaced_atomically(command, tmp_path, capsys, monkeypatch):
+    """A write that fails partway leaves the old output whole and no
+    temporary file beside it."""
+    import framepress.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "ALL_CHECKS", (verify_mod.check_sequence_arithmetic,))  # quick
+    out = tmp_path / "out.json"
+    argv = TEXT_OUTPUTS[command](out)
+    out.write_text("an older output\n", encoding="utf-8")
+    replacing = ftv1._replacing
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+    @contextlib.contextmanager
+    def failing_midway(path):
+        with replacing(path) as fh:
+            yield HalfWriter(fh)
+
+    monkeypatch.setattr(ftv1, "_replacing", failing_midway)
+    files = sorted(os.listdir(tmp_path))
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", "error: disk full\n")
+    assert out.read_text(encoding="utf-8") == "an older output\n"
+    assert sorted(os.listdir(tmp_path)) == files
+    monkeypatch.setattr(ftv1, "_replacing", replacing)
+    assert run(capsys, *argv)[0] == 0
+    assert out.read_text(encoding="utf-8") != "an older output\n"
+
+
 def test_checkpoint_flags_must_match_an_existing_checkpoint(tmp_path, capsys):
     argv = _with_checkpoint(tmp_path, "compress")
     for flags in ([], ["--queries", "6"], ["--queries", "6", "--width", "8"]):
@@ -473,7 +540,7 @@ def test_checkpoint_flags_must_match_an_existing_checkpoint(tmp_path, capsys):
 def _manifest(tmp_path, tail=b""):
     """A 6-video manifest at ``tmp_path/m.jsonl``, ``tail`` appended."""
     path = tmp_path / "m.jsonl"
-    write_manifest(synthetic_manifest(6, 2, seed=1), path)
+    synthetic_manifest(path, 6, 2, seed=1)
     with open(path, "ab") as fh:
         fh.write(tail)
     return path
@@ -491,6 +558,7 @@ BAD_MANIFEST_TAILS = {
     "number too long": lambda tmp: b'{"video_id": "v9", "qa_id": ' + b"9" * 5000 + b"}\n",
     "nesting too deep": lambda tmp: b'{"video_id": "v9", "qa_id": "q9", "question": '
     + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
+    "lone surrogate escape": lambda tmp: b'{"video_id": "v9", "qa_id": "q9", "question": "\\ud800"}\n',
 }
 
 MANIFEST_COMMANDS = {

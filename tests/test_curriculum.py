@@ -14,174 +14,181 @@ from framepress.curriculum import (
     DATA_TYPES,
     IMAGE_DATASET_ROLES,
     STRATEGIES,
-    DatasetManifest,
-    QaRecord,
     StagePlan,
     StageSpec,
+    _kept_positions,
     _parse_line,
     _record_line,
-    filter_type,
+    _scan,
+    filter_file,
     make_plan,
     plan_to_text,
-    read_manifest,
-    subsample,
+    subsample_file,
     synthetic_manifest,
-    write_manifest,
 )
 from framepress.errors import EmptyInputError, FormatError, ParameterError, PlanError
 
 TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
 
 
-def test_record_and_manifest_validation():
-    with pytest.raises(ParameterError):
-        QaRecord(video_id="", qa_id="q", question="?", answer="a")
-    with pytest.raises(ParameterError):
-        QaRecord(video_id="v", qa_id="q", question="?", answer="a", data_type="poem")
-    rec = QaRecord(video_id="v", qa_id="q", question="?", answer="a")
-    with pytest.raises(ParameterError):
-        DatasetManifest(name="m", records=(rec, rec))
+def _records(path) -> list[tuple[str, ...]]:
+    """The five fields of every record of a manifest file, in file order."""
+    return [fields for _, fields, _ in _scan(path)]
 
 
-def test_counts_derived_from_records():
-    m = synthetic_manifest(7, 3, seed=1)
-    assert m.qa_pairs == 21
-    assert m.unique_videos == 7
-    assert m.video_ids() == [f"vid{v:07d}" for v in range(7)]
+def _subsampled(tmp_path, src, fraction, seed, cap=None) -> list[tuple[str, ...]]:
+    out = tmp_path / "sub.jsonl"
+    subsample_file(src, out, fraction, seed, qa_cap_per_video=cap)
+    return _records(out)
 
 
-def test_subsample_exact_floor_counts():
-    m = synthetic_manifest(100, 2, seed=2)
+def _manifest(tmp_path, videos, qa_per_video, seed):
+    path = tmp_path / f"m{videos}x{qa_per_video}s{seed}.jsonl"
+    synthetic_manifest(path, videos, qa_per_video, seed=seed)
+    return path
+
+
+def test_counts_derived_from_records(tmp_path):
+    records = _records(_manifest(tmp_path, 7, 3, seed=1))
+    assert len(records) == 21
+    assert list(dict.fromkeys(r[0] for r in records)) == [f"vid{v:07d}" for v in range(7)]
+    assert {r[4] for r in records} <= set(DATA_TYPES)
+
+
+def test_subsample_exact_floor_counts(tmp_path):
+    src = _manifest(tmp_path, 100, 2, seed=2)
     for fraction, want in ((0.1, 10), (0.33, 33), (0.999, 99), (1.0, 100)):
-        sub = subsample(m, fraction, seed=5)
-        assert sub.unique_videos == want
+        kept = _subsampled(tmp_path, src, fraction, seed=5)
+        assert len({r[0] for r in kept}) == want
 
 
-def test_subsample_fraction_one_is_identity():
-    m = synthetic_manifest(12, 2, seed=3)
-    assert subsample(m, 1.0, seed=9) == m
+def test_subsample_fraction_one_is_identity(tmp_path):
+    src = _manifest(tmp_path, 12, 2, seed=3)
+    subsample_file(src, tmp_path / "sub.jsonl", 1.0, seed=9)
+    assert (tmp_path / "sub.jsonl").read_bytes() == src.read_bytes()
 
 
-def test_subsample_is_sub_multiset_in_original_order():
-    m = synthetic_manifest(40, 3, seed=4)
-    sub = subsample(m, 0.4, seed=6)
-    keys = [(r.video_id, r.qa_id) for r in m.records]
-    sub_keys = [(r.video_id, r.qa_id) for r in sub.records]
-    positions = [keys.index(k) for k in sub_keys]
+def test_subsample_is_sub_multiset_in_original_order(tmp_path):
+    src = _manifest(tmp_path, 40, 3, seed=4)
+    records = _records(src)
+    sub = _subsampled(tmp_path, src, 0.4, seed=6)
+    positions = [records.index(r) for r in sub]
     assert positions == sorted(positions)
-    assert set(sub_keys) <= set(keys)
     # All QA pairs of every chosen video survive when no cap is set.
-    chosen = {r.video_id for r in sub.records}
-    assert sub.qa_pairs == sum(1 for r in m.records if r.video_id in chosen)
+    chosen = {r[0] for r in sub}
+    assert len(sub) == sum(1 for r in records if r[0] in chosen)
 
 
 def test_subsample_deterministic_byte_for_byte(tmp_path):
-    m = synthetic_manifest(60, 2, seed=7)
+    src = _manifest(tmp_path, 60, 2, seed=7)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_manifest(subsample(m, 0.5, seed=8), a)
-    write_manifest(subsample(m, 0.5, seed=8), b)
+    subsample_file(src, a, 0.5, seed=8)
+    subsample_file(src, b, 0.5, seed=8)
     assert a.read_bytes() == b.read_bytes()
-    write_manifest(subsample(m, 0.5, seed=9), b)
+    subsample_file(src, b, 0.5, seed=9)
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_subsample_qa_cap():
-    m = synthetic_manifest(10, 6, seed=10)
-    sub = subsample(m, 1.0, seed=11, qa_cap_per_video=2)
-    assert sub.unique_videos == 10
+def test_subsample_qa_cap(tmp_path):
+    sub = _subsampled(tmp_path, _manifest(tmp_path, 10, 6, seed=10), 1.0, seed=11, cap=2)
     per_video = {}
-    for r in sub.records:
-        per_video[r.video_id] = per_video.get(r.video_id, 0) + 1
+    for r in sub:
+        per_video[r[0]] = per_video.get(r[0], 0) + 1
+    assert len(per_video) == 10
     assert all(count == 2 for count in per_video.values())
 
 
-def test_subsample_errors():
-    m = synthetic_manifest(3, 1, seed=12)
+def test_subsample_errors(tmp_path):
+    src, out = _manifest(tmp_path, 3, 1, seed=12), tmp_path / "out.jsonl"
     with pytest.raises(ParameterError):
-        subsample(m, 0.0, seed=0)
+        subsample_file(src, out, 0.0, seed=0)
     with pytest.raises(ParameterError):
-        subsample(m, 1.2, seed=0)
+        subsample_file(src, out, 1.2, seed=0)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n", encoding="utf-8")
     with pytest.raises(EmptyInputError):
-        subsample(DatasetManifest(name="e", records=()), 0.5, seed=0)
+        subsample_file(empty, out, 0.5, seed=0)
+    assert not out.exists()
 
 
 @given(st.integers(1, 300), st.floats(0.001, 1.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_subsample_count_is_floor_property(videos, fraction):
-    m = synthetic_manifest(videos, 1, seed=13)
-    sub = subsample(m, fraction, seed=14)
-    assert sub.unique_videos == math.floor(fraction * videos)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _manifest(Path(tmp), videos, 1, seed=13)
+        kept = _subsampled(Path(tmp), src, fraction, seed=14)
+    assert len({r[0] for r in kept}) == math.floor(fraction * videos)
 
 
-def test_filter_type_keeps_order_and_composes():
-    m = synthetic_manifest(30, 4, seed=15)
-    vqa_reasoning = filter_type(m, {"vqa", "reasoning"})
-    assert all(r.data_type in {"vqa", "reasoning"} for r in vqa_reasoning.records)
+def test_filter_type_keeps_order_and_composes(tmp_path):
+    src = _manifest(tmp_path, 30, 4, seed=15)
+    vqa_reasoning, inner, direct = (tmp_path / f"{n}.jsonl" for n in ("vr", "inner", "direct"))
+    assert filter_file(src, vqa_reasoning, {"vqa", "reasoning"})[0] == 120
+    records = _records(vqa_reasoning)
+    assert records and all(r[4] in {"vqa", "reasoning"} for r in records)
+    assert records == [r for r in _records(src) if r[4] in {"vqa", "reasoning"}]
     # Composition with a nested set equals filtering by the inner set.
-    inner = filter_type(vqa_reasoning, {"vqa"})
-    assert inner == filter_type(m, {"vqa"})
-    assert filter_type(m, set(DATA_TYPES)) == m
+    filter_file(vqa_reasoning, inner, {"vqa"})
+    filter_file(src, direct, {"vqa"})
+    assert inner.read_bytes() == direct.read_bytes()
+    filter_file(src, direct, set(DATA_TYPES))
+    assert direct.read_bytes() == src.read_bytes()
 
 
-def test_filter_type_rejects_unknown_and_empty():
-    m = synthetic_manifest(3, 1, seed=16)
+def test_filter_type_rejects_unknown_and_empty(tmp_path):
+    src, out = _manifest(tmp_path, 3, 1, seed=16), tmp_path / "out.jsonl"
     with pytest.raises(ParameterError):
-        filter_type(m, {"sonnets"})
+        filter_file(src, out, {"sonnets"})
     with pytest.raises(ParameterError):
-        filter_type(m, set())
+        filter_file(src, out, set())
+    assert not out.exists()
 
 
 def test_manifest_file_round_trip(tmp_path):
-    m = synthetic_manifest(15, 3, seed=20, name="demo")
-    path = tmp_path / "demo.jsonl"
-    write_manifest(m, path)
-    assert read_manifest(path) == m  # name defaults to the file stem
-    assert read_manifest(path, name="demo") == m
+    src = _manifest(tmp_path, 15, 3, seed=20)
+    records = _records(src)
+    assert len(records) == 45
+    assert records[4][:4] == ("vid0000001", "qa0001", "what happens in clip 1 segment 1?", "event 1-1")
+    out = tmp_path / "out.jsonl"
+    subsample_file(src, out, 1.0, seed=0)
+    assert out.read_bytes() == src.read_bytes()
+    filter_file(src, out, DATA_TYPES)
+    assert out.read_bytes() == src.read_bytes()
 
 
 def test_manifest_unicode_survives(tmp_path):
-    rec = QaRecord(
-        video_id="v1", qa_id="q1", question="何が起きた？", answer="猫が跳んだ 🐈"
-    )
-    m = DatasetManifest(name="uni", records=(rec,))
-    path = tmp_path / "uni.jsonl"
-    write_manifest(m, path)
-    assert read_manifest(path, name="uni") == m
-    assert "何が起きた" in path.read_text(encoding="utf-8")  # not \u-escaped
+    src, out = tmp_path / "uni.jsonl", tmp_path / "out.jsonl"
+    escaped = json.dumps({"video_id": "v1", "qa_id": "q1", "question": "何が起きた？", "answer": "猫が跳んだ 🐈"})
+    src.write_text(escaped + "\n", encoding="utf-8")
+    filter_file(src, out, DATA_TYPES)
+    assert _records(out) == [("v1", "q1", "何が起きた？", "猫が跳んだ 🐈", "unspecified")]
+    assert "何が起きた" in out.read_text(encoding="utf-8")  # not \u-escaped
 
 
 def test_read_manifest_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"video_id": "v"\n', encoding="utf-8")
-    with pytest.raises(FormatError):
-        read_manifest(path)
-    path.write_text('["not", "an", "object"]\n', encoding="utf-8")
-    with pytest.raises(FormatError):
-        read_manifest(path)
-    path.write_text('{"qa_id": "q"}\n', encoding="utf-8")
-    with pytest.raises(FormatError):
-        read_manifest(path)
+    for text in ('{"video_id": "v"\n', '["not", "an", "object"]\n', '{"qa_id": "q"}\n'):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError):
+            _records(path)
 
 
 @given(st.lists(st.tuples(TEXT, TEXT), max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_write_manifest_lines_are_json_dumps(texts):
-    records = tuple(
-        QaRecord(video_id=f"v{i}{q}", qa_id="q", question=q, answer=a, data_type="vqa")
-        for i, (q, a) in enumerate(texts)
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "m.jsonl"
-        write_manifest(DatasetManifest(name="m", records=records), path)
-        written = path.read_bytes().decode("utf-8")
-    assert written == "".join(
+    lines = [
         json.dumps(
-            {"video_id": r.video_id, "qa_id": r.qa_id, "question": r.question,
-             "answer": r.answer, "data_type": r.data_type},
+            {"video_id": f"v{i}{q}", "qa_id": "q", "question": q, "answer": a, "data_type": "vqa"},
             ensure_ascii=False,
         ) + "\n"
-        for r in records
-    )
+        for i, (q, a) in enumerate(texts)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "m.jsonl", Path(tmp) / "out.jsonl"
+        src.write_text("".join(lines), encoding="utf-8")
+        filter_file(src, out, {"vqa"})
+        written = out.read_bytes().decode("utf-8")
+    assert written == "".join(lines)
 
 
 def test_read_manifest_names_file_and_line(tmp_path):
@@ -189,10 +196,10 @@ def test_read_manifest_names_file_and_line(tmp_path):
     good = '{"video_id": "v", "qa_id": "q"}\n'
     path.write_bytes(good.encode() + b'{"video_id": "v", "qa_id": "\xff"}\n')
     with pytest.raises(FormatError, match=f"{path}:2: not UTF-8"):
-        read_manifest(path)
+        _records(path)
     path.write_text(good + "\n" + good, encoding="utf-8")
     with pytest.raises(FormatError, match=f"{path}:3: duplicate record key"):
-        read_manifest(path)
+        _records(path)
 
 
 BAD_FIELD_LINES = {
@@ -200,6 +207,7 @@ BAD_FIELD_LINES = {
     '{"video_id": "v", "qa_id": "q", "data_type": "poem"}': "unknown data_type 'poem'; expected one of",
     '{"video_id": "v", "qa_id": "q", "question": {"a": "it\'s"}}': "field 'question' holds an object",
     '{"video_id": "v", "qa_id": ["q"]}': "field 'qa_id' holds an array",
+    '{"video_id": "v", "qa_id": "q", "answer": "\\ud800"}': "field 'answer' holds a lone surrogate",
 }
 
 
@@ -208,7 +216,7 @@ def test_bad_field_values_name_file_and_line(line, tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"video_id": "v0", "qa_id": "q"}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(FormatError) as info:
-        read_manifest(path)
+        _records(path)
     assert str(info.value).startswith(f"{path}:2: {BAD_FIELD_LINES[line]}")
 
 
@@ -228,8 +236,19 @@ def test_rejected_lines_keep_json_s_message(raw, tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(b'{"video_id": "v0", "qa_id": "q"}\n' + raw + b"\n")
     with pytest.raises(FormatError) as info:
-        read_manifest(path)
+        _records(path)
     assert str(info.value) == f"{path}:2: bad record: {JSON_REJECTS[raw]}"
+
+
+def _dumped(obj) -> str:
+    """The manifest line for a decoded record: ``json.dumps`` of its five
+    fields, with the documented defaults and ``str`` of non-text values."""
+    return json.dumps(
+        {"video_id": str(obj["video_id"]), "qa_id": str(obj["qa_id"]),
+         "question": str(obj.get("question", "")), "answer": str(obj.get("answer", "")),
+         "data_type": obj.get("data_type", "unspecified")},
+        ensure_ascii=False,
+    ) + "\n"
 
 
 SCALAR = st.integers() | st.floats() | st.booleans() | st.none()
@@ -252,13 +271,7 @@ def test_record_line_is_json_dumps_of_the_parsed_fields(record, scalars):
         json.dumps(record, ensure_ascii=True),
         json.dumps({**record, **scalars}, ensure_ascii=False),
     ):
-        obj = json.loads(line)
-        want = json.dumps(
-            {"video_id": str(obj["video_id"]), "qa_id": str(obj["qa_id"]),
-             "question": str(obj.get("question", "")), "answer": str(obj.get("answer", "")),
-             "data_type": obj.get("data_type", "unspecified")},
-            ensure_ascii=False,
-        ) + "\n"
+        want = _dumped(json.loads(line))
         fields, plain = _parse_line("m.jsonl", 1, line.encode("utf-8"))
         assert plain == ("\\" not in line)
         assert _record_line(fields, plain) == want
@@ -303,28 +316,30 @@ def _cli_stdout(argv) -> str:
 )
 @settings(max_examples=40, deadline=None)
 def test_streaming_cli_matches_in_memory_functions(text, fraction, seed, cap, types):
+    """The CLI's outputs and counts against an oracle that decodes each
+    line with json.loads and writes it back with json.dumps."""
+    records = [json.loads(line) for line in text.split("\n") if line.strip()]
+    lines = [_dumped(r) for r in records]
+    video_ids = [r["video_id"] for r in records]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        src, want, got = tmp / "m.jsonl", tmp / "want.jsonl", tmp / "got.jsonl"
+        src, got = tmp / "m.jsonl", tmp / "got.jsonl"
         src.write_text(text, encoding="utf-8")
-        manifest = read_manifest(src)
 
-        sub = subsample(manifest, fraction, seed, qa_cap_per_video=cap)
-        write_manifest(sub, want)
+        kept, _ = _kept_positions(video_ids, fraction, seed, cap)
         argv = ["subsample", src, "--fraction", fraction, "--seed", seed, "--out", got]
         out = _cli_stdout(argv + ([] if cap is None else ["--qa-cap", cap]))
-        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().decode("utf-8") == "".join(lines[i] for i in kept)
         assert out.startswith(
-            f"{manifest.unique_videos} videos / {manifest.qa_pairs} QA pairs -> "
-            f"{sub.unique_videos} videos / {sub.qa_pairs} QA pairs -> "
+            f"{len(set(video_ids))} videos / {len(records)} QA pairs -> "
+            f"{len({video_ids[i] for i in kept})} videos / {len(kept)} QA pairs -> "
         )
 
-        filtered = filter_type(manifest, types)
-        write_manifest(filtered, want)
+        want = [line for r, line in zip(records, lines) if r.get("data_type", "unspecified") in types]
         out = _cli_stdout(["filter", src, "--types", ",".join(types), "--out", got])
-        assert got.read_bytes() == want.read_bytes()
-        assert out.startswith(f"kept {filtered.qa_pairs} of {manifest.qa_pairs} QA pairs")
-        assert sorted(p.name for p in tmp.iterdir()) == ["got.jsonl", "m.jsonl", "want.jsonl"]
+        assert got.read_bytes().decode("utf-8") == "".join(want)
+        assert out.startswith(f"kept {len(want)} of {len(records)} QA pairs")
+        assert sorted(p.name for p in tmp.iterdir()) == ["got.jsonl", "m.jsonl"]
 
 
 def test_make_plan_stage_placement():
