@@ -61,6 +61,7 @@ from .pipeline import (
 )
 from .sampler import (
     SampledTokens,
+    compress_video,
     sample_video,
     score_frame,
     select_topk,
@@ -100,6 +101,7 @@ __all__ = [
     "assemble_sequence",
     "calibrate",
     "calibrated_config",
+    "compress_video",
     "estimate",
     "filter_file",
     "init_adapter_params",

@@ -10,6 +10,17 @@ single-head cross-attention block:
 * values are the projected features alone,
 * N learnable query vectors attend over the M keys.
 
+The block is evaluated in feature space and projects after mixing. With x
+a frame's (M, D) shifted tokens, W the (D, C) projection, q the (N, C)
+queries and pos the positional table, the logits q·(xW + pos)ᵀ equal
+(q·Wᵀ)·xᵀ + q·posᵀ and the tokens A·(xW) equal (A·x)·W. Both sides are the
+same products associated differently, so the function is the same up to
+floating-point rounding. The queries are mapped into feature space once
+per video, each frame mixes its own features, and the D×C projection runs
+only on the mixed rows a caller keeps: all N per frame in
+:func:`adapt_video`, the K selected ones in
+:func:`framepress.sampler.compress_video`.
+
 Besides the forward pass this module carries its own reverse-mode
 gradients (the whole block is small enough that hand-written backprop
 beats pulling in an autodiff framework) and directory-based checkpoint
@@ -244,33 +255,43 @@ def _shifted_tokens(video: VideoTokenTensor, params: AdapterParams) -> np.ndarra
     return video.tokens() + params.temporal[:, None, :]
 
 
-def _attend(x: np.ndarray, params: AdapterParams):
-    """One frame's attention step on its (M, D) temporally shifted tokens.
+def _mix(video: VideoTokenTensor, params: AdapterParams):
+    """Every frame's attention step, up to but not including the projection.
 
-    Returns ``(projected, keys, attention, tokens)``: the (M, C) projected
-    features, which are the values; the keys, which add the positional
-    table to them; the (N, M) softmax weights each query spread over the M
-    source tokens; and the (N, C) compressed tokens.
+    Returns ``(feature_queries, attention, mixed)``: the (N, D) queries
+    mapped into feature space, q·Wᵀ; the (T, N, M) softmax weights each
+    query spread over the M source tokens; and the (T, N, D) mixed
+    features, which :func:`_project` turns into compressed tokens.
     """
-    projected = x @ params.input_proj
-    keys = projected + params.pos_table
-    attention, tokens = cross_attention(
-        params.queries, keys, projected, scale=params.scale
+    shifted = _shifted_tokens(video, params)
+    queries, scale = params.queries, params.scale
+    feature_queries = queries @ params.input_proj.T
+    bias = scale * (queries @ params.pos_table.T)
+    t_count, n = video.frame_count, params.query_count
+    attention = np.empty((t_count, n, params.source_tokens))
+    mixed = np.empty((t_count, n, params.feature_dim))
+    for t in range(t_count):
+        attention[t], mixed[t] = cross_attention(
+            feature_queries, shifted[t], shifted[t], scale=scale, bias=bias
+        )
+    return feature_queries, attention, mixed
+
+
+def _project(mixed: np.ndarray, params: AdapterParams) -> np.ndarray:
+    """Read-only tokens of (T, R, D) mixed rows, as one (T·R, D) @ (D, C) GEMM."""
+    t_count, rows, d = mixed.shape
+    tokens = (mixed.reshape(t_count * rows, d) @ params.input_proj).reshape(
+        t_count, rows, params.width
     )
-    return projected, keys, attention, tokens
+    tokens.setflags(write=False)
+    return tokens
 
 
 def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput:
     """Compress every frame of a video, preserving frame order."""
-    shifted = _shifted_tokens(video, params)
-    t_count, n, m = video.frame_count, params.query_count, params.source_tokens
-    tokens = np.empty((t_count, n, params.width))
-    attention = np.empty((t_count, n, m))
-    for t in range(t_count):
-        _, _, attention[t], tokens[t] = _attend(shifted[t], params)
-    tokens.setflags(write=False)
+    _, attention, mixed = _mix(video, params)
     attention.setflags(write=False)
-    return AdapterOutput(tokens=tokens, attention=attention)
+    return AdapterOutput(tokens=_project(mixed, params), attention=attention)
 
 
 def adapter_gradients(
@@ -283,39 +304,38 @@ def adapter_gradients(
     table. Each frame's attention is recomputed, not stored by the forward
     pass.
     """
-    shifted = _shifted_tokens(video, params)
     g_tokens = np.asarray(token_grads, dtype=np.float64)
-    t_count = video.frame_count
-    n, c = params.query_count, params.width
+    t_count, n, c = video.frame_count, params.query_count, params.width
     if g_tokens.shape != (t_count, n, c):
         raise ShapeError(
             f"token grads must have shape {(t_count, n, c)}, got {g_tokens.shape}"
         )
+    feature_queries, att, mixed = _mix(video, params)
+    queries, proj, scale = params.queries, params.input_proj, params.scale
+    d = params.feature_dim
 
-    queries, scale = params.queries, params.scale
-
-    g_proj = np.zeros_like(params.input_proj)
-    g_queries = np.zeros_like(queries)
-    g_pos = np.zeros_like(params.pos_table)
-    g_temporal = np.zeros_like(params.temporal)
-
-    for t in range(t_count):
-        x = shifted[t]  # (M, D)
-        projected, keys, att, _ = _attend(x, params)
-
-        g_out = g_tokens[t]  # (N, C)
-        g_att = g_out @ projected.T  # (N, M) via the value-mixing path
-        # Softmax backward, row-wise.
-        g_logits = att * (g_att - np.sum(g_att * att, axis=1, keepdims=True))
-        g_queries += scale * (g_logits @ keys)
-        g_keys = scale * (g_logits.T @ queries)  # (M, C)
-        g_pos += g_keys
-        # projected feeds both the values and (through the positional add)
-        # the keys.
-        g_projected = att.T @ g_out + g_keys
-        g_proj += x.T @ g_projected
-        g_x = g_projected @ params.input_proj.T  # (M, D)
-        g_temporal[t] = g_x.sum(axis=0)
+    # The (T, N, D) arrays are dropped once used, which keeps the peak
+    # memory near that of the per-frame backward at the paper shape.
+    g_flat = g_tokens.reshape(t_count * n, c)
+    # W maps the mixed rows to tokens and the queries into feature space.
+    g_proj = mixed.reshape(t_count * n, d).T @ g_flat
+    del mixed
+    g_mixed = (g_flat @ proj.T).reshape(t_count, n, d)
+    # The temporal gradient is the row sum of dx_t = A_tᵀ·dZ_t + s·dlogits_tᵀ·Q.
+    # Rows of A_t sum to one and rows of dlogits_t to zero, so that row sum
+    # is dZ_t summed over the queries.
+    g_temporal = g_mixed.sum(axis=1)
+    shifted = _shifted_tokens(video, params)  # x, (T, M, D)
+    g_logits = g_mixed @ shifted.transpose(0, 2, 1)  # dA, (T, N, M)
+    del g_mixed
+    # Softmax backward, row-wise, in place.
+    g_logits -= np.sum(g_logits * att, axis=2, keepdims=True)
+    g_logits *= att
+    g_bias = g_logits.sum(axis=0)  # (N, M), unscaled
+    g_feature_queries = scale * np.tensordot(g_logits, shifted, axes=([0, 2], [0, 1]))
+    g_proj += g_feature_queries.T @ queries
+    g_queries = g_feature_queries @ proj + scale * (g_bias @ params.pos_table)
+    g_pos = scale * (g_bias.T @ queries)
 
     return AdapterGrads(
         input_proj=g_proj,

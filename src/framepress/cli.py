@@ -37,7 +37,7 @@ from .encoder import (
 )
 from .errors import FormatError, FramepressError, ParameterError, ShapeError
 from .pipeline import assemble_sequence, spec_from_dict, train_toy
-from .sampler import load_sampled, sample_video, save_sampled
+from .sampler import compress_video, load_sampled, save_sampled
 from .verify import format_report, verify_all
 
 # Adapter shape of a checkpoint that --queries/--width do not set.
@@ -64,6 +64,9 @@ def _cmd_encode(args) -> int:
                 pixels = np.load(path)
             except (ValueError, EOFError, zipfile.BadZipFile) as exc:
                 raise FormatError(f"{path}: not a numeric .npy array: {exc}") from exc
+            if not isinstance(pixels, np.ndarray):
+                pixels.close()
+                raise FormatError(f"{path}: an .npz archive, not a .npy array")
             grid = patchify_encode(ImagePlane(pixels), args.patch, proj)
             if grids and grid.shape != grids[0].shape:
                 raise ShapeError(
@@ -129,11 +132,10 @@ def _cmd_adapt(args) -> int:
 def _cmd_compress(args) -> int:
     video = load_features(args.features)
     params = _load_or_init_params(args, video)
-    out = adapt_video(video, params)
-    sampled = sample_video(out, args.k, order=args.order)
-    save_sampled(sampled, args.out)
+    sampled = compress_video(video, params, args.k, order=args.order)
+    save_sampled(sampled, args.out, params.query_count)
     print(
-        f"kept top-{sampled.keep} of {out.query_count} tokens per frame "
+        f"kept top-{sampled.keep} of {params.query_count} tokens per frame "
         f"({sampled.frame_count} frames) -> {args.out}"
     )
     return 0

@@ -146,9 +146,7 @@ def save_features(video: VideoTokenTensor, path) -> None:
 
 def load_features(path) -> VideoTokenTensor:
     """Read a rank-4 (T, grid_h, grid_w, D) FTV1 file into a video tensor."""
-    arr = ftv1.read_tensor(path, expect_rank=4)
-    arr.setflags(write=False)
-    return VideoTokenTensor(arr)
+    return VideoTokenTensor(ftv1.read_tensor(path, expect_rank=4))
 
 
 def synthetic_video(

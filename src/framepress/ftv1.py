@@ -6,9 +6,9 @@ little-endian floats in row-major order. Storage is 32-bit; in-memory
 compute is 64-bit, so a value round-trips bit-exactly iff it is
 representable in float32.
 
-Also home to ``_replacing``, the atomic text-file write shared by the
-manifest, checkpoint header and index sidecar writers and by the CLI's
-plan and report outputs.
+Also home to ``_replacing``, the atomic file write shared by
+:func:`write_tensor` (binary), the manifest, checkpoint header and index
+sidecar writers, and the CLI's plan and report outputs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def write_tensor(path, values) -> None:
     """Write an array of rank >= 1 as an FTV1 file.
 
     Raises NumericError for non-finite values and for finite ones too large
-    for float32 storage.
+    for float32 storage. The file replaces ``path`` only once it is whole.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim < 1:
@@ -42,22 +42,22 @@ def write_tensor(path, values) -> None:
     if arr.size == 0:
         raise ShapeError(f"FTV1 tensors must be non-empty, got shape {arr.shape}")
     with np.errstate(over="ignore"):
-        stored = arr.astype("<f4")
+        stored = arr.astype("<f4", order="C")
     # Casting keeps NaN and inf and turns float32 overflow into inf, so one
     # scan of the stored values catches both.
     if not np.all(np.isfinite(stored)):
         if np.all(np.isfinite(arr)):
             raise NumericError("FTV1 values overflow float32 storage")
         raise NumericError("FTV1 tensors must be finite")
-    with open(path, "wb") as fh:
+    with _replacing(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(stored.tobytes())
+        fh.write(stored)
 
 
 def read_tensor(path, expect_rank: int | None = None) -> np.ndarray:
-    """Read an FTV1 file into a float64 array.
+    """Read an FTV1 file into a read-only float64 array.
 
     Raises FormatError (carrying the byte offset) on bad magic, rank
     mismatch, truncation, trailing bytes, or a non-finite value.
@@ -92,12 +92,15 @@ def read_tensor(path, expect_rank: int | None = None) -> np.ndarray:
     if not finite.all():
         bad = int(np.argmin(finite))
         raise FormatError(f"non-finite value {flat[bad]}", offset=dims_end + 4 * bad)
-    return flat.astype(np.float64).reshape(dims)
+    arr = flat.astype(np.float64).reshape(dims)
+    arr.setflags(write=False)
+    return arr
 
 
 @contextlib.contextmanager
-def _replacing(path):
-    """A text file that replaces ``path`` only if the block finishes.
+def _replacing(path, binary: bool = False):
+    """A new file, UTF-8 text or ``binary``, that replaces ``path`` only if
+    the block finishes.
 
     The data goes to a temporary file next to ``path`` first, so an error
     leaves neither a partial output nor a clobbered old one, and ``path``
@@ -106,7 +109,7 @@ def _replacing(path):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -57,15 +57,17 @@ def cross_attention(
     keys,
     values,
     scale: float | None = None,
+    bias=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-head scaled dot-product cross-attention.
 
     Returns ``(weights, output)`` where ``weights = softmax(queries @ keys.T
-    * scale)`` row-wise and ``output = weights @ values``. The weight matrix
-    is returned so callers can score tokens by their attention responses.
-    ``scale`` defaults to ``1 / sqrt(embed_dim)``. Raises ShapeError on
-    operands that are not compatible matrices and NumericError on
-    non-finite scores.
+    * scale + bias)`` row-wise and ``output = weights @ values``. The weight
+    matrix is returned so callers can score tokens by their attention
+    responses. ``scale`` defaults to ``1 / sqrt(embed_dim)``; ``bias``, an
+    optional (queries, keys) matrix, is added to the scaled logits. Raises
+    ShapeError on operands that are not compatible matrices and NumericError
+    on non-finite scores.
     """
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (queries, keys, values))
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -82,7 +84,15 @@ def cross_attention(
         )
     if scale is None:
         scale = 1.0 / math.sqrt(q.shape[1])
-    weights = softmax_rows(q @ k.T * scale)
+    logits = q @ k.T * scale
+    if bias is not None:
+        b = np.asarray(bias, dtype=np.float64)
+        if b.shape != logits.shape:
+            raise ShapeError(
+                f"bias must have shape {logits.shape} (queries, keys), got {b.shape}"
+            )
+        logits += b
+    weights = softmax_rows(logits)
     return weights, weights @ v
 
 

@@ -5,6 +5,9 @@ relevance score: the largest weight in its attention row. Only the
 top-K scoring tokens per frame are kept. Ties break toward the lower
 token index, which makes the selection deterministic and nested —
 the keep-set for K is always contained in the keep-set for K+1.
+
+Scores need only the attention, so :func:`compress_video` selects before
+the adapter's projection and projects the kept rows alone.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import ftv1
-from .adapter import AdapterOutput
+from .adapter import AdapterOutput, AdapterParams, _mix, _project
+from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
 from .linalg import as_matrix
 
@@ -99,6 +103,19 @@ class SampledTokens:
         return self.tokens.shape[2]
 
 
+def _kept_indices(attention: np.ndarray, k: int, order: str) -> np.ndarray:
+    """The (T, k) indices :func:`sample_video` keeps from (T, N, M) attention."""
+    if order not in KEEP_ORDERS:
+        raise ParameterError(f"order must be one of {KEEP_ORDERS}, got {order!r}")
+    n = attention.shape[1]
+    if not 1 <= k <= n:
+        raise ParameterError(f"k must be in [1, {n}], got {k}")
+    indices = select_topk(score_frame(attention), k)
+    if order == "index":
+        indices.sort(axis=1)
+    return indices
+
+
 def sample_video(output: AdapterOutput, k: int, order: str = "score") -> SampledTokens:
     """Keep the top-k tokens of every frame of an adapter output.
 
@@ -106,38 +123,51 @@ def sample_video(output: AdapterOutput, k: int, order: str = "score") -> Sampled
     ``"score"`` keeps the descending-score order of :func:`select_topk`,
     ``"index"`` re-sorts them by their original token index.
     """
-    if order not in KEEP_ORDERS:
-        raise ParameterError(f"order must be one of {KEEP_ORDERS}, got {order!r}")
-    if not 1 <= k <= output.query_count:
-        raise ParameterError(
-            f"k must be in [1, {output.query_count}], got {k}"
-        )
-    indices = select_topk(score_frame(output.attention), k)
-    if order == "index":
-        indices.sort(axis=1)
+    indices = _kept_indices(output.attention, k, order)
     tokens = np.take_along_axis(output.tokens, indices[:, :, None], axis=1)
     tokens.setflags(write=False)
     return SampledTokens(keep=k, indices=indices, tokens=tokens)
 
 
-def save_sampled(sampled: SampledTokens, path) -> None:
+def compress_video(
+    video: VideoTokenTensor, params: AdapterParams, k: int, order: str = "score"
+) -> SampledTokens:
+    """``sample_video(adapt_video(video, params), k, order)``, projecting
+    only the kept rows.
+
+    Selection needs only the attention, so the adapter's D×C projection
+    runs on the T·k kept mixed rows instead of all T·N.
+    """
+    _, attention, mixed = _mix(video, params)
+    indices = _kept_indices(attention, k, order)
+    kept = np.take_along_axis(mixed, indices[:, :, None], axis=1)
+    return SampledTokens(keep=k, indices=indices, tokens=_project(kept, params))
+
+
+def save_sampled(sampled: SampledTokens, path, queries: int) -> None:
     """Write kept tokens as a rank-3 FTV1 file plus a JSON index sidecar.
 
-    The sidecar commits the pair: the old one is removed before the tokens
-    are written and the new one replaces nothing until it is complete, so a
-    failed write leaves no sidecar rather than new tokens beside an old one.
+    ``queries`` is the N the indices were chosen from; the sidecar records
+    it so :func:`load_sampled` can bound the indices. The sidecar commits
+    the pair: the old one is removed before the tokens are written and the
+    new one replaces nothing until it is complete, so a failed write leaves
+    no sidecar rather than new tokens beside an old one.
     """
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     sidecar_path.unlink(missing_ok=True)
     ftv1.write_tensor(path, sampled.tokens)
-    sidecar = {"keep": sampled.keep, "indices": sampled.indices.tolist()}
+    sidecar = {"keep": sampled.keep, "queries": queries, "indices": sampled.indices.tolist()}
     with ftv1._replacing(sidecar_path) as fh:
         fh.write(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 def load_sampled(path) -> SampledTokens:
-    """Read a token file and sidecar written by :func:`save_sampled`."""
+    """Read a token file and sidecar written by :func:`save_sampled`.
+
+    A sidecar without ``"queries"`` (written before it was recorded) loads
+    with its indices bounded by the int64 range alone.
+    """
     path = Path(path)
     stacked = ftv1.read_tensor(path, expect_rank=3)
     sidecar_path = path.with_suffix(path.suffix + ".json")
@@ -152,6 +182,11 @@ def load_sampled(path) -> SampledTokens:
     keep = sidecar.get("keep")
     if type(keep) is not int:
         raise FormatError(f"index sidecar needs an integer 'keep', got {keep!r}")
+    queries = sidecar.get("queries", _MAX_INDEX + 1)
+    if type(queries) is not int:
+        raise FormatError(
+            f"index sidecar {sidecar_path} needs an integer 'queries', got {queries!r}"
+        )
     frames = stacked.shape[0]
     indices = sidecar.get("indices")
     if not (
@@ -166,5 +201,9 @@ def load_sampled(path) -> SampledTokens:
     ):
         raise FormatError(
             f"index sidecar 'indices' must be {frames} lists of {keep} token indices"
+        )
+    if any(i >= queries for row in indices for i in row):
+        raise FormatError(
+            f"index sidecar {sidecar_path} holds a token index >= its {queries} queries"
         )
     return SampledTokens(keep=keep, indices=indices, tokens=stacked)

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import math
 import os
@@ -163,6 +164,13 @@ def _encode_npy(tmp_path, data):
     return ["encode", "--images", str(path), "--patch", "2", "--out", str(tmp_path / "f.ftv1")]
 
 
+def _npz_bytes(array):
+    """The bytes of an ``np.savez`` archive holding ``array``."""
+    buf = io.BytesIO()
+    np.savez(buf, pixels=array)
+    return buf.getvalue()
+
+
 def _train_toy_with_config(tmp_path, text):
     cfg = tmp_path / "toy.json"
     cfg.write_text(text, encoding="utf-8")
@@ -241,6 +249,13 @@ BAD_INPUTS = {
     "object array as --images": lambda tmp: _encode_npy(tmp, np.full((2, 2, 3), None)),
     "string array as --images": lambda tmp: _encode_npy(tmp, np.full((2, 2, 3), "0.5")),
     "complex array as --images": lambda tmp: _encode_npy(tmp, np.full((2, 2, 3), 0.5 + 0.5j)),
+    ".npz archive as --images": lambda tmp: _encode_npy(tmp, _npz_bytes(np.full((2, 2, 3), 0.5))),
+    "sidecar index >= queries": lambda tmp: _assemble_with_sidecar(
+        tmp, '{"keep": 2, "queries": 2, "indices": [[0, 1], [1, 2]]}'
+    ),
+    "sidecar queries not integer": lambda tmp: _assemble_with_sidecar(
+        tmp, '{"keep": 2, "queries": 4.0, "indices": [[0, 1], [0, 1]]}'
+    ),
 }
 
 # What each case's error message must name.
@@ -258,6 +273,9 @@ NAMED_IN_ERROR = {
     "object array as --images": "img0.npy",
     "string array as --images": "dtype <U3",
     "complex array as --images": "dtype complex128",
+    ".npz archive as --images": "img0.npy: an .npz archive",
+    "sidecar index >= queries": "kept.ftv1.json",
+    "sidecar queries not integer": "kept.ftv1.json",
 }
 
 
@@ -465,16 +483,42 @@ def test_sidecar_is_written_last(tmp_path, capsys, monkeypatch):
     assert compress(1)[0] == 0
     load_sampled(out)
 
+    replacing = ftv1._replacing
+
     @contextlib.contextmanager
-    def failing(path):
-        raise OSError("disk full")
-        yield
+    def failing(path, binary=False):
+        if not binary:  # FTV1 tensors are written; the text sidecar fails
+            raise OSError("disk full")
+        with replacing(path, binary=True) as fh:
+            yield fh
 
     monkeypatch.setattr(ftv1, "_replacing", failing)
     code, _, err = compress(2)
     assert (code, err) == (2, "error: disk full\n")
     with pytest.raises(FormatError, match="missing index sidecar"):
         load_sampled(out)
+
+
+class _HalfWriter:
+    """A file whose first write stops halfway with a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+def _failing_midway(replacing):
+    """A stand-in for ``ftv1._replacing`` whose writes fail partway."""
+
+    @contextlib.contextmanager
+    def failing_midway(path, binary=False):
+        with replacing(path, binary=binary) as fh:
+            yield _HalfWriter(fh)
+
+    return failing_midway
 
 
 # Each: the argv that writes a text output to the given path.
@@ -496,21 +540,7 @@ def test_text_outputs_are_replaced_atomically(command, tmp_path, capsys, monkeyp
     argv = TEXT_OUTPUTS[command](out)
     out.write_text("an older output\n", encoding="utf-8")
     replacing = ftv1._replacing
-
-    class HalfWriter:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def write(self, text):
-            self.fh.write(text[: len(text) // 2])
-            raise OSError("disk full")
-
-    @contextlib.contextmanager
-    def failing_midway(path):
-        with replacing(path) as fh:
-            yield HalfWriter(fh)
-
-    monkeypatch.setattr(ftv1, "_replacing", failing_midway)
+    monkeypatch.setattr(ftv1, "_replacing", _failing_midway(replacing))
     files = sorted(os.listdir(tmp_path))
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout, err) == (2, "", "error: disk full\n")
@@ -519,6 +549,35 @@ def test_text_outputs_are_replaced_atomically(command, tmp_path, capsys, monkeyp
     monkeypatch.setattr(ftv1, "_replacing", replacing)
     assert run(capsys, *argv)[0] == 0
     assert out.read_text(encoding="utf-8") != "an older output\n"
+
+
+# Each: the argv, with its inputs built beside the given path, that writes
+# an FTV1 output there.
+FTV1_OUTPUTS = {
+    "encode": lambda out: ["encode", "--frames", "2", "--grid", "2x2", "--dim", "4", "--out", str(out)],
+    "compress": lambda out: _fuzz_features(out.parent)[1][:-1] + [str(out)],
+    "assemble": lambda out: _fuzz_kept(out.parent, "")[1] + ["--out", str(out)],
+}
+
+
+@pytest.mark.parametrize("command", list(FTV1_OUTPUTS))
+def test_ftv1_outputs_are_replaced_atomically(command, tmp_path, capsys, monkeypatch):
+    """An FTV1 write that fails partway leaves the old file whole and no
+    temporary file beside it."""
+    out = tmp_path / "out.ftv1"
+    argv = FTV1_OUTPUTS[command](out)
+    capsys.readouterr()  # drop what setting up the inputs printed
+    out.write_bytes(b"an older output")
+    replacing = ftv1._replacing
+    monkeypatch.setattr(ftv1, "_replacing", _failing_midway(replacing))
+    files = sorted(os.listdir(tmp_path))
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", "error: disk full\n")
+    assert out.read_bytes() == b"an older output"
+    assert sorted(os.listdir(tmp_path)) == files
+    monkeypatch.setattr(ftv1, "_replacing", replacing)
+    assert run(capsys, *argv)[0] == 0
+    assert ftv1.read_tensor(out).size > 0
 
 
 def test_checkpoint_flags_must_match_an_existing_checkpoint(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from framepress import ftv1
 from framepress.errors import FormatError, NumericError, ShapeError
-from framepress.linalg import make_rng
+from framepress.linalg import as_matrix, make_rng
 
 
 def test_exact_byte_layout(tmp_path):
@@ -26,12 +26,16 @@ def test_round_trip_is_exact_for_float32_values(tmp_path):
         rank = int(rng.integers(1, 5))
         dims = tuple(int(d) for d in rng.integers(1, 7, size=rank))
         arr = rng.normal(size=dims).astype(np.float32).astype(np.float64)
+        if i % 2:
+            arr = arr.T  # not C-contiguous: still written in row-major order
         path = tmp_path / f"{i}.ftv1"
         ftv1.write_tensor(path, arr)
         back = ftv1.read_tensor(path)
         assert back.dtype == np.float64
         assert back.shape == arr.shape
         np.testing.assert_array_equal(back, arr)
+        # Read-only, so the validator passes it on without a copy.
+        assert as_matrix(back, ndim=back.ndim) is back
 
 
 def test_non_float32_values_round_to_storage_precision(tmp_path):

@@ -70,6 +70,24 @@ def test_cross_attention_default_scale_is_inverse_sqrt_dim():
     np.testing.assert_array_equal(w_default, w_explicit)
 
 
+def test_cross_attention_bias_is_added_to_scaled_logits():
+    rng = make_rng(8)
+    q, k, v = rng.normal(size=(3, 5)), rng.normal(size=(4, 5)), rng.normal(size=(4, 2))
+    bias = rng.normal(size=(3, 4))
+    weights, out = cross_attention(q, k, v, scale=0.7, bias=bias)
+    logits = q @ k.T * 0.7 + bias
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    want = e / e.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(weights, want, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(out, want @ v, atol=1e-12, rtol=0)
+    # No bias is the unbiased kernel.
+    unbiased = cross_attention(q, k, v, scale=0.7)
+    for got, plain in zip(cross_attention(q, k, v, scale=0.7, bias=None), unbiased):
+        np.testing.assert_array_equal(got, plain)
+    with pytest.raises(ShapeError, match="bias"):
+        cross_attention(q, k, v, bias=bias.T)
+
+
 def test_cross_attention_shape_errors():
     ok = np.zeros((2, 3))
     with pytest.raises(ShapeError):

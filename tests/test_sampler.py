@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framepress.adapter import AdapterOutput
+from framepress.adapter import AdapterOutput, adapt_video, random_adapter_params
+from framepress.encoder import synthetic_video
 from framepress.errors import FormatError, ParameterError, ShapeError
 from framepress.linalg import make_rng, softmax_rows
 from framepress.sampler import (
     SampledTokens,
+    compress_video,
     load_sampled,
     sample_video,
     save_sampled,
@@ -92,12 +96,44 @@ def test_sample_video_orders():
 
 def test_sample_video_rejects_bad_args():
     out = random_output(41)
-    with pytest.raises(ParameterError):
-        sample_video(out, 0)
-    with pytest.raises(ParameterError):
-        sample_video(out, 99)
-    with pytest.raises(ParameterError):
-        sample_video(out, 2, order="random")
+    video = synthetic_video(2, 2, 2, 3, seed=41)
+    params = random_adapter_params(6, 4, 3, 4, 2, seed=41)
+    for sample in (
+        lambda k, order: sample_video(out, k, order),
+        lambda k, order: compress_video(video, params, k, order),
+    ):
+        with pytest.raises(ParameterError):
+            sample(0, "score")
+        with pytest.raises(ParameterError):
+            sample(99, "score")
+        with pytest.raises(ParameterError):
+            sample(2, "random")
+
+
+@given(
+    frames=st.integers(1, 4),
+    grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 6)),  # D, C
+    queries=st.sampled_from(["N=M", 1, 3, 7]),
+    keep=st.sampled_from(["1", "N"]),
+    order=st.sampled_from(["score", "index"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_compress_video_is_sample_of_adapt(frames, grid, dims, queries, keep, order, seed):
+    """Projecting only the kept rows gives the kept rows of the full projection."""
+    m = grid[0] * grid[1]
+    n = m if queries == "N=M" else queries
+    k = 1 if keep == "1" else n
+    video = synthetic_video(frames, *grid, dims[0], seed=seed)
+    params = random_adapter_params(n, dims[1], dims[0], m, frames, seed=seed + 1)
+    want = sample_video(adapt_video(video, params), k, order)
+    got = compress_video(video, params, k, order)
+    assert got.keep == want.keep == k
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_allclose(
+        got.tokens, want.tokens, rtol=0, atol=1e-12 * np.abs(want.tokens).max()
+    )
 
 
 def test_sampled_tokens_validation():
@@ -125,8 +161,14 @@ def test_save_load_round_trip(tmp_path):
     out = random_output(42, frames=3, n=5, m=7, c=4)
     sampled = sample_video(out, 2)
     path = tmp_path / "kept.ftv1"
-    save_sampled(sampled, path)
+    save_sampled(sampled, path, out.query_count)
+    sidecar_path = path.with_suffix(".ftv1.json")
+    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    assert sidecar.pop("queries") == 5
     back = load_sampled(path)
+    # A sidecar written before "queries" was recorded still loads.
+    sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+    np.testing.assert_array_equal(load_sampled(path).indices, back.indices)
     assert back.keep == 2
     for t in range(3):
         np.testing.assert_array_equal(back.indices[t], sampled.indices[t])
@@ -142,7 +184,7 @@ def test_load_sampled_requires_sidecar(tmp_path):
     out = random_output(43)
     sampled = sample_video(out, 2)
     path = tmp_path / "kept.ftv1"
-    save_sampled(sampled, path)
+    save_sampled(sampled, path, out.query_count)
     path.with_suffix(".ftv1.json").unlink()
     with pytest.raises(FormatError):
         load_sampled(path)
