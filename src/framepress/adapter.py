@@ -258,10 +258,10 @@ def _shifted_tokens(video: VideoTokenTensor, params: AdapterParams) -> np.ndarra
 def _mix(video: VideoTokenTensor, params: AdapterParams):
     """Every frame's attention step, up to but not including the projection.
 
-    Returns ``(feature_queries, attention, mixed)``: the (N, D) queries
-    mapped into feature space, q·Wᵀ; the (T, N, M) softmax weights each
-    query spread over the M source tokens; and the (T, N, D) mixed
-    features, which :func:`_project` turns into compressed tokens.
+    The queries attend in feature space, as q·Wᵀ. Returns ``(attention,
+    mixed)``: the (T, N, M) softmax weights each query spread over the M
+    source tokens, and the (T, N, D) mixed features, which
+    :func:`_project` turns into compressed tokens.
     """
     shifted = _shifted_tokens(video, params)
     queries, scale = params.queries, params.scale
@@ -274,7 +274,7 @@ def _mix(video: VideoTokenTensor, params: AdapterParams):
         attention[t], mixed[t] = cross_attention(
             feature_queries, shifted[t], shifted[t], scale=scale, bias=bias
         )
-    return feature_queries, attention, mixed
+    return attention, mixed
 
 
 def _project(mixed: np.ndarray, params: AdapterParams) -> np.ndarray:
@@ -289,7 +289,7 @@ def _project(mixed: np.ndarray, params: AdapterParams) -> np.ndarray:
 
 def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput:
     """Compress every frame of a video, preserving frame order."""
-    _, attention, mixed = _mix(video, params)
+    attention, mixed = _mix(video, params)
     attention.setflags(write=False)
     return AdapterOutput(tokens=_project(mixed, params), attention=attention)
 
@@ -310,7 +310,7 @@ def adapter_gradients(
         raise ShapeError(
             f"token grads must have shape {(t_count, n, c)}, got {g_tokens.shape}"
         )
-    feature_queries, att, mixed = _mix(video, params)
+    att, mixed = _mix(video, params)
     queries, proj, scale = params.queries, params.input_proj, params.scale
     d = params.feature_dim
 

@@ -138,7 +138,7 @@ def compress_video(
     Selection needs only the attention, so the adapter's D×C projection
     runs on the T·k kept mixed rows instead of all T·N.
     """
-    _, attention, mixed = _mix(video, params)
+    attention, mixed = _mix(video, params)
     indices = _kept_indices(attention, k, order)
     kept = np.take_along_axis(mixed, indices[:, :, None], axis=1)
     return SampledTokens(keep=k, indices=indices, tokens=_project(kept, params))
