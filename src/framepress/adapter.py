@@ -10,16 +10,18 @@ single-head cross-attention block:
 * values are the projected features alone,
 * N learnable query vectors attend over the M keys.
 
-The block is evaluated in feature space and projects after mixing. With x
-a frame's (M, D) shifted tokens, W the (D, C) projection, q the (N, C)
+The projection can run before attending or after mixing. With x a
+frame's (M, D) shifted tokens, W the (D, C) projection, q the (N, C)
 queries and pos the positional table, the logits q·(xW + pos)ᵀ equal
 (q·Wᵀ)·xᵀ + q·posᵀ and the tokens A·(xW) equal (A·x)·W. Both sides are the
 same products associated differently, so the function is the same up to
-floating-point rounding. The queries are mapped into feature space once
-per video, each frame mixes its own features, and the D×C projection runs
-only on the mixed rows a caller keeps: all N per frame in
-:func:`adapt_video`, the K selected ones in
-:func:`framepress.sampler.compress_video`.
+floating-point rounding. Projecting after mixing maps the queries into
+feature space once per video, lets each frame mix its own D-wide
+features, and projects only the mixed rows a caller keeps. That pays
+when D is not much above C and few rows are kept, as when
+:func:`framepress.sampler.compress_video` keeps K of the N rows at the
+paper shape. :func:`attend` picks the association with fewer FLOPs for the
+shapes and rows it is given; the backward always works in feature space.
 
 Besides the forward pass this module carries its own reverse-mode
 gradients (the whole block is small enough that hand-written backprop
@@ -255,19 +257,40 @@ def _shifted_tokens(video: VideoTokenTensor, params: AdapterParams) -> np.ndarra
     return video.tokens() + params.temporal[:, None, :]
 
 
-def _mix(video: VideoTokenTensor, params: AdapterParams):
-    """Every frame's attention step, up to but not including the projection.
+def _projects_after_mixing(params: AdapterParams, frames: int, rows: int) -> bool:
+    """Whether attending in feature space and projecting ``rows`` mixed rows
+    per frame costs fewer FLOPs than projecting the source tokens first.
 
-    The queries attend in feature space, as q·Wᵀ. Returns ``(attention,
+    Counting two FLOPs per multiply-add, projecting first costs 2·T·M·D·C
+    for the projection and 4·T·N·M·C for the logits and the mixing.
+    Projecting after mixing costs 2·N·C·(D + M) once per video for q·Wᵀ and
+    q·posᵀ, 4·T·N·M·D for the logits and the mixing, and 2·T·R·D·C for the
+    projection of the R rows. It wins when D is not much above C and R is
+    well below M: at the paper shape (T=8, M=N=256, D=C=1024) for the K=64
+    rows ``compress`` keeps (3.89 against 6.44 GFLOP), but not for all N
+    rows (7.11); at the README example's shape (T=8, M=64, N=32, D=64,
+    C=32) it loses for every R.
+    """
+    t, n, m = frames, params.query_count, params.source_tokens
+    d, c = params.feature_dim, params.width
+    first = 2 * t * m * d * c + 4 * t * n * m * c
+    after = 2 * n * c * (d + m) + 4 * t * n * m * d + 2 * t * rows * d * c
+    return after < first
+
+
+def _mix(shifted: np.ndarray, params: AdapterParams):
+    """Every frame's attention step in feature space, before the projection.
+
+    ``shifted`` holds the (T, M, D) temporally shifted tokens. The queries
+    attend as q·Wᵀ, with s·q·posᵀ as a logit bias. Returns ``(attention,
     mixed)``: the (T, N, M) softmax weights each query spread over the M
     source tokens, and the (T, N, D) mixed features, which
     :func:`_project` turns into compressed tokens.
     """
-    shifted = _shifted_tokens(video, params)
     queries, scale = params.queries, params.scale
     feature_queries = queries @ params.input_proj.T
     bias = scale * (queries @ params.pos_table.T)
-    t_count, n = video.frame_count, params.query_count
+    t_count, n = shifted.shape[0], params.query_count
     attention = np.empty((t_count, n, params.source_tokens))
     mixed = np.empty((t_count, n, params.feature_dim))
     for t in range(t_count):
@@ -278,20 +301,65 @@ def _mix(video: VideoTokenTensor, params: AdapterParams):
 
 
 def _project(mixed: np.ndarray, params: AdapterParams) -> np.ndarray:
-    """Read-only tokens of (T, R, D) mixed rows, as one (T·R, D) @ (D, C) GEMM."""
+    """Tokens of (T, R, D) mixed rows, as one (T·R, D) @ (D, C) GEMM."""
     t_count, rows, d = mixed.shape
-    tokens = (mixed.reshape(t_count * rows, d) @ params.input_proj).reshape(
+    return (mixed.reshape(t_count * rows, d) @ params.input_proj).reshape(
         t_count, rows, params.width
     )
-    tokens.setflags(write=False)
-    return tokens
+
+
+def _attend_projected(shifted: np.ndarray, params: AdapterParams):
+    """Every frame's attention step on projected features.
+
+    The (T, M, D) shifted tokens are projected by one GEMM; the values are
+    the projected features and the keys add the positional table to them.
+    Returns ``(attention, tokens)``, (T, N, M) and (T, N, C).
+    """
+    t_count, m, _ = shifted.shape
+    projected = _project(shifted, params)
+    attention = np.empty((t_count, params.query_count, m))
+    tokens = np.empty((t_count, params.query_count, params.width))
+    for t in range(t_count):
+        attention[t], tokens[t] = cross_attention(
+            params.queries,
+            projected[t] + params.pos_table,
+            projected[t],
+            scale=params.scale,
+        )
+    return attention, tokens
+
+
+def attend(video: VideoTokenTensor, params: AdapterParams, rows: int):
+    """Every frame's attention, and the tokens of the rows a caller keeps.
+
+    ``rows`` is the number of token rows per frame the caller will ask
+    for. Returns ``(attention, tokens_of)``: the read-only (T, N, M)
+    softmax weights, and a function from (T, R) row indices, or ``None``
+    for all N rows, to the read-only (T, R, C) tokens of those rows. The
+    projection runs before attending or after mixing, whichever
+    :func:`_projects_after_mixing` finds cheaper for ``rows``.
+    """
+    shifted = _shifted_tokens(video, params)
+    after = _projects_after_mixing(params, video.frame_count, rows)
+    # Either the (T, N, D) mixed features or the (T, N, C) tokens.
+    attention, mixed = (_mix if after else _attend_projected)(shifted, params)
+    attention.setflags(write=False)
+
+    def tokens_of(indices):
+        kept = mixed
+        if indices is not None:
+            kept = np.take_along_axis(mixed, indices[:, :, None], axis=1)
+        tokens = _project(kept, params) if after else kept
+        tokens.setflags(write=False)
+        return tokens
+
+    return attention, tokens_of
 
 
 def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput:
     """Compress every frame of a video, preserving frame order."""
-    attention, mixed = _mix(video, params)
-    attention.setflags(write=False)
-    return AdapterOutput(tokens=_project(mixed, params), attention=attention)
+    attention, tokens_of = attend(video, params, params.query_count)
+    return AdapterOutput(tokens=tokens_of(None), attention=attention)
 
 
 def adapter_gradients(
@@ -310,7 +378,8 @@ def adapter_gradients(
         raise ShapeError(
             f"token grads must have shape {(t_count, n, c)}, got {g_tokens.shape}"
         )
-    att, mixed = _mix(video, params)
+    shifted = _shifted_tokens(video, params)  # x, (T, M, D)
+    att, mixed = _mix(shifted, params)
     queries, proj, scale = params.queries, params.input_proj, params.scale
     d = params.feature_dim
 
@@ -325,7 +394,6 @@ def adapter_gradients(
     # Rows of A_t sum to one and rows of dlogits_t to zero, so that row sum
     # is dZ_t summed over the queries.
     g_temporal = g_mixed.sum(axis=1)
-    shifted = _shifted_tokens(video, params)  # x, (T, M, D)
     g_logits = g_mixed @ shifted.transpose(0, 2, 1)  # dA, (T, N, M)
     del g_mixed
     # Softmax backward, row-wise, in place.

@@ -7,7 +7,7 @@ token index, which makes the selection deterministic and nested —
 the keep-set for K is always contained in the keep-set for K+1.
 
 Scores need only the attention, so :func:`compress_video` selects before
-the adapter's projection and projects the kept rows alone.
+asking the adapter for the tokens of the kept rows.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ftv1
-from .adapter import AdapterOutput, AdapterParams, _mix, _project
+from .adapter import AdapterOutput, AdapterParams, attend
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
 from .linalg import as_matrix
@@ -132,16 +132,15 @@ def sample_video(output: AdapterOutput, k: int, order: str = "score") -> Sampled
 def compress_video(
     video: VideoTokenTensor, params: AdapterParams, k: int, order: str = "score"
 ) -> SampledTokens:
-    """``sample_video(adapt_video(video, params), k, order)``, projecting
-    only the kept rows.
+    """``sample_video(adapt_video(video, params), k, order)``, asking the
+    adapter for the kept rows only.
 
-    Selection needs only the attention, so the adapter's D×C projection
-    runs on the T·k kept mixed rows instead of all T·N.
+    Selection needs only the attention, so the adapter may project just
+    the T·k kept rows instead of all T·N (see :func:`adapter.attend`).
     """
-    attention, mixed = _mix(video, params)
+    attention, tokens_of = attend(video, params, k)
     indices = _kept_indices(attention, k, order)
-    kept = np.take_along_axis(mixed, indices[:, :, None], axis=1)
-    return SampledTokens(keep=k, indices=indices, tokens=_project(kept, params))
+    return SampledTokens(keep=k, indices=indices, tokens=tokens_of(indices))
 
 
 def save_sampled(sampled: SampledTokens, path, queries: int) -> None:
@@ -195,15 +194,12 @@ def load_sampled(path) -> SampledTokens:
         and all(
             isinstance(row, list)
             and len(row) == keep
-            and all(type(i) is int and 0 <= i <= _MAX_INDEX for i in row)
+            and all(type(i) is int and 0 <= i < queries for i in row)
             for row in indices
         )
     ):
         raise FormatError(
-            f"index sidecar 'indices' must be {frames} lists of {keep} token indices"
-        )
-    if any(i >= queries for row in indices for i in row):
-        raise FormatError(
-            f"index sidecar {sidecar_path} holds a token index >= its {queries} queries"
+            f"index sidecar {sidecar_path} 'indices' must be {frames} lists of "
+            f"{keep} token indices in [0, {queries})"
         )
     return SampledTokens(keep=keep, indices=indices, tokens=stacked)

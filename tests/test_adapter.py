@@ -7,6 +7,11 @@ from framepress import ftv1
 from framepress.adapter import (
     AdapterOutput,
     AdapterParams,
+    _attend_projected,
+    _mix,
+    _project,
+    _projects_after_mixing,
+    _shifted_tokens,
     adapt_video,
     adapter_gradients,
     apply_grads,
@@ -50,6 +55,52 @@ def test_adapt_frame_matches_manual_computation():
         w = e / e.sum()
         np.testing.assert_allclose(out.attention[0, i], w, atol=1e-12, rtol=0)
         np.testing.assert_allclose(out.tokens[0, i], w @ projected, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 4, 1, 3, 4), (2, 4, 3, 3, 4), (3, 6, 2, 5, 3), (2, 2, 7, 4, 2)]
+)  # (T, M, N, D, C)
+def test_both_associations_give_the_same_function(shape):
+    """Projecting the source tokens first and projecting the mixed rows
+    after agree to rounding, whichever one :func:`adapt_video` picks."""
+    t, m, n, d, c = shape
+    video = synthetic_video(t, m, 1, d, seed=sum(shape))
+    params = random_adapter_params(n, c, d, m, t, seed=len(shape) + t)
+    shifted = _shifted_tokens(video, params)
+    att_first, tokens_first = _attend_projected(shifted, params)
+    att_after, mixed = _mix(shifted, params)
+    np.testing.assert_allclose(att_after, att_first, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        _project(mixed, params),
+        tokens_first,
+        rtol=0,
+        atol=1e-12 * np.abs(tokens_first).max(),
+    )
+    out = adapt_video(video, params)
+    np.testing.assert_allclose(out.attention, att_first, rtol=0, atol=1e-12)
+
+
+def _zero_params(t, m, n, d, c):
+    return AdapterParams(
+        input_proj=np.zeros((d, c)),
+        queries=np.zeros((n, c)),
+        pos_table=np.zeros((m, c)),
+        temporal=np.zeros((t, d)),
+    )
+
+
+def test_association_follows_the_flop_count():
+    """Projecting after mixing wins at D = C for few kept rows, loses for
+    all N rows at N = M, and loses at the README example's D = 2C."""
+    paper = _zero_params(8, 256, 256, 1024, 1024)
+    assert _projects_after_mixing(paper, 8, 64)  # compress: 3.89 vs 6.44 GFLOP
+    assert not _projects_after_mixing(paper, 8, 256)  # adapt: 7.11 vs 6.44
+    cli_default = _zero_params(8, 64, 32, 64, 32)
+    assert not _projects_after_mixing(cli_default, 8, 16)  # 4.98 vs 4.19 MFLOP
+    assert not _projects_after_mixing(cli_default, 8, 32)
+    toy = _zero_params(8, 64, 32, 32, 32)  # M = 2N: fewer rows than sources
+    assert _projects_after_mixing(toy, 8, 32)
+    assert _projects_after_mixing(toy, 8, 16)
 
 
 def test_positional_table_touches_keys_not_values():
