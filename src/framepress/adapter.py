@@ -268,8 +268,8 @@ def _projects_after_mixing(params: AdapterParams, frames: int, rows: int) -> boo
     projection of the R rows. It wins when D is not much above C and R is
     well below M: at the paper shape (T=8, M=N=256, D=C=1024) for the K=64
     rows ``compress`` keeps (3.89 against 6.44 GFLOP), but not for all N
-    rows (7.11); at the README example's shape (T=8, M=64, N=32, D=64,
-    C=32) it loses for every R.
+    rows (7.11); at the README walk-through's shape (T=8, M=64, N=32,
+    D=64, C=32) it loses for every R.
     """
     t, n, m = frames, params.query_count, params.source_tokens
     d, c = params.feature_dim, params.width
@@ -311,20 +311,17 @@ def _project(mixed: np.ndarray, params: AdapterParams) -> np.ndarray:
 def _attend_projected(shifted: np.ndarray, params: AdapterParams):
     """Every frame's attention step on projected features.
 
-    The (T, M, D) shifted tokens are projected by one GEMM; the values are
-    the projected features and the keys add the positional table to them.
+    Each frame's (M, D) shifted tokens are projected; the values are the
+    projected features and the keys add the positional table to them.
     Returns ``(attention, tokens)``, (T, N, M) and (T, N, C).
     """
     t_count, m, _ = shifted.shape
-    projected = _project(shifted, params)
     attention = np.empty((t_count, params.query_count, m))
     tokens = np.empty((t_count, params.query_count, params.width))
     for t in range(t_count):
+        projected = shifted[t] @ params.input_proj
         attention[t], tokens[t] = cross_attention(
-            params.queries,
-            projected[t] + params.pos_table,
-            projected[t],
-            scale=params.scale,
+            params.queries, projected + params.pos_table, projected, scale=params.scale
         )
     return attention, tokens
 

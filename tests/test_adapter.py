@@ -91,7 +91,7 @@ def _zero_params(t, m, n, d, c):
 
 def test_association_follows_the_flop_count():
     """Projecting after mixing wins at D = C for few kept rows, loses for
-    all N rows at N = M, and loses at the README example's D = 2C."""
+    all N rows at N = M, and loses at the README walk-through's D = 2C."""
     paper = _zero_params(8, 256, 256, 1024, 1024)
     assert _projects_after_mixing(paper, 8, 64)  # compress: 3.89 vs 6.44 GFLOP
     assert not _projects_after_mixing(paper, 8, 256)  # adapt: 7.11 vs 6.44
