@@ -23,6 +23,13 @@ when D is not much above C and few rows are kept, as when
 paper shape. :func:`attend` picks the association with fewer FLOPs for the
 shapes and rows it is given; the backward always works in feature space.
 
+A caller that keeps fewer than N rows also selects before mixing: the
+whole video's (T, N, M) attention comes from one stacked call on the raw
+features (the temporal vector only shifts each logit row, which the
+softmax ignores), and only the kept rows are mixed, shifted by τ_t and
+projected. The full forward (:func:`adapt_video`) and the backward still
+attend frame by frame.
+
 Besides the forward pass this module carries its own reverse-mode
 gradients (the whole block is small enough that hand-written backprop
 beats pulling in an autodiff framework) and directory-based checkpoint
@@ -41,7 +48,7 @@ from . import ftv1
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
 from .ftv1 import _replacing
-from .linalg import as_matrix, cross_attention, make_rng
+from .linalg import as_matrix, attention_weights, cross_attention, make_rng
 
 CHECKPOINT_HEADER = "adapter.json"
 _CHECKPOINT_FORMAT = "framepress-adapter"
@@ -246,15 +253,20 @@ def random_adapter_params(
     )
 
 
-def _shifted_tokens(video: VideoTokenTensor, params: AdapterParams) -> np.ndarray:
-    """The video's (T, M, D) tokens with each frame's temporal vector added."""
+def _source_tokens(video: VideoTokenTensor, params: AdapterParams) -> np.ndarray:
+    """The video's (T, M, D) tokens, checked against the adapter's shapes."""
     have = (video.frame_count, video.token_count, video.feature_dim)
     want = (params.frame_count, params.source_tokens, params.feature_dim)
     if have != want:
         raise ShapeError(
             f"video has (frames, tokens, dim) {have}, adapter expects {want}"
         )
-    return video.tokens() + params.temporal[:, None, :]
+    return video.tokens()
+
+
+def _shifted_tokens(video: VideoTokenTensor, params: AdapterParams) -> np.ndarray:
+    """The video's (T, M, D) tokens with each frame's temporal vector added."""
+    return _source_tokens(video, params) + params.temporal[:, None, :]
 
 
 def _projects_after_mixing(params: AdapterParams, frames: int, rows: int) -> bool:
@@ -264,18 +276,26 @@ def _projects_after_mixing(params: AdapterParams, frames: int, rows: int) -> boo
     Counting two FLOPs per multiply-add, projecting first costs 2·T·M·D·C
     for the projection and 4·T·N·M·C for the logits and the mixing.
     Projecting after mixing costs 2·N·C·(D + M) once per video for q·Wᵀ and
-    q·posᵀ, 4·T·N·M·D for the logits and the mixing, and 2·T·R·D·C for the
-    projection of the R rows. It wins when D is not much above C and R is
-    well below M: at the paper shape (T=8, M=N=256, D=C=1024) for the K=64
-    rows ``compress`` keeps (3.89 against 6.44 GFLOP), but not for all N
-    rows (7.11); at the README walk-through's shape (T=8, M=64, N=32,
-    D=64, C=32) it loses for every R.
+    q·posᵀ, 2·T·N·M·D for the logits, 2·T·R·M·D for mixing the R rows and
+    2·T·R·D·C for projecting them. It wins when D is not much above C and R
+    is well below M: at the paper shape (T=8, M=N=256, D=C=1024) for the
+    K=64 rows ``compress`` keeps (3.09 against 6.44 GFLOP), but not for all
+    N rows (7.11); at the CLI's default shape (T=8, 8x8 grid so M=64, N=32,
+    D=64, C=32) for the K=16 rows of ``compress --k 16`` (3.93 against
+    4.19 MFLOP), but not for all N rows (5.51).
     """
     t, n, m = frames, params.query_count, params.source_tokens
     d, c = params.feature_dim, params.width
     first = 2 * t * m * d * c + 4 * t * n * m * c
-    after = 2 * n * c * (d + m) + 4 * t * n * m * d + 2 * t * rows * d * c
+    after = 2 * n * c * (d + m) + 2 * t * (n + rows) * m * d + 2 * t * rows * d * c
     return after < first
+
+
+def _feature_queries(params: AdapterParams):
+    """The queries mapped into feature space, q·Wᵀ, and the positions as
+    the (N, M) scaled logit bias s·q·posᵀ."""
+    queries = params.queries
+    return queries @ params.input_proj.T, params.scale * (queries @ params.pos_table.T)
 
 
 def _mix(shifted: np.ndarray, params: AdapterParams):
@@ -287,15 +307,13 @@ def _mix(shifted: np.ndarray, params: AdapterParams):
     source tokens, and the (T, N, D) mixed features, which
     :func:`_project` turns into compressed tokens.
     """
-    queries, scale = params.queries, params.scale
-    feature_queries = queries @ params.input_proj.T
-    bias = scale * (queries @ params.pos_table.T)
+    feature_queries, bias = _feature_queries(params)
     t_count, n = shifted.shape[0], params.query_count
     attention = np.empty((t_count, n, params.source_tokens))
     mixed = np.empty((t_count, n, params.feature_dim))
     for t in range(t_count):
         attention[t], mixed[t] = cross_attention(
-            feature_queries, shifted[t], shifted[t], scale=scale, bias=bias
+            feature_queries, shifted[t], shifted[t], scale=params.scale, bias=bias
         )
     return attention, mixed
 
@@ -326,6 +344,11 @@ def _attend_projected(shifted: np.ndarray, params: AdapterParams):
     return attention, tokens
 
 
+def _take_rows(a: np.ndarray, indices) -> np.ndarray:
+    """The (T, R, ·) rows of a (T, N, ·) array, or all of it for ``None``."""
+    return a if indices is None else np.take_along_axis(a, indices[:, :, None], axis=1)
+
+
 def attend(video: VideoTokenTensor, params: AdapterParams, rows: int):
     """Every frame's attention, and the tokens of the rows a caller keeps.
 
@@ -334,19 +357,34 @@ def attend(video: VideoTokenTensor, params: AdapterParams, rows: int):
     softmax weights, and a function from (T, R) row indices, or ``None``
     for all N rows, to the read-only (T, R, C) tokens of those rows. The
     projection runs before attending or after mixing, whichever
-    :func:`_projects_after_mixing` finds cheaper for ``rows``.
+    :func:`_projects_after_mixing` finds cheaper for ``rows``. Projecting
+    after mixing for fewer than N rows, the whole video's attention is one
+    :func:`attention_weights` call and only the asked-for rows are mixed.
     """
-    shifted = _shifted_tokens(video, params)
     after = _projects_after_mixing(params, video.frame_count, rows)
-    # Either the (T, N, D) mixed features or the (T, N, C) tokens.
-    attention, mixed = (_mix if after else _attend_projected)(shifted, params)
+    if after and rows < params.query_count:
+        # The temporal vector adds a constant to each logit row, which the
+        # softmax ignores, so the raw features give the same attention; and
+        # attention rows sum to 1, so mixing x + τ_t is mixing x, plus τ_t.
+        features = _source_tokens(video, params)
+        feature_queries, bias = _feature_queries(params)
+        attention = attention_weights(feature_queries, features, params.scale, bias)
+
+        def rows_of(indices):
+            return _take_rows(attention, indices) @ features + params.temporal[:, None, :]
+
+    else:
+        shifted = _shifted_tokens(video, params)
+        # Either the (T, N, D) mixed features or the (T, N, C) tokens.
+        attention, mixed = (_mix if after else _attend_projected)(shifted, params)
+
+        def rows_of(indices):
+            return _take_rows(mixed, indices)
+
     attention.setflags(write=False)
 
     def tokens_of(indices):
-        kept = mixed
-        if indices is not None:
-            kept = np.take_along_axis(mixed, indices[:, :, None], axis=1)
-        tokens = _project(kept, params) if after else kept
+        tokens = _project(rows_of(indices), params) if after else rows_of(indices)
         tokens.setflags(write=False)
         return tokens
 

@@ -58,7 +58,7 @@ def _cmd_encode(args) -> int:
         if not args.images:
             raise ParameterError("--images needs at least one .npy file")
         proj = frozen_projection(args.patch, args.dim)
-        grids = []
+        feats = None  # (T, gh, gw, D), allocated once frame 0 sets the grid
         for i, path in enumerate(args.images):
             try:
                 pixels = np.load(path)
@@ -68,12 +68,13 @@ def _cmd_encode(args) -> int:
                 pixels.close()
                 raise FormatError(f"{path}: an .npz archive, not a .npy array")
             grid = patchify_encode(ImagePlane(pixels), args.patch, proj)
-            if grids and grid.shape != grids[0].shape:
+            if feats is None:
+                feats = np.empty((len(args.images),) + grid.shape)
+            elif grid.shape != feats.shape[1:]:
                 raise ShapeError(
-                    f"frame {i} shape {grid.shape} differs from frame 0 {grids[0].shape}"
+                    f"frame {i} shape {grid.shape} differs from frame 0 {feats.shape[1:]}"
                 )
-            grids.append(grid)
-        feats = np.stack(grids)
+            feats[i] = grid
         feats.setflags(write=False)
         video = VideoTokenTensor(feats)
     else:

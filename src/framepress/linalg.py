@@ -1,6 +1,7 @@
 """Dense float64 kernels everything else builds on.
 
 The package's one input validator, row-wise softmax, single-head
+attention weights (over one frame's keys or a stack of frames' keys) and
 cross-attention with exposed weights, seeded RNG streams, and
 central-difference gradients for verification. The kernels are pure
 functions of their inputs and return fresh arrays.
@@ -38,18 +39,53 @@ def as_matrix(values, name: str = "matrix", ndim: int = 2) -> np.ndarray:
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max-subtraction for stability.
 
+    Rows run along the last axis of a matrix or of a stack of matrices.
     Every output row is nonnegative and sums to 1 within 1e-12. Raises
-    ShapeError unless ``m`` is a non-empty matrix and NumericError if it
-    has non-finite entries.
+    ShapeError unless ``m`` is a non-empty array of rank 2 or more and
+    NumericError if it has non-finite entries.
     """
     arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
+    if arr.ndim < 2 or arr.size == 0:
         raise ShapeError(f"softmax requires a non-empty matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NumericError("softmax input contains non-finite entries")
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+    # One fresh array, exponentiated and normalised in place.
+    out = arr - arr.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def attention_weights(queries, keys, scale: float | None = None, bias=None) -> np.ndarray:
+    """Softmax attention of (Nq, D) queries over (Nk, D) keys, or over the
+    keys of F frames stacked as (F, Nk, D).
+
+    Returns ``softmax(queries @ keys.T * scale + bias)`` row-wise, an
+    (Nq, Nk) matrix or, for stacked keys, an (F, Nq, Nk) array from one
+    stacked matrix product. ``scale`` defaults to ``1 / sqrt(D)``;
+    ``bias``, an optional (Nq, Nk) matrix, is added to the scaled logits of
+    every frame. Raises ShapeError on operands of the wrong rank or width
+    and on a bias of the wrong shape, and NumericError on non-finite logits.
+    """
+    q, k = np.asarray(queries, dtype=np.float64), np.asarray(keys, dtype=np.float64)
+    if q.ndim != 2 or k.ndim not in (2, 3):
+        raise ShapeError(f"queries must be 2-D and keys 2-D or 3-D, got {q.shape}, {k.shape}")
+    if q.shape[1] != k.shape[-1]:
+        raise ShapeError(
+            f"queries and keys must share a column count, got {q.shape} vs {k.shape}"
+        )
+    if scale is None:
+        scale = 1.0 / math.sqrt(q.shape[1])
+    logits = q @ k.swapaxes(-1, -2)
+    logits *= scale
+    if bias is not None:
+        b = np.asarray(bias, dtype=np.float64)
+        if b.shape != logits.shape[-2:]:
+            raise ShapeError(
+                f"bias must have shape {logits.shape[-2:]} (queries, keys), got {b.shape}"
+            )
+        logits += b
+    return softmax_rows(logits)
 
 
 def cross_attention(
@@ -61,38 +97,19 @@ def cross_attention(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-head scaled dot-product cross-attention.
 
-    Returns ``(weights, output)`` where ``weights = softmax(queries @ keys.T
-    * scale + bias)`` row-wise and ``output = weights @ values``. The weight
-    matrix is returned so callers can score tokens by their attention
-    responses. ``scale`` defaults to ``1 / sqrt(embed_dim)``; ``bias``, an
-    optional (queries, keys) matrix, is added to the scaled logits. Raises
-    ShapeError on operands that are not compatible matrices and NumericError
-    on non-finite scores.
+    Returns ``(weights, output)`` where ``weights`` is
+    :func:`attention_weights` of the queries over the keys and ``output =
+    weights @ values``. The weight matrix is returned so callers can score
+    tokens by their attention responses. Raises ShapeError on operands that
+    are not compatible matrices and NumericError on non-finite scores.
     """
-    q, k, v = (np.asarray(a, dtype=np.float64) for a in (queries, keys, values))
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+    weights = attention_weights(queries, keys, scale, bias)
+    v = np.asarray(values, dtype=np.float64)
+    if weights.ndim != 2 or v.ndim != 2 or v.shape[0] != weights.shape[1]:
         raise ShapeError(
-            f"attention operands must be 2-D, got {q.shape}, {k.shape}, {v.shape}"
+            f"keys and values must be matrices sharing a row count, "
+            f"got {np.shape(keys)} vs {v.shape}"
         )
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(
-            f"queries and keys must share a column count, got {q.shape} vs {k.shape}"
-        )
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(
-            f"keys and values must share a row count, got {k.shape} vs {v.shape}"
-        )
-    if scale is None:
-        scale = 1.0 / math.sqrt(q.shape[1])
-    logits = q @ k.T * scale
-    if bias is not None:
-        b = np.asarray(bias, dtype=np.float64)
-        if b.shape != logits.shape:
-            raise ShapeError(
-                f"bias must have shape {logits.shape} (queries, keys), got {b.shape}"
-            )
-        logits += b
-    weights = softmax_rows(logits)
     return weights, weights @ v
 
 

@@ -103,13 +103,16 @@ class SampledTokens:
         return self.tokens.shape[2]
 
 
-def _kept_indices(attention: np.ndarray, k: int, order: str) -> np.ndarray:
-    """The (T, k) indices :func:`sample_video` keeps from (T, N, M) attention."""
+def _check_keep(k: int, order: str, n: int) -> None:
+    """Reject a keep count outside [1, n] or an unknown ``order``."""
     if order not in KEEP_ORDERS:
         raise ParameterError(f"order must be one of {KEEP_ORDERS}, got {order!r}")
-    n = attention.shape[1]
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
+
+
+def _kept_indices(attention: np.ndarray, k: int, order: str) -> np.ndarray:
+    """The (T, k) indices :func:`sample_video` keeps from (T, N, M) attention."""
     indices = select_topk(score_frame(attention), k)
     if order == "index":
         indices.sort(axis=1)
@@ -123,6 +126,7 @@ def sample_video(output: AdapterOutput, k: int, order: str = "score") -> Sampled
     ``"score"`` keeps the descending-score order of :func:`select_topk`,
     ``"index"`` re-sorts them by their original token index.
     """
+    _check_keep(k, order, output.query_count)
     indices = _kept_indices(output.attention, k, order)
     tokens = np.take_along_axis(output.tokens, indices[:, :, None], axis=1)
     tokens.setflags(write=False)
@@ -135,9 +139,11 @@ def compress_video(
     """``sample_video(adapt_video(video, params), k, order)``, asking the
     adapter for the kept rows only.
 
-    Selection needs only the attention, so the adapter may project just
-    the T·k kept rows instead of all T·N (see :func:`adapter.attend`).
+    Selection needs only the attention, so the adapter may mix and project
+    just the T·k kept rows instead of all T·N (see :func:`adapter.attend`).
+    ``k`` and ``order`` are checked before any attention is computed.
     """
+    _check_keep(k, order, params.query_count)
     attention, tokens_of = attend(video, params, k)
     indices = _kept_indices(attention, k, order)
     return SampledTokens(keep=k, indices=indices, tokens=tokens_of(indices))

@@ -263,7 +263,7 @@ NAMED_IN_ERROR = {
     "non-UTF-8 csv": "measured.csv",
     "non-UTF-8 sidecar": "kept.ftv1.json",
     "non-UTF-8 checkpoint header": "adapter.json",
-    "mismatched --images sizes": "frame 1",
+    "mismatched --images sizes": "frame 1 shape (2, 3, 64) differs from frame 0 (2, 2, 64)",
     "negative encode --seed": "seed must be >= 0, got -1",
     "negative subsample --seed": "seed must be >= 0, got -1",
     "negative config seed": "seed must be >= 0, got -1",

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from framepress.errors import NumericError, ParameterError, ShapeError
 from framepress.linalg import (
     as_matrix,
+    attention_weights,
     cross_attention,
     fd_gradient,
     make_rng,
@@ -42,6 +43,8 @@ def test_softmax_stable_under_large_logits():
 def test_softmax_rejects_empty_and_nonfinite():
     with pytest.raises(ShapeError):
         softmax_rows(np.zeros((0, 3)))
+    with pytest.raises(ShapeError):
+        softmax_rows(np.zeros(3))
     with pytest.raises(NumericError):
         softmax_rows(np.array([[np.nan, 1.0]]))
 
@@ -94,6 +97,43 @@ def test_cross_attention_shape_errors():
         cross_attention(ok, np.zeros((2, 4)), np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         cross_attention(ok, np.zeros((2, 3)), np.zeros((5, 3)))
+
+
+def test_attention_weights_over_stacked_keys_is_per_frame_cross_attention():
+    """Keys stacked as (F, M, D) give each frame's cross-attention weights,
+    with the one bias added to every frame's scaled logits."""
+    rng = make_rng(9)
+    q, keys = rng.normal(size=(3, 5)), rng.normal(size=(4, 6, 5))
+    bias = rng.normal(size=(3, 6))
+    stacked = attention_weights(q, keys, 0.6, bias)
+    assert stacked.shape == (4, 3, 6)
+    for f in range(4):
+        weights, _ = cross_attention(q, keys[f], keys[f], scale=0.6, bias=bias)
+        np.testing.assert_allclose(stacked[f], weights, atol=1e-15, rtol=0)
+    # The bias is applied: without it every frame's weights change.
+    unbiased = attention_weights(q, keys, 0.6)
+    assert np.all(np.abs(unbiased - stacked).max(axis=(1, 2)) > 1e-3)
+    logits = q @ keys[2].T * 0.6 + bias
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(stacked[2], e / e.sum(axis=1, keepdims=True), atol=1e-12, rtol=0)
+
+
+def test_attention_weights_rejects_bad_shapes_and_nonfinite_logits():
+    q, keys = np.zeros((3, 5)), np.zeros((4, 6, 5))
+    for bad_q, bad_keys in (
+        (np.zeros(5), keys),  # 1-D queries
+        (q, np.zeros((2, 4, 6, 5))),  # 4-D keys
+        (q, np.zeros((4, 6, 4))),  # columns differ
+    ):
+        with pytest.raises(ShapeError):
+            attention_weights(bad_q, bad_keys, 1.0)
+    for bias in (np.zeros((6, 3)), np.zeros((4, 3, 6)), np.zeros(6)):
+        with pytest.raises(ShapeError, match="bias"):
+            attention_weights(q, keys, 1.0, bias)
+    with pytest.raises(NumericError):
+        attention_weights(np.ones((3, 5)), np.full((4, 6, 5), np.inf), 1.0)
+    with pytest.raises(NumericError):
+        attention_weights(q, keys, 1.0, np.full((3, 6), np.nan))
 
 
 def test_as_matrix_validation():

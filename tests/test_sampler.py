@@ -2,10 +2,15 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framepress.adapter import AdapterOutput, adapt_video, random_adapter_params
+from framepress.adapter import (
+    AdapterOutput,
+    _projects_after_mixing,
+    adapt_video,
+    random_adapter_params,
+)
 from framepress.encoder import synthetic_video
 from framepress.errors import FormatError, ParameterError, ShapeError
 from framepress.linalg import make_rng, softmax_rows
@@ -108,6 +113,17 @@ def test_sample_video_rejects_bad_args():
             sample(99, "score")
         with pytest.raises(ParameterError):
             sample(2, "random")
+    # compress_video checks k and order before attending, so they fail
+    # first even on a video the adapter would reject.
+    three_frames = synthetic_video(3, 2, 2, 3, seed=41)
+    for k, order in ((99, "score"), (2, "random")):
+        with pytest.raises(ParameterError):
+            compress_video(three_frames, params, k, order)
+
+
+# (frames, grid, (D, C), queries, keep) that attend in one call and mix
+# only the kept rows: D = C, K < N and a random temporal table.
+SELECT_FIRST = [(4, (3, 3), (5, 5), "N=M", "1"), (2, (3, 3), (3, 3), 7, "1")]
 
 
 @given(
@@ -119,6 +135,8 @@ def test_sample_video_rejects_bad_args():
     order=st.sampled_from(["score", "index"]),
     seed=st.integers(0, 2**16),
 )
+@example(*SELECT_FIRST[0], "score", 5)
+@example(*SELECT_FIRST[1], "index", 6)
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_compress_video_is_sample_of_adapt(frames, grid, dims, queries, keep, order, seed):
     """Projecting only the kept rows gives the kept rows of the full projection."""
@@ -127,6 +145,8 @@ def test_compress_video_is_sample_of_adapt(frames, grid, dims, queries, keep, or
     k = 1 if keep == "1" else n
     video = synthetic_video(frames, *grid, dims[0], seed=seed)
     params = random_adapter_params(n, dims[1], dims[0], m, frames, seed=seed + 1)
+    if (frames, grid, dims, queries, keep) in SELECT_FIRST:
+        assert k < n and _projects_after_mixing(params, frames, k)
     want = sample_video(adapt_video(video, params), k, order)
     got = compress_video(video, params, k, order)
     assert got.keep == want.keep == k
