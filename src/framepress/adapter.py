@@ -23,12 +23,12 @@ when D is not much above C and few rows are kept, as when
 paper shape. :func:`attend` picks the association with fewer FLOPs for the
 shapes and rows it is given; the backward always works in feature space.
 
-A caller that keeps fewer than N rows also selects before mixing: the
-whole video's (T, N, M) attention comes from one stacked call on the raw
-features (the temporal vector only shifts each logit row, which the
-softmax ignores), and only the kept rows are mixed, shifted by τ_t and
-projected. The full forward (:func:`adapt_video`) and the backward still
-attend frame by frame.
+A caller that keeps fewer than N rows also selects before mixing, in
+either association: the whole video's (T, N, M) attention comes from one
+stacked call on the unshifted features (the temporal vector only shifts
+each logit row, which the softmax ignores), and only the kept rows are
+mixed and shifted. The full forward (:func:`adapt_video`) and the
+backward still attend frame by frame.
 
 Besides the forward pass this module carries its own reverse-mode
 gradients (the whole block is small enough that hand-written backprop
@@ -273,20 +273,22 @@ def _projects_after_mixing(params: AdapterParams, frames: int, rows: int) -> boo
     """Whether attending in feature space and projecting ``rows`` mixed rows
     per frame costs fewer FLOPs than projecting the source tokens first.
 
-    Counting two FLOPs per multiply-add, projecting first costs 2·T·M·D·C
-    for the projection and 4·T·N·M·C for the logits and the mixing.
-    Projecting after mixing costs 2·N·C·(D + M) once per video for q·Wᵀ and
-    q·posᵀ, 2·T·N·M·D for the logits, 2·T·R·M·D for mixing the R rows and
-    2·T·R·D·C for projecting them. It wins when D is not much above C and R
-    is well below M: at the paper shape (T=8, M=N=256, D=C=1024) for the
-    K=64 rows ``compress`` keeps (3.09 against 6.44 GFLOP), but not for all
-    N rows (7.11); at the CLI's default shape (T=8, 8x8 grid so M=64, N=32,
-    D=64, C=32) for the K=16 rows of ``compress --k 16`` (3.93 against
-    4.19 MFLOP), but not for all N rows (5.51).
+    Counting two FLOPs per multiply-add, both sides mix only the R rows
+    kept (:func:`attend`). Projecting first costs 2·T·M·D·C for the
+    projection, 2·T·N·M·C for the logits and 2·T·R·M·C for mixing the R
+    rows. Projecting after mixing costs 2·N·C·(D + M) once per video for
+    q·Wᵀ and q·posᵀ, 2·T·N·M·D for the logits, 2·T·R·M·D for mixing the R
+    rows and 2·T·R·D·C for projecting them. It wins when D is not much
+    above C and R is well below M: at the paper shape (T=8, M=N=256,
+    D=C=1024) for the K=64 rows ``compress`` keeps (3.09 against 5.64
+    GFLOP), but not for all N rows (7.11 against 6.44); at the CLI's
+    default shape (T=8, 8x8 grid so M=64, N=32, D=64, C=32) for neither
+    ``compress --k 16`` (3.93 against 3.67 MFLOP) nor all N rows (5.51
+    against 4.19).
     """
     t, n, m = frames, params.query_count, params.source_tokens
     d, c = params.feature_dim, params.width
-    first = 2 * t * m * d * c + 4 * t * n * m * c
+    first = 2 * t * m * c * (d + n + rows)
     after = 2 * n * c * (d + m) + 2 * t * (n + rows) * m * d + 2 * t * rows * d * c
     return after < first
 
@@ -357,21 +359,29 @@ def attend(video: VideoTokenTensor, params: AdapterParams, rows: int):
     softmax weights, and a function from (T, R) row indices, or ``None``
     for all N rows, to the read-only (T, R, C) tokens of those rows. The
     projection runs before attending or after mixing, whichever
-    :func:`_projects_after_mixing` finds cheaper for ``rows``. Projecting
-    after mixing for fewer than N rows, the whole video's attention is one
+    :func:`_projects_after_mixing` finds cheaper for ``rows``. For fewer
+    than N rows the whole video's attention is one
     :func:`attention_weights` call and only the asked-for rows are mixed.
     """
     after = _projects_after_mixing(params, video.frame_count, rows)
-    if after and rows < params.query_count:
+    if rows < params.query_count:
         # The temporal vector adds a constant to each logit row, which the
-        # softmax ignores, so the raw features give the same attention; and
-        # attention rows sum to 1, so mixing x + τ_t is mixing x, plus τ_t.
+        # softmax ignores, so the unshifted features give the same
+        # attention; and attention rows sum to 1, so mixing the shifted
+        # values is mixing the unshifted ones, plus the shift.
         features = _source_tokens(video, params)
-        feature_queries, bias = _feature_queries(params)
-        attention = attention_weights(feature_queries, features, params.scale, bias)
+        if after:
+            queries, bias = _feature_queries(params)
+            keys = values = features
+            shift = params.temporal
+        else:
+            values = _project(features, params)
+            queries, keys, bias = params.queries, values + params.pos_table, None
+            shift = params.temporal @ params.input_proj
+        attention = attention_weights(queries, keys, params.scale, bias)
 
         def rows_of(indices):
-            return _take_rows(attention, indices) @ features + params.temporal[:, None, :]
+            return _take_rows(attention, indices) @ values + shift[:, None, :]
 
     else:
         shifted = _shifted_tokens(video, params)

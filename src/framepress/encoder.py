@@ -9,7 +9,6 @@ files.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,17 +94,12 @@ class VideoTokenTensor:
         return self.features.reshape(self.frame_count, self.token_count, self.feature_dim)
 
 
-@functools.cache
 def frozen_projection(
     patch_size: int = DEFAULT_PATCH_SIZE,
     feature_dim: int = DEFAULT_FEATURE_DIM,
     seed: int = FROZEN_PROJECTION_SEED,
 ) -> np.ndarray:
-    """The toy encoder's (3*p*p, D) projection, fixed by its seed.
-
-    It is drawn once per ``(patch_size, feature_dim, seed)`` and shared, so
-    the result is read-only.
-    """
+    """The toy encoder's (3*p*p, D) projection, fixed by its seed."""
     if patch_size < 1 or feature_dim < 1:
         raise ParameterError("patch_size and feature_dim must be >= 1")
     rng = make_rng(seed)
@@ -113,9 +107,7 @@ def frozen_projection(
     proj = rng.normal(size=(flat, feature_dim)) / np.sqrt(flat)
     # Round to storage precision so checkpoints and FTV1 files round-trip
     # bit-exactly.
-    proj = proj.astype(np.float32).astype(np.float64)
-    proj.setflags(write=False)
-    return proj
+    return proj.astype(np.float32).astype(np.float64)
 
 
 def patchify_encode(img: ImagePlane, patch_size: int, projection) -> np.ndarray:

@@ -56,6 +56,31 @@ def softmax_rows(m) -> np.ndarray:
     return out
 
 
+def _attention_weights(q: np.ndarray, k: np.ndarray, scale, bias) -> np.ndarray:
+    """Softmax attention of float64 queries over keys of a checked rank.
+
+    The one body of :func:`attention_weights` and :func:`cross_attention`,
+    kept private so that one kernel call is one call. Checks the shared
+    column count and the bias shape before any product is formed.
+    """
+    if q.shape[1] != k.shape[-1]:
+        raise ShapeError(
+            f"queries and keys must share a column count, got {q.shape} vs {k.shape}"
+        )
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float64)
+        want = (q.shape[0], k.shape[-2])
+        if bias.shape != want:
+            raise ShapeError(f"bias must have shape {want} (queries, keys), got {bias.shape}")
+    if scale is None:
+        scale = 1.0 / math.sqrt(q.shape[1])
+    logits = q @ k.swapaxes(-1, -2)
+    logits *= scale
+    if bias is not None:
+        logits += bias
+    return softmax_rows(logits)
+
+
 def attention_weights(queries, keys, scale: float | None = None, bias=None) -> np.ndarray:
     """Softmax attention of (Nq, D) queries over (Nk, D) keys, or over the
     keys of F frames stacked as (F, Nk, D).
@@ -70,22 +95,7 @@ def attention_weights(queries, keys, scale: float | None = None, bias=None) -> n
     q, k = np.asarray(queries, dtype=np.float64), np.asarray(keys, dtype=np.float64)
     if q.ndim != 2 or k.ndim not in (2, 3):
         raise ShapeError(f"queries must be 2-D and keys 2-D or 3-D, got {q.shape}, {k.shape}")
-    if q.shape[1] != k.shape[-1]:
-        raise ShapeError(
-            f"queries and keys must share a column count, got {q.shape} vs {k.shape}"
-        )
-    if scale is None:
-        scale = 1.0 / math.sqrt(q.shape[1])
-    logits = q @ k.swapaxes(-1, -2)
-    logits *= scale
-    if bias is not None:
-        b = np.asarray(bias, dtype=np.float64)
-        if b.shape != logits.shape[-2:]:
-            raise ShapeError(
-                f"bias must have shape {logits.shape[-2:]} (queries, keys), got {b.shape}"
-            )
-        logits += b
-    return softmax_rows(logits)
+    return _attention_weights(q, k, scale, bias)
 
 
 def cross_attention(
@@ -97,19 +107,22 @@ def cross_attention(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-head scaled dot-product cross-attention.
 
-    Returns ``(weights, output)`` where ``weights`` is
+    Returns ``(weights, output)`` where ``weights`` is the
     :func:`attention_weights` of the queries over the keys and ``output =
     weights @ values``. The weight matrix is returned so callers can score
     tokens by their attention responses. Raises ShapeError on operands that
     are not compatible matrices and NumericError on non-finite scores.
     """
-    weights = attention_weights(queries, keys, scale, bias)
-    v = np.asarray(values, dtype=np.float64)
-    if weights.ndim != 2 or v.ndim != 2 or v.shape[0] != weights.shape[1]:
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (queries, keys, values))
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ShapeError(
-            f"keys and values must be matrices sharing a row count, "
-            f"got {np.shape(keys)} vs {v.shape}"
+            f"attention operands must be 2-D, got {q.shape}, {k.shape}, {v.shape}"
         )
+    if k.shape[0] != v.shape[0]:
+        raise ShapeError(
+            f"keys and values must share a row count, got {k.shape} vs {v.shape}"
+        )
+    weights = _attention_weights(q, k, scale, bias)
     return weights, weights @ v
 
 

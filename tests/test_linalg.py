@@ -97,6 +97,12 @@ def test_cross_attention_shape_errors():
         cross_attention(ok, np.zeros((2, 4)), np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         cross_attention(ok, np.zeros((2, 3)), np.zeros((5, 3)))
+    # Every operand is checked before any logits are formed, so a shape
+    # error is not hidden behind non-finite logits.
+    with pytest.raises(ShapeError, match="keys and values must share a row count"):
+        cross_attention(ok, np.full((2, 3), np.inf), np.zeros((5, 3)))
+    with pytest.raises(ShapeError, match="attention operands must be 2-D"):
+        cross_attention(ok, np.zeros((4, 2, 3)), np.zeros((2, 3)))
 
 
 def test_attention_weights_over_stacked_keys_is_per_frame_cross_attention():
