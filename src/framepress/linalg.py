@@ -60,8 +60,9 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, scale, bias) -> np.ndarray:
     """Softmax attention of float64 queries over keys of a checked rank.
 
     The one body of :func:`attention_weights` and :func:`cross_attention`,
-    kept private so that one kernel call is one call. Checks the shared
-    column count and the bias shape before any product is formed.
+    kept private so that calling one public kernel never calls the other.
+    Checks the shared column count and the bias shape before any product
+    is formed.
     """
     if q.shape[1] != k.shape[-1]:
         raise ShapeError(
