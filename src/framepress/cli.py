@@ -29,6 +29,7 @@ from .encoder import (
     DEFAULT_PATCH_SIZE,
     ImagePlane,
     VideoTokenTensor,
+    _patch_grid,
     frozen_projection,
     load_features,
     patchify_encode,
@@ -44,6 +45,10 @@ from .verify import format_report, verify_all
 DEFAULT_QUERIES = 32
 DEFAULT_WIDTH = 32
 
+# Shape of synthetic frames that encode's --frames/--grid do not set.
+DEFAULT_FRAMES = 8
+DEFAULT_GRID = "8x8"
+
 
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
@@ -55,6 +60,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _cmd_encode(args) -> int:
     if args.images is not None:
+        for flag, given in (("--frames", args.frames), ("--grid", args.grid), ("--seed", args.seed)):
+            if given is not None:
+                raise ParameterError(f"{flag} sets synthetic frames and cannot be used with --images")
         if not args.images:
             raise ParameterError("--images needs at least one .npy file")
         proj = frozen_projection(args.patch, args.dim)
@@ -67,19 +75,22 @@ def _cmd_encode(args) -> int:
             if not isinstance(pixels, np.ndarray):
                 pixels.close()
                 raise FormatError(f"{path}: an .npz archive, not a .npy array")
-            grid = patchify_encode(ImagePlane(pixels), args.patch, proj)
+            img = ImagePlane(pixels)
+            grid = _patch_grid(img, args.patch) + (args.dim,)
             if feats is None:
-                feats = np.empty((len(args.images),) + grid.shape)
-            elif grid.shape != feats.shape[1:]:
+                feats = np.empty((len(args.images),) + grid)
+            elif grid != feats.shape[1:]:
                 raise ShapeError(
-                    f"frame {i} shape {grid.shape} differs from frame 0 {feats.shape[1:]}"
+                    f"frame {i} shape {grid} differs from frame 0 {feats.shape[1:]}"
                 )
-            feats[i] = grid
+            patchify_encode(img, args.patch, proj, out=feats[i])
         feats.setflags(write=False)
         video = VideoTokenTensor(feats)
     else:
-        gh, gw = _parse_grid(args.grid)
-        video = synthetic_video(args.frames, gh, gw, args.dim, args.seed)
+        frames = DEFAULT_FRAMES if args.frames is None else args.frames
+        gh, gw = _parse_grid(DEFAULT_GRID if args.grid is None else args.grid)
+        seed = 0 if args.seed is None else args.seed
+        video = synthetic_video(frames, gh, gw, args.dim, seed)
     save_features(video, args.out)
     print(
         f"wrote {video.frame_count} frames x {video.token_count} tokens "
@@ -279,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="images or synthetic frames -> FTV1 features")
     p.add_argument("--images", nargs="*", help=".npy pixel arrays (H, W, 3) in [0,1]")
     p.add_argument("--patch", type=int, default=DEFAULT_PATCH_SIZE)
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--grid", default="8x8", help="patch grid for synthetic frames")
+    p.add_argument("--frames", type=int, help=f"synthetic frames: default {DEFAULT_FRAMES}")
+    p.add_argument("--grid", help=f"patch grid of synthetic frames: default {DEFAULT_GRID}")
     p.add_argument("--dim", type=int, default=DEFAULT_FEATURE_DIM)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="synthetic frames: default 0")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_encode)
 

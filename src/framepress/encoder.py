@@ -110,13 +110,46 @@ def frozen_projection(
     return proj.astype(np.float32).astype(np.float64)
 
 
-def patchify_encode(img: ImagePlane, patch_size: int, projection) -> np.ndarray:
+def patchify_encode(img: ImagePlane, patch_size: int, projection, out=None) -> np.ndarray:
     """Flatten each non-overlapping p x p x 3 patch and project it to D dims.
 
     Returns a read-only (grid_h, grid_w, D) array. Patches are flattened
     row-major with channels innermost, so positional tables line up with
-    token index ``row * grid_w + col``.
+    token index ``row * grid_w + col``. Given ``out``, a writable
+    C-contiguous float64 array of that shape, the projection is written
+    into it and ``out`` is returned as it is.
     """
+    grid_h, grid_w = _patch_grid(img, patch_size)
+    proj = np.asarray(projection, dtype=np.float64)
+    flat = 3 * patch_size * patch_size
+    if proj.ndim != 2 or proj.shape[0] != flat:
+        raise ShapeError(
+            f"projection must have shape ({flat}, D), got {proj.shape}"
+        )
+    shape = (grid_h, grid_w, proj.shape[1])
+    if out is not None:
+        if not (
+            isinstance(out, np.ndarray)
+            and out.shape == shape
+            and out.dtype == np.float64
+            and out.flags.c_contiguous
+        ):
+            raise ShapeError(f"out must be a C-contiguous float64 array of shape {shape}")
+        if not out.flags.writeable:
+            raise ParameterError("out must be writable")
+    features = np.empty(shape) if out is None else out
+    # (gh, p, gw, p, 3) -> (gh, gw, p, p, 3) -> (M, 3p^2)
+    patches = img.pixels.reshape(grid_h, patch_size, grid_w, patch_size, 3)
+    patches = patches.transpose(0, 2, 1, 3, 4).reshape(grid_h * grid_w, flat)
+    np.matmul(patches, proj, out=features.reshape(grid_h * grid_w, proj.shape[1]))
+    if out is None:
+        features.setflags(write=False)
+    return features
+
+
+def _patch_grid(img: ImagePlane, patch_size: int) -> tuple[int, int]:
+    """The (grid_h, grid_w) patch grid of an image; the patch size must
+    divide both image dims."""
     if patch_size < 1:
         raise ParameterError(f"patch size must be >= 1, got {patch_size}")
     h, w = img.height, img.width
@@ -124,19 +157,7 @@ def patchify_encode(img: ImagePlane, patch_size: int, projection) -> np.ndarray:
         raise ShapeError(
             f"patch size {patch_size} must divide image dims {h}x{w}"
         )
-    proj = np.asarray(projection, dtype=np.float64)
-    flat = 3 * patch_size * patch_size
-    if proj.ndim != 2 or proj.shape[0] != flat:
-        raise ShapeError(
-            f"projection must have shape ({flat}, D), got {proj.shape}"
-        )
-    grid_h, grid_w = h // patch_size, w // patch_size
-    # (gh, p, gw, p, 3) -> (gh, gw, p, p, 3) -> (M, 3p^2)
-    patches = img.pixels.reshape(grid_h, patch_size, grid_w, patch_size, 3)
-    patches = patches.transpose(0, 2, 1, 3, 4).reshape(grid_h * grid_w, flat)
-    features = (patches @ proj).reshape(grid_h, grid_w, proj.shape[1])
-    features.setflags(write=False)
-    return features
+    return h // patch_size, w // patch_size
 
 
 def save_features(video: VideoTokenTensor, path) -> None:

@@ -6,6 +6,11 @@ little-endian floats in row-major order. Storage is 32-bit; in-memory
 compute is 64-bit, so a value round-trips bit-exactly iff it is
 representable in float32.
 
+Payloads stream through one float32 staging buffer of at most
+``_BLOCK_VALUES`` values (1 MiB), so a read holds the float64 result plus
+that buffer, and a write of a C-contiguous float64 array holds only the
+buffer, never a whole-file copy.
+
 Also home to ``_replacing``, the atomic file write shared by
 :func:`write_tensor` (binary), the manifest, checkpoint header and index
 sidecar writers, and the CLI's plan and report outputs.
@@ -17,6 +22,7 @@ import contextlib
 import math
 import os
 import secrets
+import stat
 import struct
 from pathlib import Path
 
@@ -28,6 +34,9 @@ MAGIC = b"FTV1"
 
 # Guards against reading garbage headers, not a real format limit.
 _MAX_RANK = 32
+
+# Values per block of the payload staging buffer: 1 MiB of float32.
+_BLOCK_VALUES = 1 << 18
 
 
 def write_tensor(path, values) -> None:
@@ -41,19 +50,24 @@ def write_tensor(path, values) -> None:
         raise ShapeError("FTV1 tensors must have rank >= 1")
     if arr.size == 0:
         raise ShapeError(f"FTV1 tensors must be non-empty, got shape {arr.shape}")
-    with np.errstate(over="ignore"):
-        stored = arr.astype("<f4", order="C")
-    # Casting keeps NaN and inf and turns float32 overflow into inf, so one
-    # scan of the stored values catches both.
-    if not np.all(np.isfinite(stored)):
-        if np.all(np.isfinite(arr)):
-            raise NumericError("FTV1 values overflow float32 storage")
-        raise NumericError("FTV1 tensors must be finite")
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    stage = np.empty(min(flat.size, _BLOCK_VALUES), dtype="<f4")
     with _replacing(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(stored)
+        for start in range(0, flat.size, _BLOCK_VALUES):
+            block = flat[start : start + _BLOCK_VALUES]
+            stored = stage[: block.size]
+            with np.errstate(over="ignore"):
+                stored[...] = block
+            # Casting keeps NaN and inf and turns float32 overflow into inf,
+            # so one scan of the stored values catches both.
+            if not np.isfinite(stored).all():
+                if np.isfinite(flat[start:]).all():
+                    raise NumericError("FTV1 values overflow float32 storage")
+                raise NumericError("FTV1 tensors must be finite")
+            fh.write(stored)
 
 
 def read_tensor(path, expect_rank: int | None = None) -> np.ndarray:
@@ -62,39 +76,67 @@ def read_tensor(path, expect_rank: int | None = None) -> np.ndarray:
     Raises FormatError (carrying the byte offset) on bad magic, rank
     mismatch, truncation, trailing bytes, or a non-finite value.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", offset=0)
-    if len(data) < 8:
-        raise FormatError("truncated header: rank missing", offset=len(data))
-    rank = struct.unpack_from("<I", data, 4)[0]
-    if rank == 0 or rank > _MAX_RANK:
-        raise FormatError(f"unsupported rank {rank}", offset=4)
-    if expect_rank is not None and rank != expect_rank:
-        raise FormatError(f"rank mismatch: expected {expect_rank}, got {rank}", offset=4)
-    dims_end = 8 + 4 * rank
-    if len(data) < dims_end:
-        raise FormatError("truncated header: dims missing", offset=len(data))
-    dims = struct.unpack_from(f"<{rank}I", data, 8)
-    if any(d == 0 for d in dims):
-        raise FormatError(f"zero-sized dim in {dims}", offset=8)
-    count = math.prod(dims)
-    payload_bytes = len(data) - dims_end
-    if payload_bytes < 4 * count:
-        raise FormatError(
-            f"truncated payload: expected {4 * count} bytes, got {payload_bytes}",
-            offset=len(data),
-        )
-    if payload_bytes > 4 * count:
-        raise FormatError("trailing bytes after payload", offset=dims_end + 4 * count)
-    flat = np.frombuffer(data, dtype="<f4", count=count, offset=dims_end)
-    finite = np.isfinite(flat)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise FormatError(f"non-finite value {flat[bad]}", offset=dims_end + 4 * bad)
-    arr = flat.astype(np.float64).reshape(dims)
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        if len(head) < 4 or head[:4] != MAGIC:
+            raise FormatError(f"bad magic {head[:4]!r}, expected {MAGIC!r}", offset=0)
+        if len(head) < 8:
+            raise FormatError("truncated header: rank missing", offset=len(head))
+        rank = struct.unpack_from("<I", head, 4)[0]
+        if rank == 0 or rank > _MAX_RANK:
+            raise FormatError(f"unsupported rank {rank}", offset=4)
+        if expect_rank is not None and rank != expect_rank:
+            raise FormatError(f"rank mismatch: expected {expect_rank}, got {rank}", offset=4)
+        raw_dims = fh.read(4 * rank)
+        dims_end = 8 + 4 * rank
+        if len(raw_dims) < 4 * rank:
+            raise FormatError("truncated header: dims missing", offset=8 + len(raw_dims))
+        dims = struct.unpack(f"<{rank}I", raw_dims)
+        if any(d == 0 for d in dims):
+            raise FormatError(f"zero-sized dim in {dims}", offset=8)
+        count = math.prod(dims)
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size < dims_end + 4 * count:
+            # Caught before the result is allocated, so a corrupt header
+            # cannot ask for more memory than the file holds.
+            raise _truncated(count, st.st_size - dims_end, dims_end)
+        try:
+            arr = np.empty(count)
+        except (MemoryError, ValueError) as exc:  # a pipe has no size to check
+            raise FormatError(f"dims {dims} do not fit in memory", offset=8) from exc
+        stage = np.empty(min(count, _BLOCK_VALUES), dtype="<f4")
+        # Truncation and trailing bytes are reported before a non-finite
+        # value, so the first one is kept until the whole payload is read.
+        bad = None
+        for start in range(0, count, _BLOCK_VALUES):
+            block = stage[: min(_BLOCK_VALUES, count - start)]
+            got = fh.readinto(block)
+            if got < block.nbytes:
+                raise _truncated(count, 4 * start + got, dims_end)
+            if bad is None:
+                finite = np.isfinite(block)
+                if not finite.all():
+                    i = int(np.argmin(finite))
+                    bad = FormatError(
+                        f"non-finite value {block[i]}", offset=dims_end + 4 * (start + i)
+                    )
+            arr[start : start + block.size] = block
+        if fh.read(1):
+            raise FormatError("trailing bytes after payload", offset=dims_end + 4 * count)
+    if bad is not None:
+        raise bad
+    arr = arr.reshape(dims)
     arr.setflags(write=False)
     return arr
+
+
+def _truncated(count: int, payload_bytes: int, dims_end: int) -> FormatError:
+    """The error for a payload of ``payload_bytes`` where ``count`` values
+    were due."""
+    return FormatError(
+        f"truncated payload: expected {4 * count} bytes, got {payload_bytes}",
+        offset=dims_end + payload_bytes,
+    )
 
 
 @contextlib.contextmanager

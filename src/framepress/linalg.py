@@ -75,7 +75,12 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, scale, bias) -> np.ndarray:
             raise ShapeError(f"bias must have shape {want} (queries, keys), got {bias.shape}")
     if scale is None:
         scale = 1.0 / math.sqrt(q.shape[1])
-    logits = q @ k.swapaxes(-1, -2)
+    if k.ndim == 3:
+        # F frames' keys as one (Nq, D) @ (D, F·Nk) GEMM, viewed as (F, Nq, Nk).
+        frames, nk, d = k.shape
+        logits = (q @ k.reshape(frames * nk, d).T).reshape(q.shape[0], frames, nk).swapaxes(0, 1)
+    else:
+        logits = q @ k.T
     logits *= scale
     if bias is not None:
         logits += bias
@@ -88,7 +93,7 @@ def attention_weights(queries, keys, scale: float | None = None, bias=None) -> n
 
     Returns ``softmax(queries @ keys.T * scale + bias)`` row-wise, an
     (Nq, Nk) matrix or, for stacked keys, an (F, Nq, Nk) array from one
-    stacked matrix product. ``scale`` defaults to ``1 / sqrt(D)``;
+    (Nq, D) @ (D, F·Nk) matrix product. ``scale`` defaults to ``1 / sqrt(D)``;
     ``bias``, an optional (Nq, Nk) matrix, is added to the scaled logits of
     every frame. Raises ShapeError on operands of the wrong rank or width
     and on a bias of the wrong shape, and NumericError on non-finite logits.

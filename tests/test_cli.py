@@ -81,6 +81,20 @@ def test_encode_from_npy_images(tmp_path, capsys):
     assert ftv1.read_tensor(tmp_path / "f.ftv1").shape == (2, 2, 2, 6)
 
 
+def test_encode_synthetic_defaults(tmp_path, capsys):
+    """Without --frames, --grid and --seed, synthetic frames are 8 frames of
+    an 8x8 grid drawn from seed 0."""
+    plain, explicit = tmp_path / "plain.ftv1", tmp_path / "explicit.ftv1"
+    assert run(capsys, "encode", "--dim", "4", "--out", str(plain))[0] == 0
+    code, _, _ = run(
+        capsys, "encode", "--frames", "8", "--grid", "8x8", "--seed", "0", "--dim", "4",
+        "--out", str(explicit),
+    )
+    assert code == 0
+    assert plain.read_bytes() == explicit.read_bytes()
+    assert ftv1.read_tensor(plain).shape == (8, 8, 8, 4)
+
+
 def test_cost_calibrates_from_csv(tmp_path, capsys):
     csv = tmp_path / "measured.csv"
     csv.write_text("k,tflops\n4,32.14\n16,33.47\n32,35.24\n64,38.79\n", encoding="utf-8")
@@ -240,6 +254,9 @@ BAD_INPUTS = {
     ],
     "negative config seed": lambda tmp: _train_toy_with_config(tmp, '{"seed": -1}'),
     "--images with no files": lambda tmp: ["encode", "--images", "--out", str(tmp / "f.ftv1")],
+    "--frames with --images": lambda tmp: _encode_images(tmp, (28, 28, 3)) + ["--frames", "5"],
+    "--grid with --images": lambda tmp: _encode_images(tmp, (28, 28, 3)) + ["--grid", "3x3"],
+    "--seed with --images": lambda tmp: _encode_images(tmp, (28, 28, 3)) + ["--seed", "4"],
     "negative --width for a new checkpoint": lambda tmp: _fuzz_features(tmp)[1] + ["--width", "-1"],
     "cost --frames 0": lambda tmp: ["cost", "--frames", "0"],
     "cost --k with a zero": lambda tmp: ["cost", "--k", "4,0"],
@@ -265,6 +282,9 @@ NAMED_IN_ERROR = {
     "non-UTF-8 checkpoint header": "adapter.json",
     "mismatched --images sizes": "frame 1 shape (2, 3, 64) differs from frame 0 (2, 2, 64)",
     "negative encode --seed": "seed must be >= 0, got -1",
+    "--frames with --images": "--frames",
+    "--grid with --images": "--grid",
+    "--seed with --images": "--seed",
     "negative subsample --seed": "seed must be >= 0, got -1",
     "negative config seed": "seed must be >= 0, got -1",
     "text file as --images": "img0.npy",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from framepress import cli
 from framepress.encoder import (
     ImagePlane,
     VideoTokenTensor,
@@ -10,7 +11,7 @@ from framepress.encoder import (
     save_features,
     synthetic_video,
 )
-from framepress.errors import EmptyInputError, ParameterError, ShapeError
+from framepress.errors import EmptyInputError, FramepressError, ParameterError, ShapeError
 from framepress.linalg import make_rng
 
 
@@ -38,6 +39,56 @@ def test_patchify_applies_projection():
     patches = img.pixels.reshape(2, 2, 2, 2, 3).transpose(0, 2, 1, 3, 4).reshape(4, 12)
     assert grid.shape == (2, 2, 5)
     np.testing.assert_allclose(grid.reshape(4, 5), patches @ proj, atol=1e-15)
+
+
+def test_patchify_writes_into_out():
+    rng = make_rng(3)
+    img = ImagePlane(rng.random(size=(6, 4, 3)))
+    proj = frozen_projection(2, 5)
+    buf = np.zeros((3, 3, 2, 5))
+    view = buf[1]
+    assert patchify_encode(img, 2, proj, out=view) is view
+    assert view.flags.writeable
+    np.testing.assert_array_equal(view, patchify_encode(img, 2, proj))
+    assert not buf[0].any() and not buf[2].any()
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((3, 2, 4)),
+        np.empty((3, 2, 5), dtype=np.float32),
+        np.empty((3, 2, 10))[:, :, ::2],
+        np.empty((3, 2, 5)).tolist(),
+        _read_only(np.empty((3, 2, 5))),
+    ],
+    ids=["wrong shape", "float32", "not contiguous", "a list", "read-only"],
+)
+def test_patchify_rejects_a_bad_out(out):
+    img = ImagePlane(np.full((6, 4, 3), 0.5))
+    with pytest.raises(FramepressError):
+        patchify_encode(img, 2, frozen_projection(2, 5), out=out)
+
+
+def test_encode_images_stacks_the_per_frame_grids(tmp_path):
+    rng = make_rng(6)
+    paths = []
+    for i in range(3):
+        paths.append(str(tmp_path / f"img{i}.npy"))
+        np.save(paths[-1], rng.random(size=(6, 4, 3)))
+    out = tmp_path / "f.ftv1"
+    argv = ["encode", "--images", *paths, "--patch", "2", "--dim", "5", "--out", str(out)]
+    assert cli.main(argv) == 0
+    proj = frozen_projection(2, 5)
+    want = np.stack([patchify_encode(ImagePlane(np.load(p)), 2, proj) for p in paths])
+    np.testing.assert_array_equal(
+        load_features(out).features, want.astype(np.float32).astype(np.float64)
+    )
 
 
 def test_patchify_requires_divisible_dims():

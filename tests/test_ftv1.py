@@ -1,4 +1,8 @@
+import contextlib
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,3 +105,123 @@ def test_truncated_and_trailing_payload(tmp_path):
     with pytest.raises(FormatError, match="trailing") as err:
         ftv1.read_tensor(long)
     assert err.value.offset == len(good)
+
+
+BLOCK = ftv1._BLOCK_VALUES
+
+
+def _header(*dims):
+    return b"FTV1" + struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+
+
+@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+def test_round_trip_across_block_boundaries(count, tmp_path):
+    arr = make_rng(count).normal(size=count).astype(np.float32).astype(np.float64)
+    path = tmp_path / "t.ftv1"
+    ftv1.write_tensor(path, arr)
+    assert path.read_bytes() == _header(count) + arr.astype("<f4").tobytes()
+    np.testing.assert_array_equal(ftv1.read_tensor(path), arr)
+
+
+def test_non_finite_value_past_the_first_block_reports_its_offset(tmp_path):
+    count = 2 * BLOCK + 3
+    payload = np.ones(count, dtype="<f4")
+    payload[[BLOCK + 1, 2 * BLOCK]] = [np.nan, np.inf]
+    path = tmp_path / "nan.ftv1"
+    path.write_bytes(_header(count) + payload.tobytes())
+    with pytest.raises(FormatError, match="non-finite value nan") as err:
+        ftv1.read_tensor(path)
+    assert err.value.offset == 12 + 4 * (BLOCK + 1)
+
+
+def test_truncated_multi_block_payload_reports_real_byte_counts(tmp_path):
+    count = 2 * BLOCK + 10
+    data = _header(count) + np.ones(count, dtype="<f4").tobytes()
+    cut = 12 + 4 * (BLOCK + 3) + 2
+    path = tmp_path / "short.ftv1"
+    path.write_bytes(data[:cut])
+    with pytest.raises(
+        FormatError, match=rf"truncated payload: expected {4 * count} bytes, got {cut - 12}"
+    ) as err:
+        ftv1.read_tensor(path)
+    assert err.value.offset == cut
+
+
+def _read_through_a_pipe(tmp_path, data):
+    """``read_tensor`` of ``data`` fed through a named pipe, which has no
+    size to check up front."""
+    fifo = tmp_path / "pipe.ftv1"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            with contextlib.suppress(BrokenPipeError):
+                fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return ftv1.read_tensor(fifo)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        fifo.unlink()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_streams_from_a_pipe(tmp_path):
+    count = BLOCK + 5
+    arr = make_rng(9).normal(size=count).astype(np.float32)
+    data = _header(count) + arr.astype("<f4").tobytes()
+    np.testing.assert_array_equal(_read_through_a_pipe(tmp_path, data), arr)
+    cut = len(data) - 4 * 7 - 1
+    with pytest.raises(FormatError, match=rf"expected {4 * count} bytes, got {cut - 12}") as err:
+        _read_through_a_pipe(tmp_path, data[:cut])
+    assert err.value.offset == cut
+    with pytest.raises(FormatError, match="trailing") as err:
+        _read_through_a_pipe(tmp_path, data + b"\x00")
+    assert err.value.offset == len(data)
+    with pytest.raises(FormatError, match="do not fit in memory") as err:
+        _read_through_a_pipe(tmp_path, _header(2**32 - 1, 2**32 - 1, 2**32 - 1))
+    assert err.value.offset == 8
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({-1: 1e39}, "overflow float32 storage"),
+        ({0: 1e39, -1: np.nan}, "must be finite"),
+    ],
+    ids=["overflow in the last block", "overflow first, NaN in the last block"],
+)
+def test_write_failing_in_a_late_block_leaves_the_old_file(bad, message, tmp_path):
+    path = tmp_path / "t.ftv1"
+    ftv1.write_tensor(path, np.arange(3.0))
+    old = path.read_bytes()
+    arr = np.ones(2 * BLOCK + 7)
+    for i, value in bad.items():
+        arr[i] = value
+    with pytest.raises(NumericError, match=message):
+        ftv1.write_tensor(path, arr)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["t.ftv1"]
+
+
+def test_payloads_stream_through_a_bounded_buffer(tmp_path):
+    """A write holds no whole-file copy, and a read holds only its float64
+    result beside the staging buffer."""
+    arr = make_rng(4).normal(size=(8, 256, 1024))
+    path = tmp_path / "big.ftv1"
+    mib = 1 << 20
+    tracemalloc.start()
+    try:
+        ftv1.write_tensor(path, arr)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = ftv1.read_tensor(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back, arr.astype(np.float32))
+    assert write_peak < 3 * mib, write_peak / mib
+    assert read_peak < arr.nbytes + 2 * mib, read_peak / mib
