@@ -3,7 +3,8 @@
 One subcommand per pipeline step (encode, adapt, compress, assemble),
 plus the cost model, dataset tooling, the toy training loop, and the
 self-verification suite. Exit codes: 0 on success, 1 when verification
-fails, 2 on bad input (including files that cannot be read or written).
+fails, 2 on bad input (including files that cannot be read or written
+and sizes too large to allocate).
 """
 
 from __future__ import annotations
@@ -59,13 +60,22 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _cmd_encode(args) -> int:
-    if args.images is not None:
-        for flag, given in (("--frames", args.frames), ("--grid", args.grid), ("--seed", args.seed)):
-            if given is not None:
-                raise ParameterError(f"{flag} sets synthetic frames and cannot be used with --images")
+    images = args.images is not None
+    # Each of these flags shapes the frames of one source only.
+    for flag, given, for_images in (
+        ("--patch", args.patch, True),
+        ("--frames", args.frames, False),
+        ("--grid", args.grid, False),
+        ("--seed", args.seed, False),
+    ):
+        if given is not None and for_images != images:
+            source = "--images files" if for_images else "synthetic frames"
+            raise ParameterError(f"{flag} applies to {source} only")
+    if images:
         if not args.images:
             raise ParameterError("--images needs at least one .npy file")
-        proj = frozen_projection(args.patch, args.dim)
+        patch = DEFAULT_PATCH_SIZE if args.patch is None else args.patch
+        proj = frozen_projection(patch, args.dim)
         feats = None  # (T, gh, gw, D), allocated once frame 0 sets the grid
         for i, path in enumerate(args.images):
             try:
@@ -76,14 +86,14 @@ def _cmd_encode(args) -> int:
                 pixels.close()
                 raise FormatError(f"{path}: an .npz archive, not a .npy array")
             img = ImagePlane(pixels)
-            grid = _patch_grid(img, args.patch) + (args.dim,)
+            grid = _patch_grid(img, patch) + (args.dim,)
             if feats is None:
                 feats = np.empty((len(args.images),) + grid)
             elif grid != feats.shape[1:]:
                 raise ShapeError(
                     f"frame {i} shape {grid} differs from frame 0 {feats.shape[1:]}"
                 )
-            patchify_encode(img, args.patch, proj, out=feats[i])
+            patchify_encode(img, patch, proj, out=feats[i])
         feats.setflags(write=False)
         video = VideoTokenTensor(feats)
     else:
@@ -289,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="images or synthetic frames -> FTV1 features")
     p.add_argument("--images", nargs="*", help=".npy pixel arrays (H, W, 3) in [0,1]")
-    p.add_argument("--patch", type=int, default=DEFAULT_PATCH_SIZE)
+    p.add_argument("--patch", type=int, help=f"patch size of --images files: default {DEFAULT_PATCH_SIZE}")
     p.add_argument("--frames", type=int, help=f"synthetic frames: default {DEFAULT_FRAMES}")
     p.add_argument("--grid", help=f"patch grid of synthetic frames: default {DEFAULT_GRID}")
     p.add_argument("--dim", type=int, default=DEFAULT_FEATURE_DIM)
@@ -369,14 +379,25 @@ def build_parser() -> argparse.ArgumentParser:
 # One parser per process: building it costs more than most parses.
 _parser = functools.cache(build_parser)
 
+# How numpy's ValueError for a size past its index range begins.
+_NUMPY_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded", "Maximum allowed size exceeded")
+
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (FramepressError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = exc
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses sizes it cannot allocate with a MemoryError, and sizes
+        # past its index range with a ValueError saying so; any other
+        # ValueError is a bug, not bad input.
+        if not isinstance(exc, MemoryError) and not str(exc).startswith(_NUMPY_TOO_BIG):
+            raise
+        message = f"the sizes given do not fit in memory: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

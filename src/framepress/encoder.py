@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ftv1
 from .errors import EmptyInputError, ParameterError, ShapeError
-from .linalg import as_matrix, make_rng
+from .linalg import make_rng
 
 DEFAULT_PATCH_SIZE = 14
 DEFAULT_FEATURE_DIM = 64
@@ -56,21 +56,24 @@ class ImagePlane:
 
 @dataclass(frozen=True)
 class VideoTokenTensor:
-    """Patch tokens of every frame as one (T, grid_h, grid_w, D) array.
+    """Patch tokens of every frame as one read-only (T, grid_h, grid_w, D) array.
 
-    This is the FTV1 features layout. Within a frame, token index
-    ``row * grid_w + col`` is patch (row, col), the raster-scan order of
-    :meth:`tokens`.
+    This is the FTV1 features layout: token ``row * grid_w + col`` of a frame
+    is patch (row, col), as :meth:`tokens` orders them. The constructor checks
+    shape only; FTV1 reads, ImagePlane and synthetic draws check finiteness.
     """
 
     features: np.ndarray  # (T, grid_h, grid_w, D)
 
     def __post_init__(self):
-        feats = as_matrix(self.features, "video features", ndim=4)
-        if feats.shape[0] == 0:
+        feats = np.asarray(self.features, dtype=np.float64)
+        if feats.ndim == 4 and feats.shape[0] == 0:
             raise EmptyInputError("a video needs at least one frame")
-        if 0 in feats.shape:
-            raise ShapeError(f"video features must be non-empty, got shape {feats.shape}")
+        if feats.ndim != 4 or 0 in feats.shape:
+            raise ShapeError(f"video features must be 4-D and non-empty, got shape {feats.shape}")
+        if feats.flags.writeable:
+            feats = feats.copy()
+            feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
 
     @property
@@ -127,16 +130,14 @@ def patchify_encode(img: ImagePlane, patch_size: int, projection, out=None) -> n
             f"projection must have shape ({flat}, D), got {proj.shape}"
         )
     shape = (grid_h, grid_w, proj.shape[1])
-    if out is not None:
-        if not (
-            isinstance(out, np.ndarray)
-            and out.shape == shape
-            and out.dtype == np.float64
-            and out.flags.c_contiguous
-        ):
-            raise ShapeError(f"out must be a C-contiguous float64 array of shape {shape}")
-        if not out.flags.writeable:
-            raise ParameterError("out must be writable")
+    if out is not None and not (
+        isinstance(out, np.ndarray)
+        and out.shape == shape
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ShapeError(f"out must be a writable C-contiguous float64 array of shape {shape}")
     features = np.empty(shape) if out is None else out
     # (gh, p, gw, p, 3) -> (gh, gw, p, p, 3) -> (M, 3p^2)
     patches = img.pixels.reshape(grid_h, patch_size, grid_w, patch_size, 3)
@@ -166,7 +167,7 @@ def save_features(video: VideoTokenTensor, path) -> None:
 
 
 def load_features(path) -> VideoTokenTensor:
-    """Read a rank-4 (T, grid_h, grid_w, D) FTV1 file into a video tensor."""
+    """Read a rank-4 (T, grid_h, grid_w, D) FTV1 file; the read alone checks finiteness."""
     return VideoTokenTensor(ftv1.read_tensor(path, expect_rank=4))
 
 

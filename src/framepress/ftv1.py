@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, NumericError, ShapeError
+from .errors import FormatError, NumericError, ParameterError, ShapeError
 
 MAGIC = b"FTV1"
 
@@ -46,10 +46,8 @@ def write_tensor(path, values) -> None:
     for float32 storage. The file replaces ``path`` only once it is whole.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim < 1:
-        raise ShapeError("FTV1 tensors must have rank >= 1")
-    if arr.size == 0:
-        raise ShapeError(f"FTV1 tensors must be non-empty, got shape {arr.shape}")
+    if arr.ndim < 1 or arr.size == 0:
+        raise ShapeError(f"FTV1 tensors must have rank >= 1 and be non-empty, got shape {arr.shape}")
     flat = np.ascontiguousarray(arr).reshape(-1)
     stage = np.empty(min(flat.size, _BLOCK_VALUES), dtype="<f4")
     with _replacing(path, binary=True) as fh:
@@ -139,6 +137,16 @@ def _truncated(count: int, payload_bytes: int, dims_end: int) -> FormatError:
     )
 
 
+def _output_path(path) -> Path:
+    """``path`` as a Path, refused if its last component is empty, ``.`` or
+    ``..``: it names a directory. The string is tested because ``Path``
+    drops a trailing separator."""
+    text = os.fspath(path)
+    if os.path.basename(text) in ("", ".", ".."):
+        raise ParameterError(f"output path {text} names a directory, not a file")
+    return Path(text)
+
+
 @contextlib.contextmanager
 def _replacing(path, binary: bool = False):
     """A new file, UTF-8 text or ``binary``, that replaces ``path`` only if
@@ -146,9 +154,10 @@ def _replacing(path, binary: bool = False):
 
     The data goes to a temporary file next to ``path`` first, so an error
     leaves neither a partial output nor a clobbered old one, and ``path``
-    may be the file being read.
+    may be the file being read. A path that names a directory is refused
+    (:func:`_output_path`) before anything is written.
     """
-    path = Path(path)
+    path = _output_path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
     try:
         with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8") as fh:

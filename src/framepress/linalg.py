@@ -20,10 +20,10 @@ from .errors import NumericError, ParameterError, ShapeError
 def as_matrix(values, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     """Validate ``values`` as a finite float64 array of rank ``ndim``.
 
-    This is the package's one validator, called where data enters the
-    system. The result is read-only, so it can be passed on and shared
-    without further copies; a writable input is copied first, so later
-    writes by the caller never reach it.
+    Used by the parameter, output and token constructors; video features
+    skip it (see ``VideoTokenTensor``). The result is read-only, so it can
+    be passed on and shared without further copies; a writable input is
+    copied first, so later writes by the caller never reach it.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != ndim:

@@ -71,8 +71,6 @@ class SequenceAssembly:
 
 def assemble_sequence(sampled: SampledTokens, prompt_len: int) -> SequenceAssembly:
     """Concatenate kept tokens frame by frame and account for the prompt."""
-    if prompt_len < 0:
-        raise ParameterError(f"prompt_len must be >= 0, got {prompt_len}")
     t, k, c = sampled.tokens.shape
     return SequenceAssembly(
         video_tokens=sampled.tokens.reshape(t * k, c),

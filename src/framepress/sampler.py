@@ -158,7 +158,7 @@ def save_sampled(sampled: SampledTokens, path, queries: int) -> None:
     new one replaces nothing until it is complete, so a failed write leaves
     no sidecar rather than new tokens beside an old one.
     """
-    path = Path(path)
+    path = ftv1._output_path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     sidecar_path.unlink(missing_ok=True)
     ftv1.write_tensor(path, sampled.tokens)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import struct
 import tempfile
 from pathlib import Path
 
@@ -93,6 +94,32 @@ def test_encode_synthetic_defaults(tmp_path, capsys):
     assert code == 0
     assert plain.read_bytes() == explicit.read_bytes()
     assert ftv1.read_tensor(plain).shape == (8, 8, 8, 4)
+
+
+def test_encode_images_default_patch(tmp_path, capsys):
+    """Without --patch, --images files are cut into 14x14 patches."""
+    argv = _encode_images(tmp_path, (28, 42, 3))
+    plain, explicit = tmp_path / "f.ftv1", tmp_path / "explicit.ftv1"
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv[:-1], str(explicit), "--patch", "14")[0] == 0
+    assert plain.read_bytes() == explicit.read_bytes()
+    assert ftv1.read_tensor(plain).shape == (1, 2, 3, 64)
+
+
+@pytest.mark.parametrize("command", ["adapt", "compress"])
+def test_nan_features_file_exits_2_naming_the_byte(command, tmp_path, capsys):
+    """Finiteness is checked once, as the file is read, with the byte offset."""
+    feats, out_path = _fuzz_features(tmp_path)[0], tmp_path / "k.ftv1"
+    capsys.readouterr()
+    data = bytearray(feats.read_bytes())
+    at = 8 + 4 * 4 + 4 * 5  # header of a rank-4 file, then value 5
+    data[at : at + 4] = struct.pack("<f", math.nan)
+    feats.write_bytes(bytes(data))
+    argv = [command, "--features", str(feats), "--out", str(out_path)]
+    code, out, err = run(capsys, *argv, *(["--k", "2"] if command == "compress" else []))
+    assert (code, out) == (2, "")
+    assert err == f"error: non-finite value nan (at byte {at})\n"
+    assert not out_path.exists()
 
 
 def test_cost_calibrates_from_csv(tmp_path, capsys):
@@ -273,6 +300,25 @@ BAD_INPUTS = {
     "sidecar queries not integer": lambda tmp: _assemble_with_sidecar(
         tmp, '{"keep": 2, "queries": 4.0, "indices": [[0, 1], [0, 1]]}'
     ),
+    "--patch without --images": lambda tmp: ["encode", "--patch", "0", "--out", str(tmp / "a.ftv1")],
+    "encode --out ending in a separator": lambda tmp: [
+        "encode", "--frames", "1", "--grid", "2x2", "--dim", "4", "--out", f"{tmp / 'd'}{os.sep}"
+    ],
+    "compress --out ending in a separator": lambda tmp: _fuzz_features(tmp)[1][:-1] + [f"{tmp / 'd'}{os.sep}"],
+    "plan --out ending in a separator": lambda tmp: [
+        "plan", "--strategy", "S4-V", "--out", f"{tmp / 'd'}{os.sep}"
+    ],
+    # Sizes no machine can map: 4.4 EiB of features, a 512 PiB frequency
+    # table, and a batch whose byte count overflows numpy's index range.
+    "encode --grid too large to allocate": lambda tmp: [
+        "encode", "--frames", "1", "--grid", "99999999x99999999", "--out", str(tmp / "f.ftv1")
+    ],
+    "compress --width too large to allocate": lambda tmp: _fuzz_features(tmp)[1] + [
+        "--queries", "99999999999", "--width", str(2**58)
+    ],
+    "config sizes too large to allocate": lambda tmp: _train_toy_with_config(
+        tmp, '{"frames": 99999999999, "grid_h": 99999999, "steps": 1}'
+    ),
 }
 
 # What each case's error message must name.
@@ -296,6 +342,13 @@ NAMED_IN_ERROR = {
     ".npz archive as --images": "img0.npy: an .npz archive",
     "sidecar index >= queries": "kept.ftv1.json",
     "sidecar queries not integer": "kept.ftv1.json",
+    "--patch without --images": "--patch",
+    "encode --out ending in a separator": f"d{os.sep} names a directory",
+    "compress --out ending in a separator": f"d{os.sep} names a directory",
+    "plan --out ending in a separator": f"d{os.sep} names a directory",
+    "encode --grid too large to allocate": "(1, 99999999, 99999999, 64)",
+    "compress --width too large to allocate": "do not fit in memory",
+    "config sizes too large to allocate": "do not fit in memory",
 }
 
 
@@ -388,19 +441,32 @@ def _flags(**values):
 
 SIZES = st.integers(-1, 3)
 SEEDS = st.integers(-3, 3)
+# Sizes no machine can map: with every other size >= 1, 2**56 values of 8
+# bytes pass any 64-bit address space, and 2**64 passes numpy's index range.
+HUGE = st.sampled_from([2**56, 2**64])
+
+
+def _encode_one_image(tmp):
+    np.save(tmp / "img.npy", np.full((6, 6, 3), 0.5))
+    return ["encode", "--images", str(tmp / "img.npy"), "--out", str(tmp / "f.ftv1")]
+
 
 # Each command: the argv of its fixed inputs, built under a directory, and a
-# strategy for the flags drawn on top. Sizes stay tiny: at most 3 frames and
-# grid sides, 8 dims.
+# strategy for the flags drawn on top. Sizes stay tiny, at most 3 frames and
+# grid sides, 8 dims, unless they are too large for any machine to allocate.
 ARGV_FUZZ = {
     "encode": (
         lambda tmp: ["encode", "--out", str(tmp / "f.ftv1")],
         _flags(
-            frames=SIZES,
-            grid=st.tuples(SIZES, SIZES).map(lambda g: f"{g[0]}x{g[1]}"),
-            dim=st.integers(-1, 8),
-            seed=SEEDS,
+            frames=SIZES | HUGE,
+            grid=st.tuples(SIZES | HUGE, SIZES | HUGE).map(lambda g: f"{g[0]}x{g[1]}"),
+            dim=st.integers(-1, 8) | HUGE,
+            seed=SEEDS | HUGE,
         ),
+    ),
+    "encode --images": (
+        _encode_one_image,
+        _flags(patch=SIZES | HUGE, dim=st.integers(-1, 8) | HUGE),
     ),
     "compress": (
         lambda tmp: [

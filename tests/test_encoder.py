@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from framepress import cli
+from framepress.adapter import _projects_after_mixing, adapt_video, init_adapter_params
 from framepress.encoder import (
     ImagePlane,
     VideoTokenTensor,
@@ -11,8 +12,9 @@ from framepress.encoder import (
     save_features,
     synthetic_video,
 )
-from framepress.errors import EmptyInputError, FramepressError, ParameterError, ShapeError
+from framepress.errors import EmptyInputError, FramepressError, NumericError, ParameterError, ShapeError
 from framepress.linalg import make_rng
+from framepress.sampler import compress_video
 
 
 def test_patchify_matches_manual_patch_extraction():
@@ -150,3 +152,30 @@ def test_synthetic_video_deterministic():
     np.testing.assert_array_equal(a.features, b.features)
     c = synthetic_video(2, 2, 2, 3, seed=5)
     assert not np.array_equal(a.features, c.features)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_never_reach_a_file_or_a_token(bad, tmp_path):
+    """The tensor checks shape only, so it holds a non-finite value; the FTV1
+    write refuses it, and so does the softmax of every forward: projecting
+    first or after mixing, for all N rows (adapt) or a few (compress)."""
+    paths = set()
+    for dim, width in ((4, 8), (64, 4)):
+        feats = make_rng(7).normal(size=(2, 8, 8, dim))
+        feats[1, 3, 5, 2] = bad
+        video = VideoTokenTensor(feats)
+        assert not np.isfinite(video.features[1, 3, 5, 2])
+        path = tmp_path / "f.ftv1"
+        with pytest.raises(NumericError):
+            save_features(video, path)
+        assert not path.exists()
+        params = init_adapter_params(
+            queries=4, width=width, feature_dim=dim, grid_h=8, grid_w=8, frames=2, seed=0
+        )
+        paths |= {(_projects_after_mixing(params, 2, rows), rows) for rows in (1, 4)}
+        with np.errstate(invalid="ignore"):  # inf times a zero weight
+            with pytest.raises(NumericError):
+                adapt_video(video, params)
+            with pytest.raises(NumericError):
+                compress_video(video, params, 1)
+    assert paths == {(True, 1), (True, 4), (False, 1), (False, 4)}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from framepress import ftv1
-from framepress.errors import FormatError, NumericError, ShapeError
+from framepress.errors import FormatError, NumericError, ParameterError, ShapeError
 from framepress.linalg import as_matrix, make_rng
 
 
@@ -225,3 +225,17 @@ def test_payloads_stream_through_a_bounded_buffer(tmp_path):
     np.testing.assert_array_equal(back, arr.astype(np.float32))
     assert write_peak < 3 * mib, write_peak / mib
     assert read_peak < arr.nbytes + 2 * mib, read_peak / mib
+
+
+@pytest.mark.parametrize("tail", ["d/", "d/.", ".", "d/.."])
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
+def test_a_path_naming_a_directory_is_refused_before_writing(tail, binary, tmp_path):
+    """The string is checked, not the Path, which would drop the separator
+    and write a file named ``d``."""
+    path = f"{tmp_path}{os.sep}{tail}"
+    with pytest.raises(ParameterError, match="names a directory"):
+        with ftv1._replacing(path, binary=binary):
+            pytest.fail("the block must not run")
+    with pytest.raises(ParameterError, match="names a directory"):
+        ftv1.write_tensor(path, np.ones(2))
+    assert os.listdir(tmp_path) == []
