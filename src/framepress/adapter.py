@@ -23,12 +23,14 @@ when D is not much above C and few rows are kept, as when
 paper shape. :func:`attend` picks the association with fewer FLOPs for the
 shapes and rows it is given; the backward always works in feature space.
 
-A caller that keeps fewer than N rows also selects before mixing, in
-either association: the whole video's (T, N, M) attention comes from one
-stacked call on the unshifted features (the temporal vector only shifts
-each logit row, which the softmax ignores), and only the kept rows are
-mixed and shifted. The full forward (:func:`adapt_video`) and the
-backward still attend frame by frame.
+One helper builds the attention's operands for either association. A
+caller that keeps fewer than N rows also selects before mixing: the whole
+video's (T, N, M) attention comes from one stacked call on the unshifted
+features (the temporal vector only shifts each logit row, which the
+softmax ignores), and only the kept rows are mixed and shifted. The full
+forward (:func:`adapt_video`) and the backward still attend frame by
+frame, through one loop kept only because the benchmark pins one
+``cross_attention`` call per frame in each training step.
 
 Besides the forward pass this module carries its own reverse-mode
 gradients (the whole block is small enough that hand-written backprop
@@ -264,11 +266,6 @@ def _source_tokens(video: VideoTokenTensor, params: AdapterParams) -> np.ndarray
     return video.tokens()
 
 
-def _shifted_tokens(video: VideoTokenTensor, params: AdapterParams) -> np.ndarray:
-    """The video's (T, M, D) tokens with each frame's temporal vector added."""
-    return _source_tokens(video, params) + params.temporal[:, None, :]
-
-
 def _projects_after_mixing(params: AdapterParams, frames: int, rows: int) -> bool:
     """Whether attending in feature space and projecting ``rows`` mixed rows
     per frame costs fewer FLOPs than projecting the source tokens first.
@@ -293,30 +290,30 @@ def _projects_after_mixing(params: AdapterParams, frames: int, rows: int) -> boo
     return after < first
 
 
-def _feature_queries(params: AdapterParams):
-    """The queries mapped into feature space, q·Wᵀ, and the positions as
-    the (N, M) scaled logit bias s·q·posᵀ."""
+def _operands(features: np.ndarray, params: AdapterParams, after: bool):
+    """The attention's ``(queries, keys, values, bias)`` over (T, M, D)
+    ``features``. Projecting after mixing, the queries q·Wᵀ attend over the
+    features, with the (N, M) logit bias s·q·posᵀ; projecting first, the
+    values are the projected features and the keys add the positions."""
     queries = params.queries
-    return queries @ params.input_proj.T, params.scale * (queries @ params.pos_table.T)
+    if after:
+        bias = params.scale * (queries @ params.pos_table.T)
+        return queries @ params.input_proj.T, features, features, bias
+    values = _project(features, params)
+    return queries, values + params.pos_table, values, None
 
 
-def _mix(shifted: np.ndarray, params: AdapterParams):
-    """Every frame's attention step in feature space, before the projection.
-
-    ``shifted`` holds the (T, M, D) temporally shifted tokens. The queries
-    attend as q·Wᵀ, with s·q·posᵀ as a logit bias. Returns ``(attention,
-    mixed)``: the (T, N, M) softmax weights each query spread over the M
-    source tokens, and the (T, N, D) mixed features, which
-    :func:`_project` turns into compressed tokens.
-    """
-    feature_queries, bias = _feature_queries(params)
-    t_count, n = shifted.shape[0], params.query_count
-    attention = np.empty((t_count, n, params.source_tokens))
-    mixed = np.empty((t_count, n, params.feature_dim))
+def _attend_frames(queries, keys, values, bias, scale: float):
+    """``(attention, mixed)``, (T, N, M) and (T, N, ·), one
+    :func:`cross_attention` call per frame. One stacked
+    :func:`attention_weights` call would do; the loop stays because
+    ``perfbench``'s ``toy_train`` test pins a call per frame in each
+    training step's forward and backward."""
+    t_count, n = keys.shape[0], queries.shape[0]
+    attention = np.empty((t_count, n, keys.shape[1]))
+    mixed = np.empty((t_count, n, values.shape[2]))
     for t in range(t_count):
-        attention[t], mixed[t] = cross_attention(
-            feature_queries, shifted[t], shifted[t], scale=params.scale, bias=bias
-        )
+        attention[t], mixed[t] = cross_attention(queries, keys[t], values[t], scale, bias)
     return attention, mixed
 
 
@@ -326,24 +323,6 @@ def _project(mixed: np.ndarray, params: AdapterParams) -> np.ndarray:
     return (mixed.reshape(t_count * rows, d) @ params.input_proj).reshape(
         t_count, rows, params.width
     )
-
-
-def _attend_projected(shifted: np.ndarray, params: AdapterParams):
-    """Every frame's attention step on projected features.
-
-    Each frame's (M, D) shifted tokens are projected; the values are the
-    projected features and the keys add the positional table to them.
-    Returns ``(attention, tokens)``, (T, N, M) and (T, N, C).
-    """
-    t_count, m, _ = shifted.shape
-    attention = np.empty((t_count, params.query_count, m))
-    tokens = np.empty((t_count, params.query_count, params.width))
-    for t in range(t_count):
-        projected = shifted[t] @ params.input_proj
-        attention[t], tokens[t] = cross_attention(
-            params.queries, projected + params.pos_table, projected, scale=params.scale
-        )
-    return attention, tokens
 
 
 def _take_rows(a: np.ndarray, indices) -> np.ndarray:
@@ -364,29 +343,24 @@ def attend(video: VideoTokenTensor, params: AdapterParams, rows: int):
     :func:`attention_weights` call and only the asked-for rows are mixed.
     """
     after = _projects_after_mixing(params, video.frame_count, rows)
+    features = _source_tokens(video, params)
     if rows < params.query_count:
         # The temporal vector adds a constant to each logit row, which the
         # softmax ignores, so the unshifted features give the same
         # attention; and attention rows sum to 1, so mixing the shifted
         # values is mixing the unshifted ones, plus the shift.
-        features = _source_tokens(video, params)
-        if after:
-            queries, bias = _feature_queries(params)
-            keys = values = features
-            shift = params.temporal
-        else:
-            values = _project(features, params)
-            queries, keys, bias = params.queries, values + params.pos_table, None
-            shift = params.temporal @ params.input_proj
+        queries, keys, values, bias = _operands(features, params, after)
         attention = attention_weights(queries, keys, params.scale, bias)
+        shift = params.temporal if after else params.temporal @ params.input_proj
 
         def rows_of(indices):
             return _take_rows(attention, indices) @ values + shift[:, None, :]
 
     else:
-        shifted = _shifted_tokens(video, params)
-        # Either the (T, N, D) mixed features or the (T, N, C) tokens.
-        attention, mixed = (_mix if after else _attend_projected)(shifted, params)
+        # Either the (T, N, D) mixed features or the (T, N, C) tokens. The
+        # shifted features go unnamed, so projecting first frees them early.
+        operands = _operands(features + params.temporal[:, None, :], params, after)
+        attention, mixed = _attend_frames(*operands, params.scale)
 
         def rows_of(indices):
             return _take_rows(mixed, indices)
@@ -423,8 +397,8 @@ def adapter_gradients(
         raise ShapeError(
             f"token grads must have shape {(t_count, n, c)}, got {g_tokens.shape}"
         )
-    shifted = _shifted_tokens(video, params)  # x, (T, M, D)
-    att, mixed = _mix(shifted, params)
+    shifted = _source_tokens(video, params) + params.temporal[:, None, :]  # x, (T, M, D)
+    att, mixed = _attend_frames(*_operands(shifted, params, True), params.scale)
     queries, proj, scale = params.queries, params.input_proj, params.scale
     d = params.feature_dim
 

@@ -211,10 +211,8 @@ def _cmd_cost(args) -> int:
         else cost.REFERENCE_TOTALS
     )
     ks = _parse_ks(args.k) if args.k else [k for k, _ in points]
-    result = cost.calibrate(points, frames=args.frames, prompt_len=args.prompt_len)
-    template = cost.calibrated_config(
-        result, frames=args.frames, tokens_per_frame=ks[0], prompt_len=args.prompt_len
-    )
+    result = cost.calibrate(points)
+    template = cost.calibrated_config(result, tokens_per_frame=ks[0])
     # Build the whole text first: a run that fails prints no partial report.
     print(cost.calibration_report_text(result) + cost.sweep_csv(ks, template), end="")
     return 0
@@ -339,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="calibrate and sweep the compute cost model")
     p.add_argument("--k", help="comma-separated kept-token budgets")
     p.add_argument("--calibrate", help="CSV of measured k,tflops pairs")
-    p.add_argument("--frames", type=int, default=cost.REFERENCE_FRAMES)
-    p.add_argument("--prompt-len", type=int, default=0)
     p.set_defaults(fn=_cmd_cost)
 
     p = sub.add_parser("subsample", help="video-level manifest subsampling")
@@ -386,6 +382,10 @@ _NUMPY_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded", "Max
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # A path that names a directory is refused before any work is done.
+        for path in (getattr(args, flag, None) for flag in ("out", "report", "attention_out")):
+            if path:
+                ftv1._output_path(path)
         return args.fn(args)
     except (FramepressError, OSError) as exc:
         message = exc

@@ -17,22 +17,26 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError
 
 
-def as_matrix(values, name: str = "matrix", ndim: int = 2) -> np.ndarray:
-    """Validate ``values`` as a finite float64 array of rank ``ndim``.
-
-    Used by the parameter, output and token constructors; video features
-    skip it (see ``VideoTokenTensor``). The result is read-only, so it can
-    be passed on and shared without further copies; a writable input is
-    copied first, so later writes by the caller never reach it.
-    """
+def _read_only(values, name: str, ndim: int) -> np.ndarray:
+    """``values`` as a read-only float64 array of rank ``ndim``, for
+    constructors whose values were checked where they entered. A writable
+    input is copied first, so later writes by the caller never reach it."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{name} contains non-finite entries")
     if arr.flags.writeable:
         arr = arr.copy()
         arr.setflags(write=False)
+    return arr
+
+
+def as_matrix(values, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """:func:`_read_only`, and finite: the parameter and adapter output
+    constructors' validator. Video features and kept tokens skip the
+    finiteness scan (see ``VideoTokenTensor``)."""
+    arr = _read_only(values, name, ndim)
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"{name} contains non-finite entries")
     return arr
 
 

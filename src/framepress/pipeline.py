@@ -28,7 +28,7 @@ from .adapter import (
 )
 from .encoder import VideoTokenTensor
 from .errors import NumericError, ParameterError, ShapeError
-from .linalg import as_matrix, split_rng
+from .linalg import _read_only, split_rng
 from .sampler import SampledTokens, sample_video
 
 SCHEMA_VERSION = 1
@@ -38,14 +38,18 @@ TARGET_MODES = ("readout", "init")
 
 @dataclass(frozen=True)
 class SequenceAssembly:
-    """The decoder-ready token sequence for one video plus prompt budget."""
+    """The decoder-ready token sequence for one video plus prompt budget.
+
+    Like :class:`SampledTokens`, whose tokens it concatenates, it checks
+    shapes only; writing non-finite tokens to FTV1 raises NumericError.
+    """
 
     video_tokens: np.ndarray  # (T*K, C), frames concatenated in order
     prompt_len: int
     frame_boundaries: tuple[int, ...]  # T+1 fence posts into video_tokens
 
     def __post_init__(self):
-        tokens = as_matrix(self.video_tokens, "video tokens")
+        tokens = _read_only(self.video_tokens, "video tokens", ndim=2)
         if self.prompt_len < 0:
             raise ParameterError(f"prompt_len must be >= 0, got {self.prompt_len}")
         bounds = tuple(int(b) for b in self.frame_boundaries)

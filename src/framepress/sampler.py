@@ -22,7 +22,7 @@ from . import ftv1
 from .adapter import AdapterOutput, AdapterParams, attend
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
-from .linalg import as_matrix
+from .linalg import _read_only
 
 KEEP_ORDERS = ("score", "index")
 
@@ -63,7 +63,12 @@ def select_topk(scores, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledTokens:
-    """The kept tokens of each frame and where they came from."""
+    """The kept tokens of each frame and where they came from.
+
+    The constructor checks shapes and indices only: kept tokens come from an
+    adapter forward or an FTV1 read, which check finiteness, and
+    :func:`save_sampled` refuses non-finite tokens built through the API.
+    """
 
     keep: int
     indices: np.ndarray  # (T, K) int64
@@ -72,7 +77,7 @@ class SampledTokens:
     def __post_init__(self):
         if self.keep < 1:
             raise ParameterError(f"keep must be >= 1, got {self.keep}")
-        tokens = as_matrix(self.tokens, "sampled tokens", ndim=3)
+        tokens = _read_only(self.tokens, "sampled tokens", ndim=3)
         indices = np.array(self.indices, dtype=np.int64)
         indices.setflags(write=False)
         frames = tokens.shape[0]

@@ -7,11 +7,10 @@ from framepress import ftv1
 from framepress.adapter import (
     AdapterOutput,
     AdapterParams,
-    _attend_projected,
-    _mix,
+    _attend_frames,
+    _operands,
     _project,
     _projects_after_mixing,
-    _shifted_tokens,
     adapt_video,
     adapter_gradients,
     apply_grads,
@@ -66,9 +65,9 @@ def test_both_associations_give_the_same_function(shape):
     t, m, n, d, c = shape
     video = synthetic_video(t, m, 1, d, seed=sum(shape))
     params = random_adapter_params(n, c, d, m, t, seed=len(shape) + t)
-    shifted = _shifted_tokens(video, params)
-    att_first, tokens_first = _attend_projected(shifted, params)
-    att_after, mixed = _mix(shifted, params)
+    shifted = video.tokens() + params.temporal[:, None, :]
+    att_first, tokens_first = _attend_frames(*_operands(shifted, params, False), params.scale)
+    att_after, mixed = _attend_frames(*_operands(shifted, params, True), params.scale)
     np.testing.assert_allclose(att_after, att_first, rtol=0, atol=1e-12)
     np.testing.assert_allclose(
         _project(mixed, params),

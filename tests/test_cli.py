@@ -285,7 +285,6 @@ BAD_INPUTS = {
     "--grid with --images": lambda tmp: _encode_images(tmp, (28, 28, 3)) + ["--grid", "3x3"],
     "--seed with --images": lambda tmp: _encode_images(tmp, (28, 28, 3)) + ["--seed", "4"],
     "negative --width for a new checkpoint": lambda tmp: _fuzz_features(tmp)[1] + ["--width", "-1"],
-    "cost --frames 0": lambda tmp: ["cost", "--frames", "0"],
     "cost --k with a zero": lambda tmp: ["cost", "--k", "4,0"],
     "text file as --images": lambda tmp: _encode_npy(tmp, b"0.5 0.5 0.5\n"),
     "empty file as --images": lambda tmp: _encode_npy(tmp, b""),
@@ -307,6 +306,14 @@ BAD_INPUTS = {
     "compress --out ending in a separator": lambda tmp: _fuzz_features(tmp)[1][:-1] + [f"{tmp / 'd'}{os.sep}"],
     "plan --out ending in a separator": lambda tmp: [
         "plan", "--strategy", "S4-V", "--out", f"{tmp / 'd'}{os.sep}"
+    ],
+    "adapt --attention-out ending in a separator": lambda tmp: [
+        "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
+        "--attention-out", f"{tmp / 'd'}{os.sep}",
+    ],
+    "verify --report ending in a separator": lambda tmp: ["verify", "--report", f"{tmp / 'd'}{os.sep}"],
+    "train-toy --report ending in a separator": lambda tmp: [
+        "train-toy", "--report", f"{tmp / 'd'}{os.sep}"
     ],
     # Sizes no machine can map: 4.4 EiB of features, a 512 PiB frequency
     # table, and a batch whose byte count overflows numpy's index range.
@@ -346,15 +353,27 @@ NAMED_IN_ERROR = {
     "encode --out ending in a separator": f"d{os.sep} names a directory",
     "compress --out ending in a separator": f"d{os.sep} names a directory",
     "plan --out ending in a separator": f"d{os.sep} names a directory",
+    "adapt --attention-out ending in a separator": f"d{os.sep} names a directory",
+    "verify --report ending in a separator": f"d{os.sep} names a directory",
+    "train-toy --report ending in a separator": f"d{os.sep} names a directory",
     "encode --grid too large to allocate": "(1, 99999999, 99999999, 64)",
     "compress --width too large to allocate": "do not fit in memory",
     "config sizes too large to allocate": "do not fit in memory",
 }
 
 
+# The work a case's output path must be refused before.
+NEVER_CALLED = {
+    "verify --report ending in a separator": "verify_all",
+    "train-toy --report ending in a separator": "train_toy",
+}
+
+
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
-def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypatch):
     argv = BAD_INPUTS[case](tmp_path)
+    if case in NEVER_CALLED:
+        monkeypatch.setattr(cli, NEVER_CALLED[case], lambda *a: pytest.fail("ran before the path check"))
     capsys.readouterr()  # drop what setting up the inputs printed
     files = sorted(os.listdir(tmp_path))
     code, out, err = run(capsys, *argv)
@@ -478,8 +497,6 @@ ARGV_FUZZ = {
     "cost": (
         lambda tmp: ["cost"],
         _flags(
-            frames=SIZES,
-            prompt_len=st.integers(-2, 3),
             k=st.lists(st.integers(-1, 300), min_size=1, max_size=3).map(
                 lambda ks: ",".join(map(str, ks))
             ),
@@ -796,7 +813,7 @@ def test_parser_is_built_once_and_reports_as_before(capsys):
     assert cli._parser() is cli._parser()
     texts = []
     for parse in (cli.build_parser().parse_args, cli.main, cli.main):
-        for argv in (["cost", "--frames", "x"], ["nonsense"], ["--help"]):
+        for argv in (["cost", "--k"], ["nonsense"], ["--help"]):
             with pytest.raises(SystemExit):
                 parse(argv)
             texts.append(capsys.readouterr())

@@ -12,8 +12,10 @@ from framepress.adapter import (
     random_adapter_params,
 )
 from framepress.encoder import synthetic_video
-from framepress.errors import FormatError, ParameterError, ShapeError
+from framepress import ftv1
+from framepress.errors import FormatError, NumericError, ParameterError, ShapeError
 from framepress.linalg import make_rng, softmax_rows
+from framepress.pipeline import assemble_sequence
 from framepress.sampler import (
     SampledTokens,
     compress_video,
@@ -182,6 +184,19 @@ def test_sampled_tokens_validation():
             indices=np.array([[0, 1]]),  # one frame of indices for two of tokens
             tokens=np.zeros((2, 2, 3)),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sampled_tokens_reach_no_file(bad, tmp_path):
+    """The constructors check shapes only; the writers refuse the values."""
+    tokens = np.zeros((2, 2, 3))
+    tokens[1, 0, 2] = bad
+    sampled = SampledTokens(keep=2, indices=[[0, 1], [1, 0]], tokens=tokens)
+    with pytest.raises(NumericError):
+        save_sampled(sampled, tmp_path / "kept.ftv1", 4)
+    with pytest.raises(NumericError):
+        ftv1.write_tensor(tmp_path / "seq.ftv1", assemble_sequence(sampled, 0).video_tokens)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_load_round_trip(tmp_path):
