@@ -3,7 +3,7 @@
 Per-frame patch features are compressed by a learnable-query
 cross-attention adapter, scored by the attention each output token paid
 to its best source patch, pruned to the top-K per frame, and assembled
-into a decoder-ready sequence — with an analytic compute cost model,
+into a decoder-ready sequence — with a calibrated compute cost model,
 dataset curriculum tools, and a self-verification suite around it.
 """
 
@@ -21,9 +21,7 @@ from .cost import (
     CalibrationResult,
     CostConfig,
     CostReport,
-    DecoderSpec,
     REFERENCE_TOTALS,
-    analytic_config,
     calibrate,
     calibrated_config,
     estimate,
@@ -77,7 +75,6 @@ __all__ = [
     "CalibrationResult",
     "CostConfig",
     "CostReport",
-    "DecoderSpec",
     "EmptyInputError",
     "FitError",
     "FormatError",
@@ -97,7 +94,6 @@ __all__ = [
     "VideoTokenTensor",
     "adapt_video",
     "adapter_gradients",
-    "analytic_config",
     "assemble_sequence",
     "calibrate",
     "calibrated_config",

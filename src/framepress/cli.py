@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import zipfile
 from pathlib import Path
@@ -110,6 +111,9 @@ def _cmd_encode(args) -> int:
 
 
 def _load_or_init_params(args, video: VideoTokenTensor):
+    """The adapter params from --checkpoint, or new ones, and whether they
+    are new: the caller saves new params only once its forward pass has
+    succeeded, so a refused run writes no checkpoint."""
     if args.checkpoint and Path(args.checkpoint, "adapter.json").is_file():
         params = load_checkpoint(args.checkpoint)
         for flag, given, stored in (
@@ -121,7 +125,7 @@ def _load_or_init_params(args, video: VideoTokenTensor):
                     f"{flag} {given} conflicts with the checkpoint in "
                     f"{args.checkpoint}, which has {stored}"
                 )
-        return params
+        return params, False
     gh, gw = video.grid_shape
     params = init_adapter_params(
         queries=DEFAULT_QUERIES if args.queries is None else args.queries,
@@ -132,15 +136,15 @@ def _load_or_init_params(args, video: VideoTokenTensor):
         frames=video.frame_count,
         seed=args.seed,
     )
-    if args.checkpoint:
-        save_checkpoint(params, args.checkpoint)
-    return params
+    return params, bool(args.checkpoint)
 
 
 def _cmd_adapt(args) -> int:
     video = load_features(args.features)
-    params = _load_or_init_params(args, video)
+    params, new = _load_or_init_params(args, video)
     out = adapt_video(video, params)
+    if new:
+        save_checkpoint(params, args.checkpoint)
     ftv1.write_tensor(args.out, out.tokens)
     if args.attention_out:
         ftv1.write_tensor(args.attention_out, out.attention)
@@ -153,8 +157,10 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_compress(args) -> int:
     video = load_features(args.features)
-    params = _load_or_init_params(args, video)
+    params, new = _load_or_init_params(args, video)
     sampled = compress_video(video, params, args.k, order=args.order)
+    if new:
+        save_checkpoint(params, args.checkpoint)
     save_sampled(sampled, args.out, params.query_count)
     print(
         f"kept top-{sampled.keep} of {params.query_count} tokens per frame "
@@ -191,9 +197,16 @@ def _read_calibration_csv(path) -> list[tuple[int, float]]:
         if len(parts) < 2:
             raise ParameterError(f"{path}:{lineno}: expected 'k,tflops'")
         try:
-            points.append((int(parts[0]), float(parts[1])))
+            k, tflops = int(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ParameterError(f"{path}:{lineno}: expected 'k,tflops', got {line!r}") from exc
+        if k < 1:
+            raise ParameterError(f"{path}:{lineno}: k must be >= 1, got {k}")
+        if not math.isfinite(tflops) or tflops < 0.0:
+            raise ParameterError(
+                f"{path}:{lineno}: tflops must be finite and >= 0, got {parts[1]!r}"
+            )
+        points.append((k, tflops))
     return points
 
 

@@ -2,14 +2,12 @@
 
 Total decoder-side compute for one video query is modeled as
 
-    total = c0 + c1 * k + c2 * (frames * k + prompt_len)^2
+    total = c0 + c1 * k
 
 in TFLOPs, where k is the number of kept tokens per frame: a fixed
-overhead (vision encoder, adapter, prompt processing), a linear term for
-pushing the kept tokens through the decoder's dense layers, and an
-optional quadratic term for attention over the assembled sequence. The
-linear coefficients can be fit from measured (k, total) pairs or derived
-from a decoder's parameter count.
+overhead (vision encoder, adapter, prompt processing) and a linear term
+for pushing the kept tokens through the decoder's dense layers. Both
+coefficients are fit by least squares to measured (k, total) pairs.
 """
 
 from __future__ import annotations
@@ -20,9 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FitError, ParameterError
-
-# Multiply-accumulate counted as two floating point operations.
-MAC_FLOPS = 2
 
 # Measured end-to-end totals (kept tokens per frame -> TFLOPs) for an
 # 8-frame pipeline over a 7B-class decoder; used as the default
@@ -39,44 +34,6 @@ REFERENCE_FRAMES = 8
 
 
 @dataclass(frozen=True)
-class DecoderSpec:
-    """Shape of the language decoder the tokens are fed into."""
-
-    layers: int
-    hidden: int
-    params: int
-
-    def __post_init__(self):
-        if self.layers < 1 or self.hidden < 1 or self.params < 1:
-            raise ParameterError("decoder layers, hidden and params must be >= 1")
-
-
-# A 7B-class decoder (32 layers, 4096 hidden).
-DEFAULT_DECODER = DecoderSpec(layers=32, hidden=4096, params=7_000_000_000)
-
-
-def per_token_tflops(decoder: DecoderSpec, frames: int) -> float:
-    """Linear coefficient c1: TFLOPs added per unit of kept tokens.
-
-    One extra kept token per frame adds ``frames`` sequence positions,
-    each costing roughly MAC_FLOPS * params through the dense layers.
-    """
-    if frames < 1:
-        raise ParameterError(f"frames must be >= 1, got {frames}")
-    return frames * MAC_FLOPS * decoder.params / 1e12
-
-
-def attention_tflops_coeff(decoder: DecoderSpec) -> float:
-    """Quadratic coefficient c2: TFLOPs per squared sequence position.
-
-    Causal attention touches ~half of the S x S score matrix in each of
-    the QK^T and AV products, so per layer the cost is MAC_FLOPS * hidden
-    per squared position.
-    """
-    return MAC_FLOPS * decoder.layers * decoder.hidden / 1e12
-
-
-@dataclass(frozen=True)
 class CostConfig:
     """Inputs of one cost estimate.
 
@@ -86,10 +43,8 @@ class CostConfig:
 
     frames: int
     tokens_per_frame: int
-    prompt_len: int
     overhead_tflops: float
     per_token_tflops: float
-    attn_quad_tflops: float = 0.0
     encoder_tflops: float = 0.0
     adapter_tflops: float = 0.0
 
@@ -100,12 +55,9 @@ class CostConfig:
             raise ParameterError(
                 f"tokens_per_frame must be >= 1, got {self.tokens_per_frame}"
             )
-        if self.prompt_len < 0:
-            raise ParameterError(f"prompt_len must be >= 0, got {self.prompt_len}")
         for name in (
             "overhead_tflops",
             "per_token_tflops",
-            "attn_quad_tflops",
             "encoder_tflops",
             "adapter_tflops",
         ):
@@ -119,7 +71,7 @@ class CostConfig:
 
     @property
     def sequence_len(self) -> int:
-        return self.frames * self.tokens_per_frame + self.prompt_len
+        return self.frames * self.tokens_per_frame
 
 
 @dataclass(frozen=True)
@@ -132,15 +84,9 @@ class CostReport:
     encoder_tflops: float
     adapter_tflops: float
     llm_linear_tflops: float
-    llm_attention_tflops: float
 
     def __post_init__(self):
-        parts = (
-            self.encoder_tflops
-            + self.adapter_tflops
-            + self.llm_linear_tflops
-            + self.llm_attention_tflops
-        )
+        parts = self.encoder_tflops + self.adapter_tflops + self.llm_linear_tflops
         if abs(parts - self.total_tflops) > 1e-9 * max(1.0, abs(self.total_tflops)):
             raise ParameterError("cost breakdown does not sum to the total")
 
@@ -152,29 +98,24 @@ class CostReport:
             "encoder_tflops": self.encoder_tflops,
             "adapter_tflops": self.adapter_tflops,
             "llm_linear_tflops": self.llm_linear_tflops,
-            "llm_attention_tflops": self.llm_attention_tflops,
         }
 
 
 def estimate(cfg: CostConfig) -> CostReport:
     """Evaluate the cost model at one configuration."""
-    seq = cfg.sequence_len
     linear = (
         cfg.overhead_tflops
         - cfg.encoder_tflops
         - cfg.adapter_tflops
         + cfg.per_token_tflops * cfg.tokens_per_frame
     )
-    attention = cfg.attn_quad_tflops * float(seq) ** 2
-    total = cfg.encoder_tflops + cfg.adapter_tflops + linear + attention
     return CostReport(
         tokens_per_frame=cfg.tokens_per_frame,
-        sequence_len=seq,
-        total_tflops=total,
+        sequence_len=cfg.sequence_len,
+        total_tflops=cfg.encoder_tflops + cfg.adapter_tflops + linear,
         encoder_tflops=cfg.encoder_tflops,
         adapter_tflops=cfg.adapter_tflops,
         llm_linear_tflops=linear,
-        llm_attention_tflops=attention,
     )
 
 
@@ -184,7 +125,6 @@ class CalibrationResult:
 
     overhead_tflops: float  # c0
     per_token_tflops: float  # c1
-    attn_quad_tflops: float  # c2 (zero unless fit_quadratic)
     points: tuple[tuple[int, float], ...]
     residuals: tuple[float, ...]
 
@@ -193,33 +133,16 @@ class CalibrationResult:
         return max(abs(r) for r in self.residuals)
 
 
-def calibrate(
-    points=REFERENCE_TOTALS,
-    fit_quadratic: bool = False,
-    frames: int = REFERENCE_FRAMES,
-    prompt_len: int = 0,
-) -> CalibrationResult:
-    """Fit the cost model's coefficients to measured (k, total) pairs.
-
-    The plain fit solves for c0 and c1 only; with ``fit_quadratic`` the
-    squared sequence length (derived from ``frames`` and ``prompt_len``)
-    joins the design matrix and c2 is fit as well.
-    """
+def calibrate(points=REFERENCE_TOTALS) -> CalibrationResult:
+    """Fit c0 and c1 to measured (k, total) pairs."""
     pts = [(int(k), float(total)) for k, total in points]
-    unknowns = 3 if fit_quadratic else 2
-    if len(pts) < unknowns:
-        raise ParameterError(
-            f"need at least {unknowns} calibration points, got {len(pts)}"
-        )
+    if len(pts) < 2:
+        raise ParameterError(f"need at least 2 calibration points, got {len(pts)}")
     ks = np.array([k for k, _ in pts], dtype=np.float64)
     totals = np.array([t for _, t in pts], dtype=np.float64)
     if ks.min() < 1:
         raise ParameterError("calibration points need k >= 1")
-    columns = [np.ones_like(ks), ks]
-    if fit_quadratic:
-        seq = frames * ks + prompt_len
-        columns.append(seq**2)
-    design = np.stack(columns, axis=1)
+    design = np.stack([np.ones_like(ks), ks], axis=1)
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise FitError("calibration points are degenerate (identical k values)")
     coef, *_ = np.linalg.lstsq(design, totals, rcond=None)
@@ -227,7 +150,6 @@ def calibrate(
     return CalibrationResult(
         overhead_tflops=float(coef[0]),
         per_token_tflops=float(coef[1]),
-        attn_quad_tflops=float(coef[2]) if fit_quadratic else 0.0,
         points=tuple(pts),
         residuals=tuple(float(r) for r in residuals),
     )
@@ -237,7 +159,6 @@ def calibrated_config(
     result: CalibrationResult,
     frames: int = REFERENCE_FRAMES,
     tokens_per_frame: int = 128,
-    prompt_len: int = 0,
     encoder_tflops: float = 0.0,
     adapter_tflops: float = 0.0,
 ) -> CostConfig:
@@ -245,33 +166,8 @@ def calibrated_config(
     return CostConfig(
         frames=frames,
         tokens_per_frame=tokens_per_frame,
-        prompt_len=prompt_len,
         overhead_tflops=result.overhead_tflops,
         per_token_tflops=result.per_token_tflops,
-        attn_quad_tflops=result.attn_quad_tflops,
-        encoder_tflops=encoder_tflops,
-        adapter_tflops=adapter_tflops,
-    )
-
-
-def analytic_config(
-    decoder: DecoderSpec = DEFAULT_DECODER,
-    frames: int = REFERENCE_FRAMES,
-    tokens_per_frame: int = 128,
-    prompt_len: int = 0,
-    overhead_tflops: float = 31.7,
-    encoder_tflops: float = 0.0,
-    adapter_tflops: float = 0.0,
-    include_attention: bool = False,
-) -> CostConfig:
-    """A cost configuration with coefficients derived from decoder shape."""
-    return CostConfig(
-        frames=frames,
-        tokens_per_frame=tokens_per_frame,
-        prompt_len=prompt_len,
-        overhead_tflops=overhead_tflops,
-        per_token_tflops=per_token_tflops(decoder, frames),
-        attn_quad_tflops=attention_tflops_coeff(decoder) if include_attention else 0.0,
         encoder_tflops=encoder_tflops,
         adapter_tflops=adapter_tflops,
     )
@@ -288,12 +184,12 @@ def sweep(k_values, template: CostConfig) -> tuple[CostReport, ...]:
 def sweep_csv(k_values, template: CostConfig) -> str:
     """CSV rendering of :func:`sweep` (header plus one row per k)."""
     out = io.StringIO()
-    out.write("k,total_tflops,encoder,adapter,llm_linear,llm_attention\n")
+    out.write("k,total_tflops,encoder,adapter,llm_linear\n")
     for report in sweep(k_values, template):
         out.write(
             f"{report.tokens_per_frame},{report.total_tflops:.6f},"
             f"{report.encoder_tflops:.6f},{report.adapter_tflops:.6f},"
-            f"{report.llm_linear_tflops:.6f},{report.llm_attention_tflops:.6f}\n"
+            f"{report.llm_linear_tflops:.6f}\n"
         )
     return out.getvalue()
 
@@ -303,11 +199,9 @@ def calibration_report_text(result: CalibrationResult) -> str:
     lines = [
         f"overhead_tflops (c0):  {result.overhead_tflops:.6f}",
         f"per_token_tflops (c1): {result.per_token_tflops:.6f}",
+        f"max |residual|:        {result.max_abs_residual:.6f}",
+        "point residuals:",
     ]
-    if result.attn_quad_tflops:
-        lines.append(f"attn_quad_tflops (c2): {result.attn_quad_tflops:.3e}")
-    lines.append(f"max |residual|:        {result.max_abs_residual:.6f}")
-    lines.append("point residuals:")
     for (k, total), res in zip(result.points, result.residuals):
         lines.append(f"  k={k:<4d} measured={total:<8.2f} residual={res:+.4f}")
     return "\n".join(lines) + "\n"

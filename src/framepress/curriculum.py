@@ -30,8 +30,6 @@ DATA_TYPES = (
     "unspecified",
 )
 
-STRATEGIES = ("S4-V", "S3-IV", "S2-S3-IV")
-
 # Image datasets by training-stage role.
 IMAGE_DATASET_ROLES = {
     "align": ("LAION",),
@@ -41,6 +39,15 @@ IMAGE_DATASET_ROLES = {
 
 VIDEO_PRETRAIN_DATASET = "Valley702k"
 VIDEO_INSTRUCT_DATASET = "VideoInstruct"
+
+# The placement rule of each strategy: the stages that carry video data,
+# and which video dataset each one mixes in.
+VIDEO_PLACEMENT = {
+    "S4-V": {"video-instruct": VIDEO_INSTRUCT_DATASET},
+    "S3-IV": {"instruct": VIDEO_INSTRUCT_DATASET},
+    "S2-S3-IV": {"pretrain": VIDEO_PRETRAIN_DATASET, "instruct": VIDEO_INSTRUCT_DATASET},
+}
+STRATEGIES = tuple(VIDEO_PLACEMENT)
 
 # What gets optimizer updates in each stage. The first stage only warms
 # up the adapter; later stages unfreeze the language model and the last
@@ -332,17 +339,12 @@ class StagePlan:
             )
         stages = tuple(self.stages)
         names = [s.name for s in stages]
-        expected = ["align", "pretrain", "instruct"]
-        if len(names) == 4:
-            expected.append("video-instruct")
+        # The three image stages, then an optional video-instruct stage.
+        expected = list(STAGE_TRAINABLE)[: 4 if len(names) == 4 else 3]
         if names != expected:
             raise PlanError(f"stage order must be {expected}, got {names}")
         video_stages = {s.name for s in stages if s.video_dataset is not None}
-        allowed = {
-            "S4-V": {"video-instruct"},
-            "S3-IV": {"instruct"},
-            "S2-S3-IV": {"pretrain", "instruct"},
-        }[self.strategy]
+        allowed = set(VIDEO_PLACEMENT[self.strategy])
         if video_stages != allowed:
             raise PlanError(
                 f"strategy {self.strategy} places video data in {sorted(allowed)}, "
@@ -368,44 +370,31 @@ def make_plan(
         raise ParameterError(
             f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
         )
-    if strategy != "S2-S3-IV" and pretrain_fraction is not None:
+    placement = VIDEO_PLACEMENT[strategy]
+    if "pretrain" not in placement and pretrain_fraction is not None:
         raise PlanError(
             f"strategy {strategy} keeps the pretrain stage video-free; "
             "pretrain_fraction is not allowed"
         )
-    if strategy == "S2-S3-IV" and pretrain_fraction is None:
-        raise PlanError("strategy S2-S3-IV needs a pretrain_fraction")
+    if "pretrain" in placement and pretrain_fraction is None:
+        raise PlanError(f"strategy {strategy} needs a pretrain_fraction")
     video_fraction = 1.0 if instruct_fraction is None else instruct_fraction
-
-    def stage(name, video_dataset=None, video_fraction=None):
-        return StageSpec(
-            name=name,
-            image_datasets=IMAGE_DATASET_ROLES.get(name, ()),
-            video_dataset=video_dataset,
-            video_fraction=video_fraction,
-            trainable=STAGE_TRAINABLE[name],
+    stages = []
+    for name in STAGE_TRAINABLE:
+        dataset = placement.get(name)
+        if name == "video-instruct" and dataset is None:
+            continue  # the fourth stage exists only to carry video data
+        fraction = pretrain_fraction if name == "pretrain" else video_fraction
+        stages.append(
+            StageSpec(
+                name=name,
+                image_datasets=IMAGE_DATASET_ROLES.get(name, ()),
+                video_dataset=dataset,
+                video_fraction=None if dataset is None else fraction,
+                trainable=STAGE_TRAINABLE[name],
+            )
         )
-
-    if strategy == "S4-V":
-        stages = (
-            stage("align"),
-            stage("pretrain"),
-            stage("instruct"),
-            stage("video-instruct", VIDEO_INSTRUCT_DATASET, video_fraction),
-        )
-    elif strategy == "S3-IV":
-        stages = (
-            stage("align"),
-            stage("pretrain"),
-            stage("instruct", VIDEO_INSTRUCT_DATASET, video_fraction),
-        )
-    else:  # S2-S3-IV
-        stages = (
-            stage("align"),
-            stage("pretrain", VIDEO_PRETRAIN_DATASET, pretrain_fraction),
-            stage("instruct", VIDEO_INSTRUCT_DATASET, video_fraction),
-        )
-    return StagePlan(strategy=strategy, stages=stages)
+    return StagePlan(strategy=strategy, stages=tuple(stages))
 
 
 def plan_to_text(plan: StagePlan) -> str:

@@ -137,6 +137,16 @@ def test_cost_uses_builtin_reference_by_default(capsys):
     code, out, _ = run(capsys, "cost")
     assert code == 0
     assert "k=256" in out
+    # The sweep over the reference budgets: c0 + c1*k, all of it decoder-linear.
+    assert out.splitlines()[-7:] == [
+        "k,total_tflops,encoder,adapter,llm_linear",
+        "4,32.138850,0.000000,0.000000,32.138850",
+        "16,33.468856,0.000000,0.000000,33.468856",
+        "32,35.242197,0.000000,0.000000,35.242197",
+        "64,38.788879,0.000000,0.000000,38.788879",
+        "128,45.882244,0.000000,0.000000,45.882244",
+        "256,60.068973,0.000000,0.000000,60.068973",
+    ]
 
 
 def test_subsample_and_filter(tmp_path, capsys):
@@ -249,6 +259,12 @@ BAD_INPUTS = {
     ],
     "non-integer --k": lambda tmp: ["cost", "--k", "a,b"],
     "non-numeric csv": lambda tmp: _cost_with_csv(tmp, "k,tflops\n4,32.1\n16,lots\n"),
+    "infinite csv tflops": lambda tmp: _cost_with_csv(tmp, "k,tflops\n4,32.1\n16,inf\n"),
+    "csv tflops past float range": lambda tmp: _cost_with_csv(tmp, "k,tflops\n4,32.1\n16,1e400\n"),
+    "negative csv tflops": lambda tmp: _cost_with_csv(
+        tmp, "k,tflops\n4,32.14\n16,33.47\n32,35.24\n64,-1\n"
+    ),
+    "csv k of zero": lambda tmp: _cost_with_csv(tmp, "k,tflops\n0,30.0\n16,33.47\n"),
     "sidecar not an object": lambda tmp: _assemble_with_sidecar(tmp, "[2]"),
     "sidecar without keep": lambda tmp: _assemble_with_sidecar(tmp, '{"indices": [[0, 1], [0, 1]]}'),
     "sidecar keep not integer": lambda tmp: _assemble_with_sidecar(
@@ -286,6 +302,9 @@ BAD_INPUTS = {
     "--seed with --images": lambda tmp: _encode_images(tmp, (28, 28, 3)) + ["--seed", "4"],
     "negative --width for a new checkpoint": lambda tmp: _fuzz_features(tmp)[1] + ["--width", "-1"],
     "cost --k with a zero": lambda tmp: ["cost", "--k", "4,0"],
+    "compress --k refused with a new checkpoint": lambda tmp: _fuzz_features(tmp)[1] + [
+        "--checkpoint", str(tmp / "ckpt"), "--k", "99"
+    ],
     "text file as --images": lambda tmp: _encode_npy(tmp, b"0.5 0.5 0.5\n"),
     "empty file as --images": lambda tmp: _encode_npy(tmp, b""),
     "zip-like file as --images": lambda tmp: _encode_npy(tmp, b"PK\x03\x04 not a zip"),
@@ -331,6 +350,11 @@ BAD_INPUTS = {
 # What each case's error message must name.
 NAMED_IN_ERROR = {
     "non-UTF-8 csv": "measured.csv",
+    "infinite csv tflops": "measured.csv:3: tflops must be finite and >= 0, got 'inf'",
+    "csv tflops past float range": "measured.csv:3: tflops must be finite and >= 0, got '1e400'",
+    "negative csv tflops": "measured.csv:5: tflops must be finite and >= 0, got '-1'",
+    "csv k of zero": "measured.csv:2: k must be >= 1, got 0",
+    "compress --k refused with a new checkpoint": "k must be in [1, 32], got 99",
     "non-UTF-8 sidecar": "kept.ftv1.json",
     "non-UTF-8 checkpoint header": "adapter.json",
     "mismatched --images sizes": "frame 1 shape (2, 3, 64) differs from frame 0 (2, 2, 64)",

@@ -4,17 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framepress.cost import (
-    DEFAULT_DECODER,
     REFERENCE_TOTALS,
     CostConfig,
-    DecoderSpec,
-    analytic_config,
-    attention_tflops_coeff,
     calibrate,
     calibrated_config,
     calibration_report_text,
     estimate,
-    per_token_tflops,
     sweep,
     sweep_csv,
 )
@@ -32,7 +27,6 @@ def test_calibrate_reproduces_oracle_fit():
     assert result.overhead_tflops == pytest.approx(ORACLE_C0, abs=1e-9)
     assert result.per_token_tflops == pytest.approx(ORACLE_C1, abs=1e-12)
     assert result.max_abs_residual == pytest.approx(ORACLE_MAX_RESIDUAL, abs=1e-9)
-    assert result.attn_quad_tflops == 0.0
 
 
 def test_calibrated_model_reproduces_reference_totals():
@@ -40,29 +34,6 @@ def test_calibrated_model_reproduces_reference_totals():
     for k, total in REFERENCE_TOTALS:
         cfg = calibrated_config(result, tokens_per_frame=k)
         assert estimate(cfg).total_tflops == pytest.approx(total, abs=0.05)
-
-
-def test_analytic_per_token_coefficient_matches_fit():
-    # frames * 2 * params / 1e12 for a 7B decoder at 8 frames lands within
-    # 2% of the fitted slope — the fit is physically plausible.
-    c1 = per_token_tflops(DEFAULT_DECODER, 8)
-    assert c1 == pytest.approx(0.112, abs=1e-6)
-    assert abs(c1 - ORACLE_C1) / ORACLE_C1 < 0.02
-
-
-def test_attention_coefficient_scale():
-    c2 = attention_tflops_coeff(DEFAULT_DECODER)
-    assert c2 == pytest.approx(2 * 32 * 4096 / 1e12)
-
-
-def test_quadratic_calibration_recovers_synthetic_coefficients():
-    c0, c1, c2 = 30.0, 0.1, 3e-7
-    pts = [(k, c0 + c1 * k + c2 * (8 * k) ** 2) for k in (4, 16, 64, 128, 256)]
-    result = calibrate(pts, fit_quadratic=True, frames=8)
-    assert result.overhead_tflops == pytest.approx(c0, rel=1e-9)
-    assert result.per_token_tflops == pytest.approx(c1, rel=1e-9)
-    assert result.attn_quad_tflops == pytest.approx(c2, rel=1e-6)
-    assert result.max_abs_residual < 1e-9
 
 
 def test_calibrate_input_validation():
@@ -77,32 +48,23 @@ def test_calibrate_input_validation():
 @given(
     st.integers(1, 16),
     st.integers(1, 512),
-    st.integers(0, 256),
     st.floats(0.0, 100.0),
     st.floats(0.0, 1.0),
-    st.floats(0.0, 1e-5),
 )
 @settings(max_examples=150, deadline=None)
-def test_breakdown_always_sums_to_total(frames, k, prompt, c0, c1, c2):
+def test_breakdown_always_sums_to_total(frames, k, c0, c1):
     cfg = CostConfig(
         frames=frames,
         tokens_per_frame=k,
-        prompt_len=prompt,
         overhead_tflops=c0,
         per_token_tflops=c1,
-        attn_quad_tflops=c2,
         encoder_tflops=c0 * 0.25,
         adapter_tflops=c0 * 0.25,
     )
     report = estimate(cfg)
-    parts = (
-        report.encoder_tflops
-        + report.adapter_tflops
-        + report.llm_linear_tflops
-        + report.llm_attention_tflops
-    )
+    parts = report.encoder_tflops + report.adapter_tflops + report.llm_linear_tflops
     assert parts == pytest.approx(report.total_tflops, rel=1e-12)
-    assert report.sequence_len == frames * k + prompt
+    assert report.sequence_len == frames * k
 
 
 def test_config_validation():
@@ -110,7 +72,6 @@ def test_config_validation():
         CostConfig(
             frames=0,
             tokens_per_frame=1,
-            prompt_len=0,
             overhead_tflops=1.0,
             per_token_tflops=0.1,
         )
@@ -118,32 +79,29 @@ def test_config_validation():
         CostConfig(
             frames=1,
             tokens_per_frame=1,
-            prompt_len=0,
             overhead_tflops=1.0,
             per_token_tflops=0.1,
             encoder_tflops=0.9,
             adapter_tflops=0.2,  # slices exceed overhead
         )
-    with pytest.raises(ParameterError):
-        DecoderSpec(layers=0, hidden=1, params=1)
 
 
 def test_sweep_monotone_and_csv_shape():
-    template = analytic_config(include_attention=True)
+    template = calibrated_config(calibrate())
     ks = (4, 16, 64, 256)
     reports = sweep(ks, template)
     totals = [r.total_tflops for r in reports]
     assert totals == sorted(totals)
     csv = sweep_csv(ks, template)
     lines = csv.strip().splitlines()
-    assert lines[0] == "k,total_tflops,encoder,adapter,llm_linear,llm_attention"
+    assert lines[0] == "k,total_tflops,encoder,adapter,llm_linear"
     assert len(lines) == 5
     assert lines[1].startswith("4,")
 
 
 def test_sweep_rejects_empty():
     with pytest.raises(ParameterError):
-        sweep((), analytic_config())
+        sweep((), calibrated_config(calibrate()))
 
 
 def test_calibration_report_text_lists_residuals():
