@@ -13,11 +13,14 @@ single-head cross-attention block:
 The projection can run before attending or after mixing. With x a
 frame's (M, D) shifted tokens, W the (D, C) projection, q the (N, C)
 queries and pos the positional table, the logits q·(xW + pos)ᵀ equal
-(q·Wᵀ)·xᵀ + q·posᵀ and the tokens A·(xW) equal (A·x)·W. Both sides are the
-same products associated differently, so the function is the same up to
-floating-point rounding. Projecting after mixing maps the queries into
-feature space once per video, lets each frame mix its own D-wide
-features, and projects only the mixed rows a caller keeps. That pays
+q·(xW)ᵀ + q·posᵀ and (q·Wᵀ)·xᵀ + q·posᵀ, and the tokens A·(xW) equal
+(A·x)·W. Both sides are the same products associated differently, so the
+function is the same up to floating-point rounding. Both add the
+positions as the logit bias s·q·posᵀ, formed once per video, so the
+attention's keys are its values (xW or x) and no (T, M, C) key array is
+held. Projecting after mixing maps the queries into feature space once
+per video, lets each frame mix its own D-wide features, and projects
+only the mixed rows a caller keeps. That pays
 when D is not much above C and few rows are kept, as when
 :func:`framepress.sampler.compress_video` keeps K of the N rows at the
 paper shape. :func:`attend` picks the association with fewer FLOPs for the
@@ -282,6 +285,10 @@ def _projects_after_mixing(params: AdapterParams, frames: int, rows: int) -> boo
     default shape (T=8, 8x8 grid so M=64, N=32, D=64, C=32) for neither
     ``compress --k 16`` (3.93 against 3.67 MFLOP) nor all N rows (5.51
     against 4.19).
+
+    Projecting first also forms the position bias s·q·posᵀ (:func:`_operands`),
+    2·N·M·C per video, which this count leaves out. Counting it flips
+    neither side at these shapes (paper, all N rows: 6.58 against 7.11).
     """
     t, n, m = frames, params.query_count, params.source_tokens
     d, c = params.feature_dim, params.width
@@ -291,29 +298,29 @@ def _projects_after_mixing(params: AdapterParams, frames: int, rows: int) -> boo
 
 
 def _operands(features: np.ndarray, params: AdapterParams, after: bool):
-    """The attention's ``(queries, keys, values, bias)`` over (T, M, D)
-    ``features``. Projecting after mixing, the queries q·Wᵀ attend over the
-    features, with the (N, M) logit bias s·q·posᵀ; projecting first, the
-    values are the projected features and the keys add the positions."""
+    """The attention's ``(queries, values, bias)`` over (T, M, D)
+    ``features``. The values are also the keys: in both associations the
+    positions enter as the (N, M) logit bias s·q·posᵀ. Projecting after
+    mixing, the queries q·Wᵀ attend over the features; projecting first,
+    the queries attend over the projected features."""
     queries = params.queries
+    bias = params.scale * (queries @ params.pos_table.T)
     if after:
-        bias = params.scale * (queries @ params.pos_table.T)
-        return queries @ params.input_proj.T, features, features, bias
-    values = _project(features, params)
-    return queries, values + params.pos_table, values, None
+        return queries @ params.input_proj.T, features, bias
+    return queries, _project(features, params), bias
 
 
-def _attend_frames(queries, keys, values, bias, scale: float):
+def _attend_frames(queries, values, bias, scale: float):
     """``(attention, mixed)``, (T, N, M) and (T, N, ·), one
-    :func:`cross_attention` call per frame. One stacked
-    :func:`attention_weights` call would do; the loop stays because
+    :func:`cross_attention` call per frame over ``values`` as keys. One
+    stacked :func:`attention_weights` call would do; the loop stays because
     ``perfbench``'s ``toy_train`` test pins a call per frame in each
     training step's forward and backward."""
-    t_count, n = keys.shape[0], queries.shape[0]
-    attention = np.empty((t_count, n, keys.shape[1]))
-    mixed = np.empty((t_count, n, values.shape[2]))
+    t_count, m, width = values.shape
+    attention = np.empty((t_count, queries.shape[0], m))
+    mixed = np.empty((t_count, queries.shape[0], width))
     for t in range(t_count):
-        attention[t], mixed[t] = cross_attention(queries, keys[t], values[t], scale, bias)
+        attention[t], mixed[t] = cross_attention(queries, values[t], values[t], scale, bias)
     return attention, mixed
 
 
@@ -349,8 +356,8 @@ def attend(video: VideoTokenTensor, params: AdapterParams, rows: int):
         # softmax ignores, so the unshifted features give the same
         # attention; and attention rows sum to 1, so mixing the shifted
         # values is mixing the unshifted ones, plus the shift.
-        queries, keys, values, bias = _operands(features, params, after)
-        attention = attention_weights(queries, keys, params.scale, bias)
+        queries, values, bias = _operands(features, params, after)
+        attention = attention_weights(queries, values, params.scale, bias)
         shift = params.temporal if after else params.temporal @ params.input_proj
 
         def rows_of(indices):

@@ -145,8 +145,12 @@ def calibrate(points=REFERENCE_TOTALS) -> CalibrationResult:
     design = np.stack([np.ones_like(ks), ks], axis=1)
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise FitError("calibration points are degenerate (identical k values)")
-    coef, *_ = np.linalg.lstsq(design, totals, rcond=None)
-    residuals = totals - design @ coef
+    # Totals near the float64 limit overflow the fit; that is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef, *_ = np.linalg.lstsq(design, totals, rcond=None)
+        residuals = totals - design @ coef
+    if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(residuals))):
+        raise FitError("the fit of c0 and c1 to these points overflows float64")
     return CalibrationResult(
         overhead_tflops=float(coef[0]),
         per_token_tflops=float(coef[1]),

@@ -13,7 +13,7 @@ suite measures.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .linalg import _read_only, split_rng
 from .sampler import SampledTokens, sample_video
 
 SCHEMA_VERSION = 1
-
-TARGET_MODES = ("readout", "init")
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,6 @@ class ToyTaskSpec:
     steps: int = 150
     learning_rate: float = 0.5
     batch_videos: int = 4
-    target_mode: str = "readout"
 
     def __post_init__(self):
         m = self.grid_h * self.grid_w
@@ -125,10 +122,6 @@ class ToyTaskSpec:
             raise ParameterError("learning_rate must be finite and >= 0")
         if not np.isfinite(self.noise_scale) or self.noise_scale < 0:
             raise ParameterError("noise_scale must be finite and >= 0")
-        if self.target_mode not in TARGET_MODES:
-            raise ParameterError(
-                f"target_mode must be one of {TARGET_MODES}, got {self.target_mode!r}"
-            )
 
     @property
     def patch_tokens(self) -> int:
@@ -139,8 +132,7 @@ def spec_from_dict(raw: dict) -> ToyTaskSpec:
     """Build a :class:`ToyTaskSpec` from parsed config text.
 
     Unknown keys are rejected, and each value must have its default's type:
-    an int field takes an int (not a bool), a float field an int or a float,
-    ``target_mode`` a string.
+    an int field takes an int (not a bool), a float field an int or a float.
     """
     defaults = asdict(ToyTaskSpec())
     unknown = set(raw) - set(defaults)
@@ -208,52 +200,54 @@ class RunReport:
         )
 
 
-@dataclass
-class _ToyBatch:
-    videos: list[VideoTokenTensor]
-    targets: np.ndarray  # (B, out)
-
-
-def _make_batch(spec: ToyTaskSpec, data_rng, target_rng) -> _ToyBatch:
+def _make_batch(spec: ToyTaskSpec, data_rng, target_rng):
+    """The batch's videos and their (B, out) regression targets."""
     b, t = spec.batch_videos, spec.frames
     m, d, s = spec.patch_tokens, spec.feature_dim, spec.signal_patches
-    feats = spec.noise_scale * data_rng.normal(size=(b, t, m, d))
-    positions = []
-    for vb in range(b):
-        per_frame = []
-        for ft in range(t):
-            pos = data_rng.choice(m, size=s, replace=False)
-            feats[vb, ft, pos, :] += data_rng.normal(size=d)
-            per_frame.append(np.sort(pos))
-        positions.append(per_frame)
-    readout = target_rng.normal(size=(d, spec.out_dim)) / np.sqrt(d)
-    targets = np.empty((b, spec.out_dim))
-    for vb in range(b):
-        signal_mean = np.mean(
-            [feats[vb, ft, positions[vb][ft], :].mean(axis=0) for ft in range(t)],
-            axis=0,
+    # A noise_scale near the float64 limit overflows the draw: bad input,
+    # refused below, not a divergence for the step loop to report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats = spec.noise_scale * data_rng.normal(size=(b, t, m, d))
+        positions = []
+        for vb in range(b):
+            per_frame = []
+            for ft in range(t):
+                pos = data_rng.choice(m, size=s, replace=False)
+                feats[vb, ft, pos, :] += data_rng.normal(size=d)
+                per_frame.append(np.sort(pos))
+            positions.append(per_frame)
+        readout = target_rng.normal(size=(d, spec.out_dim)) / np.sqrt(d)
+        targets = np.empty((b, spec.out_dim))
+        for vb in range(b):
+            signal_mean = np.mean(
+                [feats[vb, ft, positions[vb][ft], :].mean(axis=0) for ft in range(t)],
+                axis=0,
+            )
+            targets[vb] = signal_mean @ readout
+    if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(targets))):
+        raise ParameterError(
+            f"noise_scale {spec.noise_scale} overflows the drawn toy batch"
         )
-        targets[vb] = signal_mean @ readout
     # Read-only, so each video wraps a view of the batch without a copy.
     feats.setflags(write=False)
     videos = [
         VideoTokenTensor(feats[vb].reshape(t, spec.grid_h, spec.grid_w, d))
         for vb in range(b)
     ]
-    return _ToyBatch(videos=videos, targets=targets)
+    return videos, targets
 
 
-def _forward(spec: ToyTaskSpec, batch: _ToyBatch, params: AdapterParams, head):
-    """Loss, predictions, and everything the backward pass needs."""
-    outputs = [adapt_video(video, params) for video in batch.videos]
+def _forward(spec: ToyTaskSpec, videos, targets, params: AdapterParams, head):
+    """The loss and what the backward pass reads: the pooled tokens, the
+    prediction error and the kept tokens of each video."""
+    outputs = [adapt_video(video, params) for video in videos]
     sampled = [sample_video(out, spec.keep) for out in outputs]
     pooled = np.stack(
         [s.tokens.reshape(-1, s.width).mean(axis=0) for s in sampled]
     )  # (B, C)
-    preds = pooled @ head  # (B, out)
-    diff = preds - batch.targets
+    diff = pooled @ head - targets  # (B, out)
     loss = float(np.mean(diff**2))
-    return loss, preds, pooled, diff, outputs, sampled
+    return loss, pooled, diff, sampled
 
 
 def train_toy(spec: ToyTaskSpec) -> RunReport:
@@ -266,7 +260,7 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
     if the loss leaves the finite range.
     """
     data_rng, target_rng = split_rng(spec.seed, 2)
-    batch = _make_batch(spec, data_rng, target_rng)
+    videos, targets = _make_batch(spec, data_rng, target_rng)
     params = init_adapter_params(
         queries=spec.queries,
         width=spec.embed_dim,
@@ -281,9 +275,6 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
         .astype(np.float32)
         .astype(np.float64)
     )
-    if spec.target_mode == "init":
-        _, preds0, *_ = _forward(spec, batch, params, head)
-        batch = replace(batch, targets=preds0)
 
     b, t, k = spec.batch_videos, spec.frames, spec.keep
     n, c = spec.queries, spec.embed_dim
@@ -296,8 +287,8 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
             # Overflow here is not a bug to warn about — it is the
             # divergence this loop reports by step index.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, preds, pooled, diff, outputs, sampled = _forward(
-                    spec, batch, params, head
+                loss, pooled, diff, sampled = _forward(
+                    spec, videos, targets, params, head
                 )
         except NumericError as exc:
             raise NumericError(f"loss diverged at step {step}: {exc}") from exc
@@ -316,7 +307,7 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
             # Mean pooling spreads the gradient evenly over the kept tokens.
             token_grads = np.zeros((t, n, c))
             token_grads[frame_rows, sampled[vb].indices] = g_pooled[vb] / (t * k)
-            grads = adapter_gradients(batch.videos[vb], params, token_grads)
+            grads = adapter_gradients(videos[vb], params, token_grads)
             g_proj += grads.input_proj
             g_queries += grads.queries
             g_temporal += grads.temporal
@@ -328,7 +319,6 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
             raise NumericError(f"loss diverged at step {step}: {exc}") from exc
         head = head - spec.learning_rate * g_head
 
-    checks = _run_checks(outputs, sampled, curve)
     calibration = cost.calibrate()
     cost_cfg = cost.calibrated_config(
         calibration, frames=spec.frames, tokens_per_frame=spec.keep
@@ -342,35 +332,7 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
             "final_loss": curve[-1],
             "steps_run": spec.steps,
         },
-        checks=tuple(checks),
+        checks=(),
         cost_summary=cost.estimate(cost_cfg).as_dict(),
     )
 
-
-def _run_checks(outputs, sampled, curve) -> list[dict]:
-    """Cheap invariants evaluated on the final state of a training run."""
-    worst_row = max(
-        float(np.max(np.abs(out.attention.sum(axis=2) - 1.0))) for out in outputs
-    )
-    rows_ok = worst_row <= 1e-9
-    kept_ok = all(
-        np.unique(idx).size == idx.size for s in sampled for idx in s.indices
-    )
-    finite_ok = all(np.isfinite(v) for v in curve)
-    return [
-        {
-            "name": "attention_rows_sum_to_one",
-            "passed": bool(rows_ok),
-            "detail": f"max row-sum deviation {worst_row:.3e}",
-        },
-        {
-            "name": "kept_indices_distinct",
-            "passed": bool(kept_ok),
-            "detail": "per-frame kept indices are unique",
-        },
-        {
-            "name": "loss_curve_finite",
-            "passed": bool(finite_ok),
-            "detail": f"{len(curve)} recorded losses",
-        },
-    ]

@@ -12,13 +12,15 @@ failures are report content, with a counterexample in the detail string.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import cost, curriculum, ftv1
 from .adapter import (
+    AdapterGrads,
     AdapterOutput,
     adapt_video,
     adapter_gradients,
@@ -218,74 +220,32 @@ def check_attention_validity(passes: int = 1000, seed: int = 2028) -> CheckResul
 
 
 def _grad_check_point(seed: int, step: float, k: int, margin: float):
-    """One gradient-check instance, or None if the top-K boundary margin
-    is too tight for finite differences to stay on one selection branch."""
+    """Each parameter field's relative gradient error at one instance, or
+    None if the top-K boundary margin is too tight for finite differences
+    to stay on one selection branch."""
     video = synthetic_video(frames=2, grid_h=2, grid_w=2, feature_dim=3, seed=seed)
     params = random_adapter_params(
         queries=3, width=4, feature_dim=3, source_tokens=4, frames=2, seed=seed + 1
     )
-
-    def selection_gap() -> float:
-        s = np.sort(score_frame(adapt_video(video, params).attention), axis=1)[:, ::-1]
-        if k >= s.shape[1]:
-            return np.inf
-        return float(np.min(s[:, k - 1] - s[:, k]))
-
-    if selection_gap() < margin:
+    out = adapt_video(video, params)
+    s = np.sort(score_frame(out.attention), axis=1)[:, ::-1]
+    if k < s.shape[1] and np.min(s[:, k - 1] - s[:, k]) < margin:
         return None
 
-    shapes = [
-        ("input_proj", params.input_proj.shape),
-        ("queries", params.queries.shape),
-        ("pos_table", params.pos_table.shape),
-        ("temporal", params.temporal.shape),
-    ]
-    sizes = [int(np.prod(s)) for _, s in shapes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    def unpack(x: np.ndarray):
-        fields = {}
-        for (field_name, shape), a, b in zip(shapes, offsets[:-1], offsets[1:]):
-            fields[field_name] = x[a:b].reshape(shape)
-        return replace(params, **fields)
-
-    def loss_at(x: np.ndarray) -> float:
-        p = unpack(x)
-        out = adapt_video(video, p)
-        sampled = sample_video(out, k)
+    def loss_at(name: str, x: np.ndarray) -> float:
+        p = replace(params, **{name: x.reshape(getattr(params, name).shape)})
+        sampled = sample_video(adapt_video(video, p), k)
         return float(sum(np.sum(tok**2) for tok in sampled.tokens))
 
-    x0 = np.concatenate(
-        [
-            params.input_proj.ravel(),
-            params.queries.ravel(),
-            params.pos_table.ravel(),
-            params.temporal.ravel(),
-        ]
-    )
-    fd = fd_gradient(loss_at, x0, step=step)
-
-    out = adapt_video(video, params)
     sampled = sample_video(out, k)
-    token_grads = np.zeros((2, 3, 4))
-    for t in range(2):
-        idx = sampled.indices[t]
-        token_grads[t, idx, :] = 2.0 * out.tokens[t][idx]
+    token_grads = np.zeros(out.tokens.shape)
+    np.put_along_axis(token_grads, sampled.indices[:, :, None], 2.0 * sampled.tokens, axis=1)
     grads = adapter_gradients(video, params, token_grads)
-    analytic = np.concatenate(
-        [
-            grads.input_proj.ravel(),
-            grads.queries.ravel(),
-            grads.pos_table.ravel(),
-            grads.temporal.ravel(),
-        ]
-    )
-
     errs = {}
-    for (field_name, _), a, b in zip(shapes, offsets[:-1], offsets[1:]):
-        num = np.linalg.norm(analytic[a:b] - fd[a:b])
-        den = max(np.linalg.norm(fd[a:b]), 1e-12)
-        errs[field_name] = num / den
+    for name in (f.name for f in fields(AdapterGrads)):
+        fd = fd_gradient(partial(loss_at, name), getattr(params, name).ravel(), step=step)
+        num = np.linalg.norm(getattr(grads, name).ravel() - fd)
+        errs[name] = num / max(np.linalg.norm(fd), 1e-12)
     return errs
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,25 @@ def test_association_follows_the_flop_count():
     toy = _zero_params(8, 64, 32, 32, 32)  # M = 2N: fewer rows than sources
     assert _projects_after_mixing(toy, 8, 32)
     assert _projects_after_mixing(toy, 8, 16)
+
+
+def test_projecting_first_holds_the_projected_features_once():
+    """All N rows at D = C and N = M project first; the positions enter as a
+    logit bias, so the projected features serve as keys and values and the
+    peak stays under 2.5 (T, M, C) arrays plus the (T, N, M) attention
+    (one copy each for the values and the tokens)."""
+    t, g, d = 8, 8, 256
+    m = g * g
+    video = synthetic_video(t, g, g, d, seed=1)
+    params = random_adapter_params(m, d, d, m, t, seed=2)
+    assert not _projects_after_mixing(params, t, m)
+    tracemalloc.start()
+    try:
+        adapt_video(video, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (2.5 * t * m * d + t * m * m)
 
 
 def test_positional_table_touches_keys_not_values():

@@ -5,6 +5,7 @@ import math
 import os
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,12 @@ BAD_INPUTS = {
     "--seed with --images": lambda tmp: _encode_images(tmp, (28, 28, 3)) + ["--seed", "4"],
     "negative --width for a new checkpoint": lambda tmp: _fuzz_features(tmp)[1] + ["--width", "-1"],
     "cost --k with a zero": lambda tmp: ["cost", "--k", "4,0"],
+    "cost --k past float range": lambda tmp: ["cost", "--k", "4,1" + "0" * 400],
+    "csv k past float range": lambda tmp: _cost_with_csv(tmp, f"k,tflops\n4,32.1\n1{'0' * 400},33\n"),
+    "csv tflops overflowing the fit": lambda tmp: _cost_with_csv(tmp, "k,tflops\n4,1e308\n8,0\n"),
+    "config noise_scale overflowing the batch": lambda tmp: _train_toy_with_config(
+        tmp, '{"noise_scale": 1e308, "steps": 1}'
+    ),
     "compress --k refused with a new checkpoint": lambda tmp: _fuzz_features(tmp)[1] + [
         "--checkpoint", str(tmp / "ckpt"), "--k", "99"
     ],
@@ -354,6 +361,10 @@ NAMED_IN_ERROR = {
     "csv tflops past float range": "measured.csv:3: tflops must be finite and >= 0, got '1e400'",
     "negative csv tflops": "measured.csv:5: tflops must be finite and >= 0, got '-1'",
     "csv k of zero": "measured.csv:2: k must be >= 1, got 0",
+    "cost --k past float range": "--k values must be at most 1.8e+308",
+    "csv k past float range": "measured.csv:3: k must be at most 1.8e+308",
+    "csv tflops overflowing the fit": "the fit of c0 and c1 to these points overflows",
+    "config noise_scale overflowing the batch": "noise_scale 1e+308 overflows",
     "compress --k refused with a new checkpoint": "k must be in [1, 32], got 99",
     "non-UTF-8 sidecar": "kept.ftv1.json",
     "non-UTF-8 checkpoint header": "adapter.json",
@@ -400,7 +411,9 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypat
         monkeypatch.setattr(cli, NEVER_CALLED[case], lambda *a: pytest.fail("ran before the path check"))
     capsys.readouterr()  # drop what setting up the inputs printed
     files = sorted(os.listdir(tmp_path))
-    code, out, err = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow warnings
+        code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -93,8 +93,6 @@ def test_toy_spec_validation():
     with pytest.raises(ParameterError):
         replace(QUICK_SPEC, signal_patches=5)  # grid has only 4 patches
     with pytest.raises(ParameterError):
-        replace(QUICK_SPEC, target_mode="exact")
-    with pytest.raises(ParameterError):
         replace(QUICK_SPEC, learning_rate=float("nan"))
 
 
@@ -109,8 +107,7 @@ def test_spec_from_dict_round_trip_and_unknown_keys():
 @pytest.mark.parametrize(
     "raw",
     [{"steps": "2"}, {"steps": True}, {"steps": 2.0}, {"steps": None},
-     {"learning_rate": "0.5"}, {"learning_rate": False}, {"learning_rate": 10**400},
-     {"target_mode": 1}],
+     {"learning_rate": "0.5"}, {"learning_rate": False}, {"learning_rate": 10**400}],
 )
 def test_spec_from_dict_rejects_mistyped_values(raw):
     with pytest.raises(ParameterError, match=repr(next(iter(raw)))):
@@ -140,13 +137,6 @@ def test_train_toy_is_bit_deterministic():
 def test_zero_learning_rate_freezes_the_loss():
     report = train_toy(replace(QUICK_SPEC, learning_rate=0.0, steps=6))
     assert len(set(report.loss_curve)) == 1
-
-
-def test_init_target_mode_starts_at_zero_loss():
-    report = train_toy(
-        replace(QUICK_SPEC, target_mode="init", noise_scale=0.0, steps=1)
-    )
-    assert report.loss_curve[0] <= 1e-20
 
 
 def test_divergence_aborts_with_step_index():

@@ -1,11 +1,17 @@
 """The verification suite itself needs teeth: these tests run the cheap
 checks for real and prove the expensive ones catch planted defects."""
 
-import numpy as np
+from dataclasses import fields, replace
 
+import numpy as np
+import pytest
+
+import framepress.verify as verify_mod
+from framepress.adapter import AdapterGrads
 from framepress.sampler import select_topk
 from framepress.verify import (
     check_attention_validity,
+    check_gradients,
     check_nesting,
     check_permutation_equivariance,
     check_reference_fit,
@@ -64,6 +70,20 @@ def test_attention_check_reports_rows_that_do_not_sum_to_one(monkeypatch):
     assert result.detail.startswith("case 0: ")
 
 
+@pytest.mark.parametrize("field", [f.name for f in fields(AdapterGrads)])
+def test_gradient_check_catches_one_wrong_field(field, monkeypatch):
+    adapter_gradients = verify_mod.adapter_gradients
+
+    def one_percent_off(*args):
+        grads = adapter_gradients(*args)
+        return replace(grads, **{field: 1.01 * getattr(grads, field)})
+
+    monkeypatch.setattr(verify_mod, "adapter_gradients", one_percent_off)
+    result = check_gradients(points=2)
+    assert not result.passed
+    assert f": {field} relative error" in result.detail
+
+
 def test_format_report_lists_every_check():
     report = RunReport(
         kind="verify",
@@ -83,8 +103,6 @@ def test_format_report_lists_every_check():
 
 
 def test_verify_report_is_serializable(monkeypatch):
-    import framepress.verify as verify_mod
-
     monkeypatch.setattr(
         verify_mod,
         "ALL_CHECKS",
