@@ -218,19 +218,18 @@ def init_adapter_params(
         raise ParameterError("queries, frames and feature_dim must be >= 1")
     pos = sinusoidal_pos_table(grid_h, grid_w, width)  # validates the width
     rng = make_rng(seed)
-    proj = rng.normal(size=(feature_dim, width)) / np.sqrt(feature_dim)
-    bank = rng.normal(size=(queries, width)) / np.sqrt(width)
+    proj = rng.standard_normal((feature_dim, width))
+    proj /= np.sqrt(feature_dim)
+    bank = rng.standard_normal((queries, width))
+    bank /= np.sqrt(width)
     temporal = np.zeros((frames, feature_dim))
-
-    def f32(a):
-        return a.astype(np.float32).astype(np.float64)
-
+    # Round each table in place and hand it over read-only, so
+    # AdapterParams keeps it without a copy.
+    for a in (proj, bank, pos, temporal):
+        a[...] = a.astype(np.float32)
+        a.setflags(write=False)
     return AdapterParams(
-        input_proj=f32(proj),
-        queries=f32(bank),
-        pos_table=f32(pos),
-        temporal=f32(temporal),
-        scale=scale,
+        input_proj=proj, queries=bank, pos_table=pos, temporal=temporal, scale=scale
     )
 
 

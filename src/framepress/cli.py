@@ -82,12 +82,14 @@ def _cmd_encode(args) -> int:
         proj = frozen_projection(patch, args.dim)
         feats = None  # (T, gh, gw, D), allocated once frame 0 sets the grid
         for i, path in enumerate(args.images):
-            try:
-                pixels = np.load(path)
-            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-                raise FormatError(f"{path}: not a numeric .npy array: {exc}") from exc
+            # np.load leaves a path it opened unclosed when a zip-like
+            # file is no archive, so the handle is ours to close.
+            with open(path, "rb") as fh:
+                try:
+                    pixels = np.load(fh)
+                except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+                    raise FormatError(f"{path}: not a numeric .npy array: {exc}") from exc
             if not isinstance(pixels, np.ndarray):
-                pixels.close()
                 raise FormatError(f"{path}: an .npz archive, not a .npy array")
             img = ImagePlane(pixels)
             grid = _patch_grid(img, patch) + (args.dim,)

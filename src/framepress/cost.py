@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FitError, ParameterError
+from .errors import FitError, NumericError, ParameterError
 
 # Measured end-to-end totals (kept tokens per frame -> TFLOPs) for an
 # 8-frame pipeline over a 7B-class decoder; used as the default
@@ -86,6 +86,11 @@ class CostReport:
     llm_linear_tflops: float
 
     def __post_init__(self):
+        # An overflowed total would pass the sum check: inf - inf is NaN.
+        if not np.isfinite(self.total_tflops):
+            raise NumericError(
+                f"the cost at k={self.tokens_per_frame} overflows float64"
+            )
         parts = self.encoder_tflops + self.adapter_tflops + self.llm_linear_tflops
         if abs(parts - self.total_tflops) > 1e-9 * max(1.0, abs(self.total_tflops)):
             raise ParameterError("cost breakdown does not sum to the total")

@@ -153,10 +153,18 @@ def _parse_line(path, where, raw: bytes):
     return fields, plain
 
 
+def _key(video_id: str, qa_id: str) -> str:
+    """One string for the record key (video_id, qa_id). The length prefix
+    keeps distinct pairs apart, and a str, unlike a tuple, is one object
+    the garbage collector does not track."""
+    return f"{len(video_id)}:{video_id}{qa_id}"
+
+
 def _scan(path):
-    """Yield ``(offset, fields, plain)`` for every non-blank line of a
-    manifest file, as ``_parse_line`` gives them, with the line's byte
-    offset; a repeated (video_id, qa_id) key is an error."""
+    """Yield ``(offset, key, fields, plain)`` for every non-blank line of a
+    manifest file: the line's byte offset, its ``_key``, and
+    ``_parse_line``'s fields and flag; a repeated (video_id, qa_id) key is
+    an error."""
     seen = set()
     offset = 0
     with open(path, "rb") as fh:
@@ -164,11 +172,11 @@ def _scan(path):
             parsed = _parse_line(path, lineno, raw)
             if parsed is not None:
                 fields, plain = parsed
-                key = fields[:2]
+                key = _key(fields[0], fields[1])
                 if key in seen:
-                    raise FormatError(f"{path}:{lineno}: duplicate record key {key}")
+                    raise FormatError(f"{path}:{lineno}: duplicate record key {fields[:2]}")
                 seen.add(key)
-                yield offset, fields, plain
+                yield offset, key, fields, plain
             offset += len(raw)
 
 
@@ -221,21 +229,25 @@ def subsample_file(
     heavily skewed.
 
     The manifest is not held in memory. The first pass validates every
-    record and keeps only each record's byte offset and key; the second
-    seeks to the kept records and parses only those, so ``src`` must be a
-    regular file that stays unchanged between the passes. Returns
+    record and keeps only each record's byte offset, key and video id;
+    the second seeks to the kept records and parses only those, so ``src``
+    must be a regular file that stays unchanged between the passes. Returns
     (videos, QA pairs) of ``src`` and of the output.
     """
     _check_subsample_args(fraction, qa_cap_per_video)
     if not stat.S_ISREG(os.stat(src).st_mode):
         raise FormatError(f"{src}: not a regular file; subsample reads it twice")
     offsets = array("q")
+    keys: list[str] = []
     video_ids: list[str] = []
-    qa_ids: list[str] = []
-    for offset, fields, _ in _scan(src):
+    video_id = None
+    for offset, key, fields, _ in _scan(src):
         offsets.append(offset)
-        video_ids.append(fields[0])
-        qa_ids.append(fields[1])
+        keys.append(key)
+        # Consecutive records of one video share one id string.
+        if fields[0] != video_id:
+            video_id = fields[0]
+        video_ids.append(video_id)
     kept, videos = _kept_positions(video_ids, fraction, seed, qa_cap_per_video)
     with open(src, "rb") as fh, _replacing(dst) as out:
         for i in kept:
@@ -245,9 +257,11 @@ def subsample_file(
                 parsed = _parse_line(src, f"byte {at}", fh.readline())
             except FormatError as exc:
                 raise FormatError(f"{exc}; the file changed after the first read") from exc
-            if parsed is None or parsed[0][:2] != (video_ids[i], qa_ids[i]):
+            if parsed is None or _key(*parsed[0][:2]) != keys[i]:
+                vid = video_ids[i]
+                qa_id = keys[i][len(_key(vid, "")):]
                 raise FormatError(
-                    f"{src}:byte {at}: expected record ({video_ids[i]!r}, {qa_ids[i]!r}) "
+                    f"{src}:byte {at}: expected record ({vid!r}, {qa_id!r}) "
                     "on the second read; the file changed"
                 )
             out.write(_record_line(*parsed))
@@ -273,7 +287,7 @@ def filter_file(src, dst, types) -> tuple[int, int]:
     wanted = _check_types(types)
     read = kept = 0
     with _replacing(dst) as out:
-        for _, fields, plain in _scan(src):
+        for _, _, fields, plain in _scan(src):
             read += 1
             if fields[4] in wanted:
                 kept += 1

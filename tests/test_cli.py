@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -306,6 +307,9 @@ BAD_INPUTS = {
     "cost --k past float range": lambda tmp: ["cost", "--k", "4,1" + "0" * 400],
     "csv k past float range": lambda tmp: _cost_with_csv(tmp, f"k,tflops\n4,32.1\n1{'0' * 400},33\n"),
     "csv tflops overflowing the fit": lambda tmp: _cost_with_csv(tmp, "k,tflops\n4,1e308\n8,0\n"),
+    "cost total past float range": lambda tmp: _cost_with_csv(tmp, "k,tflops\n1,1e300\n2,2e300\n") + [
+        "--k", "10000000000"
+    ],
     "config noise_scale overflowing the batch": lambda tmp: _train_toy_with_config(
         tmp, '{"noise_scale": 1e308, "steps": 1}'
     ),
@@ -364,6 +368,7 @@ NAMED_IN_ERROR = {
     "cost --k past float range": "--k values must be at most 1.8e+308",
     "csv k past float range": "measured.csv:3: k must be at most 1.8e+308",
     "csv tflops overflowing the fit": "the fit of c0 and c1 to these points overflows",
+    "cost total past float range": "the cost at k=10000000000 overflows float64",
     "config noise_scale overflowing the batch": "noise_scale 1e+308 overflows",
     "compress --k refused with a new checkpoint": "k must be in [1, 32], got 99",
     "non-UTF-8 sidecar": "kept.ftv1.json",
@@ -420,6 +425,16 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypat
     assert "Traceback" not in err
     assert NAMED_IN_ERROR.get(case, "") in err
     assert sorted(os.listdir(tmp_path)) == files  # nothing written
+
+
+def test_zip_like_images_file_is_closed(tmp_path, capsys):
+    argv = _encode_npy(tmp_path, b"PK\x03\x04 not a zip")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, _, err = run(capsys, *argv)
+        gc.collect()
+    assert code == 2 and "img0.npy" in err
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def _fuzz_features(tmp):

@@ -3,13 +3,14 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framepress import cli
+from framepress import cli, curriculum
 from framepress.curriculum import (
     DATA_TYPES,
     IMAGE_DATASET_ROLES,
@@ -33,7 +34,7 @@ TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
 
 def _records(path) -> list[tuple[str, ...]]:
     """The five fields of every record of a manifest file, in file order."""
-    return [fields for _, fields, _ in _scan(path)]
+    return [fields for _, _, fields, _ in _scan(path)]
 
 
 def _subsampled(tmp_path, src, fraction, seed, cap=None) -> list[tuple[str, ...]]:
@@ -200,6 +201,64 @@ def test_read_manifest_names_file_and_line(tmp_path):
     path.write_text(good + "\n" + good, encoding="utf-8")
     with pytest.raises(FormatError, match=f"{path}:3: duplicate record key"):
         _records(path)
+
+
+def test_record_keys_keep_distinct_pairs_apart(tmp_path):
+    """Pairs whose ids concatenate alike are distinct records; a repeated
+    pair is named as it was read."""
+    pairs = [("ab", "c"), ("a", "bc"), ("1", "1:ab"), ("1:a", "b"), ("猫", "1:x")]
+    path, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+    lines = "".join(json.dumps({"video_id": v, "qa_id": q}) + "\n" for v, q in pairs)
+    path.write_text(lines, encoding="utf-8")
+    assert [r[:2] for r in _records(path)] == pairs
+    subsample_file(path, out, 1.0, seed=0)
+    assert [r[:2] for r in _records(out)] == pairs
+    path.write_text(lines + json.dumps({"video_id": "猫", "qa_id": "1:x"}) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"{path}:6: duplicate record key \\('猫', '1:x'\\)$"):
+        _records(path)
+
+
+def test_subsample_names_the_record_it_expected_on_the_second_read(tmp_path, monkeypatch):
+    path, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+    first = json.dumps({"video_id": "猫:12", "qa_id": "3:q"}) + "\n"
+    second = json.dumps({"video_id": "v", "qa_id": "q"}) + "\n"
+    path.write_text(first + second, encoding="utf-8")
+    first_pass = curriculum._kept_positions
+
+    def select_then_swap(*args):
+        kept = first_pass(*args)
+        path.write_text(second + first, encoding="utf-8")
+        return kept
+
+    monkeypatch.setattr(curriculum, "_kept_positions", select_then_swap)
+    with pytest.raises(FormatError) as caught:
+        subsample_file(path, out, 1.0, seed=0)
+    assert str(caught.value) == (
+        f"{path}:byte 0: expected record ('猫:12', '3:q') on the second read; the file changed"
+    )
+
+
+# Traced peak bytes per record of each manifest command on 20,000 records.
+# A (video_id, qa_id) tuple key per record held ~318 (subsample) and ~294
+# (filter); one string key holds ~238 and ~199.
+PEAK_BYTES_PER_RECORD = {"subsample": 280, "filter": 250}
+
+
+@pytest.mark.parametrize("command", sorted(PEAK_BYTES_PER_RECORD))
+def test_manifest_commands_hold_little_per_record(command, tmp_path):
+    src, out = _manifest(tmp_path, 5000, 4, seed=1), tmp_path / "out.jsonl"
+    run = {
+        "subsample": lambda: subsample_file(src, out, 0.1, seed=1),
+        "filter": lambda: filter_file(src, out, {"vqa"}),
+    }[command]
+    run()  # first-call allocations are not per record
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 20_000 < PEAK_BYTES_PER_RECORD[command]
 
 
 BAD_FIELD_LINES = {
