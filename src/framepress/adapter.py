@@ -10,28 +10,20 @@ single-head cross-attention block:
 * values are the projected features alone,
 * N learnable query vectors attend over the M keys.
 
-The projection can run before attending or after mixing. With x a
-frame's (M, D) shifted tokens, W the (D, C) projection, q the (N, C)
-queries and pos the positional table, the logits q·(xW + pos)ᵀ equal
-q·(xW)ᵀ + q·posᵀ and (q·Wᵀ)·xᵀ + q·posᵀ, and the tokens A·(xW) equal
-(A·x)·W. Both sides are the same products associated differently, so the
-function is the same up to floating-point rounding. Both add the
-positions as the logit bias s·q·posᵀ, formed once per video, so the
-attention's keys are its values (xW or x) and no (T, M, C) key array is
-held. Projecting after mixing maps the queries into feature space once
-per video, lets each frame mix its own D-wide features, and projects
-only the mixed rows a caller keeps. That pays
-when D is not much above C and few rows are kept, as when
-:func:`framepress.sampler.compress_video` keeps K of the N rows at the
-paper shape. :func:`attend` picks the association with fewer FLOPs for the
-shapes and rows it is given; the backward always works in feature space.
+The projection runs after mixing. With x a frame's (M, D) shifted
+tokens, W the (D, C) projection, q the (N, C) queries and pos the
+positional table, the logits q·(xW + pos)ᵀ equal (q·Wᵀ)·xᵀ + q·posᵀ, and
+the tokens A·(xW) equal (A·x)·W. So the queries are mapped into feature
+space once per video, the positions enter as the logit bias s·q·posᵀ,
+each frame's D-wide features serve as both keys and values, and only the
+mixed rows a caller keeps are projected. The forward and the backward
+work in feature space alike.
 
-One helper builds the attention's operands for either association. A
-caller that keeps fewer than N rows also selects before mixing: the whole
-video's (T, N, M) attention comes from one stacked call on the unshifted
-features (the temporal vector only shifts each logit row, which the
-softmax ignores), and only the kept rows are mixed and shifted. The full
-forward (:func:`adapt_video`) and the backward still attend frame by
+A caller that keeps fewer than N rows also selects before mixing: the
+whole video's (T, N, M) attention comes from one stacked call on the
+unshifted features (the temporal vector only shifts each logit row, which
+the softmax ignores), and only the kept rows are mixed and shifted. The
+full forward (:func:`adapt_video`) and the backward still attend frame by
 frame, through one loop kept only because the benchmark pins one
 ``cross_attention`` call per frame in each training step.
 
@@ -268,49 +260,16 @@ def _source_tokens(video: VideoTokenTensor, params: AdapterParams) -> np.ndarray
     return video.tokens()
 
 
-def _projects_after_mixing(params: AdapterParams, frames: int, rows: int) -> bool:
-    """Whether attending in feature space and projecting ``rows`` mixed rows
-    per frame costs fewer FLOPs than projecting the source tokens first.
-
-    Counting two FLOPs per multiply-add, both sides mix only the R rows
-    kept (:func:`attend`). Projecting first costs 2·T·M·D·C for the
-    projection, 2·T·N·M·C for the logits and 2·T·R·M·C for mixing the R
-    rows. Projecting after mixing costs 2·N·C·(D + M) once per video for
-    q·Wᵀ and q·posᵀ, 2·T·N·M·D for the logits, 2·T·R·M·D for mixing the R
-    rows and 2·T·R·D·C for projecting them. It wins when D is not much
-    above C and R is well below M: at the paper shape (T=8, M=N=256,
-    D=C=1024) for the K=64 rows ``compress`` keeps (3.09 against 5.64
-    GFLOP), but not for all N rows (7.11 against 6.44); at the CLI's
-    default shape (T=8, 8x8 grid so M=64, N=32, D=64, C=32) for neither
-    ``compress --k 16`` (3.93 against 3.67 MFLOP) nor all N rows (5.51
-    against 4.19).
-
-    Projecting first also forms the position bias s·q·posᵀ (:func:`_operands`),
-    2·N·M·C per video, which this count leaves out. Counting it flips
-    neither side at these shapes (paper, all N rows: 6.58 against 7.11).
-    """
-    t, n, m = frames, params.query_count, params.source_tokens
-    d, c = params.feature_dim, params.width
-    first = 2 * t * m * c * (d + n + rows)
-    after = 2 * n * c * (d + m) + 2 * t * (n + rows) * m * d + 2 * t * rows * d * c
-    return after < first
-
-
-def _operands(features: np.ndarray, params: AdapterParams, after: bool):
-    """The attention's ``(queries, values, bias)`` over (T, M, D)
-    ``features``. The values are also the keys: in both associations the
-    positions enter as the (N, M) logit bias s·q·posᵀ. Projecting after
-    mixing, the queries q·Wᵀ attend over the features; projecting first,
-    the queries attend over the projected features."""
+def _operands(params: AdapterParams):
+    """The attention's (N, D) feature-space queries q·Wᵀ and its (N, M)
+    logit bias s·q·posᵀ, which together let the shifted features serve as
+    both keys and values."""
     queries = params.queries
-    bias = params.scale * (queries @ params.pos_table.T)
-    if after:
-        return queries @ params.input_proj.T, features, bias
-    return queries, _project(features, params), bias
+    return queries @ params.input_proj.T, params.scale * (queries @ params.pos_table.T)
 
 
 def _attend_frames(queries, values, bias, scale: float):
-    """``(attention, mixed)``, (T, N, M) and (T, N, ·), one
+    """``(attention, mixed)``, (T, N, M) and (T, N, D), one
     :func:`cross_attention` call per frame over ``values`` as keys. One
     stacked :func:`attention_weights` call would do; the loop stays because
     ``perfbench``'s ``toy_train`` test pins a call per frame in each
@@ -321,14 +280,6 @@ def _attend_frames(queries, values, bias, scale: float):
     for t in range(t_count):
         attention[t], mixed[t] = cross_attention(queries, values[t], values[t], scale, bias)
     return attention, mixed
-
-
-def _project(mixed: np.ndarray, params: AdapterParams) -> np.ndarray:
-    """Tokens of (T, R, D) mixed rows, as one (T·R, D) @ (D, C) GEMM."""
-    t_count, rows, d = mixed.shape
-    return (mixed.reshape(t_count * rows, d) @ params.input_proj).reshape(
-        t_count, rows, params.width
-    )
 
 
 def _take_rows(a: np.ndarray, indices) -> np.ndarray:
@@ -342,39 +293,39 @@ def attend(video: VideoTokenTensor, params: AdapterParams, rows: int):
     ``rows`` is the number of token rows per frame the caller will ask
     for. Returns ``(attention, tokens_of)``: the read-only (T, N, M)
     softmax weights, and a function from (T, R) row indices, or ``None``
-    for all N rows, to the read-only (T, R, C) tokens of those rows. The
-    projection runs before attending or after mixing, whichever
-    :func:`_projects_after_mixing` finds cheaper for ``rows``. For fewer
-    than N rows the whole video's attention is one
-    :func:`attention_weights` call and only the asked-for rows are mixed.
+    for all N rows, to the read-only (T, R, C) tokens of those rows. Each
+    frame mixes its D-wide features and only the rows returned are
+    projected. For fewer than N rows the whole video's attention is one
+    :func:`attention_weights` call and only the asked-for rows are mixed;
+    for all N rows each frame attends in turn.
     """
-    after = _projects_after_mixing(params, video.frame_count, rows)
     features = _source_tokens(video, params)
+    queries, bias = _operands(params)
     if rows < params.query_count:
         # The temporal vector adds a constant to each logit row, which the
         # softmax ignores, so the unshifted features give the same
         # attention; and attention rows sum to 1, so mixing the shifted
-        # values is mixing the unshifted ones, plus the shift.
-        queries, values, bias = _operands(features, params, after)
-        attention = attention_weights(queries, values, params.scale, bias)
-        shift = params.temporal if after else params.temporal @ params.input_proj
+        # features is mixing the unshifted ones, plus the shift.
+        attention = attention_weights(queries, features, params.scale, bias)
 
-        def rows_of(indices):
-            return _take_rows(attention, indices) @ values + shift[:, None, :]
+        def mixed_of(indices):
+            return _take_rows(attention, indices) @ features + params.temporal[:, None, :]
 
     else:
-        # Either the (T, N, D) mixed features or the (T, N, C) tokens. The
-        # shifted features go unnamed, so projecting first frees them early.
-        operands = _operands(features + params.temporal[:, None, :], params, after)
-        attention, mixed = _attend_frames(*operands, params.scale)
+        shifted = features + params.temporal[:, None, :]
+        attention, mixed = _attend_frames(queries, shifted, bias, params.scale)
 
-        def rows_of(indices):
+        def mixed_of(indices):
             return _take_rows(mixed, indices)
 
     attention.setflags(write=False)
 
     def tokens_of(indices):
-        tokens = _project(rows_of(indices), params) if after else rows_of(indices)
+        kept = mixed_of(indices)
+        t_count, r, d = kept.shape
+        tokens = (kept.reshape(t_count * r, d) @ params.input_proj).reshape(
+            t_count, r, params.width
+        )
         tokens.setflags(write=False)
         return tokens
 
@@ -404,7 +355,8 @@ def adapter_gradients(
             f"token grads must have shape {(t_count, n, c)}, got {g_tokens.shape}"
         )
     shifted = _source_tokens(video, params) + params.temporal[:, None, :]  # x, (T, M, D)
-    att, mixed = _attend_frames(*_operands(shifted, params, True), params.scale)
+    feature_queries, bias = _operands(params)
+    att, mixed = _attend_frames(feature_queries, shifted, bias, params.scale)
     queries, proj, scale = params.queries, params.input_proj, params.scale
     d = params.feature_dim
 

@@ -197,8 +197,11 @@ def _read_calibration_csv(path) -> list[tuple[int, float]]:
         if not line:
             continue
         parts = [p.strip() for p in line.split(",")]
-        if lineno == 1 and not parts[0].lstrip("-").isdigit():
-            continue  # header row
+        if lineno == 1:
+            try:
+                float(parts[0])
+            except ValueError:
+                continue  # header row
         if len(parts) < 2:
             raise ParameterError(f"{path}:{lineno}: expected 'k,tflops'")
         try:
@@ -395,6 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 # One parser per process: building it costs more than most parses.
 _parser = functools.cache(build_parser)
 
+# String flags refused when empty: the commands would take "" for an optional
+# flag left out (--checkpoint "" would run on new params and save none).
+_NOT_EMPTY = ("checkpoint", "attention_out", "out", "report", "config", "k", "calibrate")
+
 # How numpy's ValueError for a size past its index range begins.
 _NUMPY_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded", "Maximum allowed size exceeded")
 
@@ -402,7 +409,11 @@ _NUMPY_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded", "Max
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # A path that names a directory is refused before any work is done.
+        # Before any work: an empty value would read as an absent flag, and a
+        # path that names a directory cannot be written.
+        for flag in _NOT_EMPTY:
+            if getattr(args, flag, None) == "":
+                raise ParameterError(f"--{flag.replace('_', '-')} must not be empty")
         for path in (getattr(args, flag, None) for flag in ("out", "report", "attention_out")):
             if path:
                 ftv1._output_path(path)

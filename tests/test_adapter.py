@@ -8,10 +8,6 @@ from framepress import ftv1
 from framepress.adapter import (
     AdapterOutput,
     AdapterParams,
-    _attend_frames,
-    _operands,
-    _project,
-    _projects_after_mixing,
     adapt_video,
     adapter_gradients,
     apply_grads,
@@ -61,58 +57,31 @@ def test_adapt_frame_matches_manual_computation():
     "shape", [(1, 4, 1, 3, 4), (2, 4, 3, 3, 4), (3, 6, 2, 5, 3), (2, 2, 7, 4, 2)]
 )  # (T, M, N, D, C)
 def test_both_associations_give_the_same_function(shape):
-    """Projecting the source tokens first and projecting the mixed rows
-    after agree to rounding, whichever one :func:`adapt_video` picks."""
+    """The adapter mixes features and projects after; the paper's equations
+    project first. With x = tokens + τ_t, the attention is
+    softmax(s·q·(xW + pos)ᵀ) and the tokens are A·xW, to rounding."""
     t, m, n, d, c = shape
     video = synthetic_video(t, m, 1, d, seed=sum(shape))
     params = random_adapter_params(n, c, d, m, t, seed=len(shape) + t)
-    shifted = video.tokens() + params.temporal[:, None, :]
-    att_first, tokens_first = _attend_frames(*_operands(shifted, params, False), params.scale)
-    att_after, mixed = _attend_frames(*_operands(shifted, params, True), params.scale)
-    np.testing.assert_allclose(att_after, att_first, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(
-        _project(mixed, params),
-        tokens_first,
-        rtol=0,
-        atol=1e-12 * np.abs(tokens_first).max(),
-    )
+    projected = (video.tokens() + params.temporal[:, None, :]) @ params.input_proj  # xW
+    logits = params.scale * params.queries @ (projected + params.pos_table).transpose(0, 2, 1)
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    attention = e / e.sum(axis=2, keepdims=True)
+    tokens = attention @ projected
     out = adapt_video(video, params)
-    np.testing.assert_allclose(out.attention, att_first, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.attention, attention, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.tokens, tokens, rtol=0, atol=1e-12 * np.abs(tokens).max())
 
 
-def _zero_params(t, m, n, d, c):
-    return AdapterParams(
-        input_proj=np.zeros((d, c)),
-        queries=np.zeros((n, c)),
-        pos_table=np.zeros((m, c)),
-        temporal=np.zeros((t, d)),
-    )
-
-
-def test_association_follows_the_flop_count():
-    """Projecting after mixing wins at D = C for few kept rows, loses for
-    all N rows at N = M, and loses at the CLI default's D = 2C."""
-    paper = _zero_params(8, 256, 256, 1024, 1024)
-    assert _projects_after_mixing(paper, 8, 64)  # compress: 3.09 vs 5.64 GFLOP
-    assert not _projects_after_mixing(paper, 8, 256)  # adapt: 7.11 vs 6.44
-    cli_default = _zero_params(8, 64, 32, 64, 32)
-    assert not _projects_after_mixing(cli_default, 8, 16)  # 3.93 vs 3.67 MFLOP
-    assert not _projects_after_mixing(cli_default, 8, 32)  # 5.51 vs 4.19
-    toy = _zero_params(8, 64, 32, 32, 32)  # M = 2N: fewer rows than sources
-    assert _projects_after_mixing(toy, 8, 32)
-    assert _projects_after_mixing(toy, 8, 16)
-
-
-def test_projecting_first_holds_the_projected_features_once():
-    """All N rows at D = C and N = M project first; the positions enter as a
-    logit bias, so the projected features serve as keys and values and the
-    peak stays under 2.5 (T, M, C) arrays plus the (T, N, M) attention
-    (one copy each for the values and the tokens)."""
+def test_adapt_holds_the_mixed_features_once():
+    """All N rows at D = C and N = M: the positions enter as a logit bias,
+    so the shifted features serve as keys and values, and the peak stays
+    under 2.5 (T, M, C) arrays plus the (T, N, M) attention (two at a time
+    of the shifted features, the mixed features and the tokens)."""
     t, g, d = 8, 8, 256
     m = g * g
     video = synthetic_video(t, g, g, d, seed=1)
     params = random_adapter_params(m, d, d, m, t, seed=2)
-    assert not _projects_after_mixing(params, t, m)
     tracemalloc.start()
     try:
         adapt_video(video, params)

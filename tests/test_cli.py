@@ -135,6 +135,18 @@ def test_cost_calibrates_from_csv(tmp_path, capsys):
     assert last.startswith("64,")
 
 
+def test_cost_csv_first_row_with_a_signed_k_enters_the_fit(tmp_path, capsys):
+    """Line 1 is a header only when its first field is not a number, so a
+    first row whose k is written +4 is data, as it is on later lines."""
+    rows = "4,32.14\n16,33.47\n32,35.24\n64,38.79\n"
+    outs = []
+    for text in ("k,tflops\n" + rows, "+" + rows):
+        code, out, _ = run(capsys, *_cost_with_csv(tmp_path, text))
+        assert code == 0
+        outs.append(out)
+    assert outs[1] == outs[0] and outs[1].count("residual=") == 4
+
+
 def test_cost_uses_builtin_reference_by_default(capsys):
     code, out, _ = run(capsys, "cost")
     assert code == 0
@@ -356,6 +368,24 @@ BAD_INPUTS = {
     "config sizes too large to allocate": lambda tmp: _train_toy_with_config(
         tmp, '{"frames": 99999999999, "grid_h": 99999999, "steps": 1}'
     ),
+    "csv first k written 4.0": lambda tmp: _cost_with_csv(tmp, "4.0,32.14\n16,33.47\n32,35.24\n"),
+    # An empty value would otherwise read as the flag left out.
+    "compress --checkpoint empty": lambda tmp: _fuzz_features(tmp)[1] + ["--checkpoint", ""],
+    "adapt --checkpoint empty": lambda tmp: [
+        "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
+        "--checkpoint", "",
+    ],
+    "adapt --attention-out empty": lambda tmp: [
+        "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
+        "--attention-out", "",
+    ],
+    "assemble --out empty": lambda tmp: _fuzz_kept(tmp, "")[1] + ["--out", ""],
+    "plan --out empty": lambda tmp: ["plan", "--strategy", "S4-V", "--out", ""],
+    "train-toy --report empty": lambda tmp: ["train-toy", "--report", ""],
+    "train-toy --config empty": lambda tmp: ["train-toy", "--config", ""],
+    "verify --report empty": lambda tmp: ["verify", "--report", ""],
+    "cost --k empty": lambda tmp: ["cost", "--k", ""],
+    "cost --calibrate empty": lambda tmp: ["cost", "--calibrate", ""],
 }
 
 # What each case's error message must name.
@@ -399,6 +429,17 @@ NAMED_IN_ERROR = {
     "encode --grid too large to allocate": "(1, 99999999, 99999999, 64)",
     "compress --width too large to allocate": "do not fit in memory",
     "config sizes too large to allocate": "do not fit in memory",
+    "csv first k written 4.0": "measured.csv:1: expected 'k,tflops', got '4.0,32.14'",
+    "compress --checkpoint empty": "--checkpoint must not be empty",
+    "adapt --checkpoint empty": "--checkpoint must not be empty",
+    "adapt --attention-out empty": "--attention-out must not be empty",
+    "assemble --out empty": "--out must not be empty",
+    "plan --out empty": "--out must not be empty",
+    "train-toy --report empty": "--report must not be empty",
+    "train-toy --config empty": "--config must not be empty",
+    "verify --report empty": "--report must not be empty",
+    "cost --k empty": "--k must not be empty",
+    "cost --calibrate empty": "--calibrate must not be empty",
 }
 
 
@@ -406,6 +447,9 @@ NAMED_IN_ERROR = {
 NEVER_CALLED = {
     "verify --report ending in a separator": "verify_all",
     "train-toy --report ending in a separator": "train_toy",
+    "train-toy --report empty": "train_toy",
+    "train-toy --config empty": "train_toy",
+    "verify --report empty": "verify_all",
 }
 
 
@@ -480,7 +524,7 @@ FUZZ_TARGETS = {
 
 @pytest.mark.parametrize("target", list(FUZZ_TARGETS))
 @settings(
-    max_examples=30, deadline=None, derandomize=True, database=None,
+    max_examples=30, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(truncate=st.booleans(), where=st.integers(0, 2**16), mask=st.integers(1, 255))
@@ -572,7 +616,7 @@ def test_fuzzed_flags_never_end_in_a_traceback(command, tmp_path, capsys):
     inputs, flags = ARGV_FUZZ[command]
     argv = inputs(tmp_path)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40, deadline=None)
     @given(drawn=flags)
     def check(drawn):
         capsys.readouterr()

@@ -321,7 +321,7 @@ SCALAR = st.integers() | st.floats() | st.booleans() | st.none()
     ),
     st.dictionaries(st.sampled_from(["video_id", "qa_id", "question", "answer"]), SCALAR),
 )
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None)
 def test_record_line_is_json_dumps_of_the_parsed_fields(record, scalars):
     """Raw text, escaped text and number/boolean/null values all give the
     line json.dumps writes, on the plain path and the escaping one."""

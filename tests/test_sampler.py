@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from framepress.adapter import (
     AdapterOutput,
-    _projects_after_mixing,
     adapt_video,
     random_adapter_params,
 )
@@ -124,12 +123,11 @@ def test_sample_video_rejects_bad_args():
 
 
 # (frames, grid, (D, C), queries, keep) that attend in one call and mix
-# only the kept rows (K < N, random temporal table), and whether each
-# projects after mixing.
+# only the kept rows (K < N, random temporal table).
 SELECT_FIRST = {
-    (4, (3, 3), (5, 5), "N=M", "1"): True,
-    (2, (3, 3), (5, 5), 3, "1"): True,
-    (2, (3, 3), (3, 3), 7, "1"): False,
+    (4, (3, 3), (5, 5), "N=M", "1"),
+    (2, (3, 3), (5, 5), 3, "1"),
+    (2, (3, 3), (3, 3), 7, "1"),
 }
 
 
@@ -145,7 +143,7 @@ SELECT_FIRST = {
 @example(4, (3, 3), (5, 5), "N=M", "1", "score", 5)
 @example(2, (3, 3), (5, 5), 3, "1", "index", 7)
 @example(2, (3, 3), (3, 3), 7, "1", "index", 6)
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None)
 def test_compress_video_is_sample_of_adapt(frames, grid, dims, queries, keep, order, seed):
     """Projecting only the kept rows gives the kept rows of the full projection."""
     m = grid[0] * grid[1]
@@ -155,7 +153,7 @@ def test_compress_video_is_sample_of_adapt(frames, grid, dims, queries, keep, or
     params = random_adapter_params(n, dims[1], dims[0], m, frames, seed=seed + 1)
     shape = (frames, grid, dims, queries, keep)
     if shape in SELECT_FIRST:
-        assert k < n and _projects_after_mixing(params, frames, k) == SELECT_FIRST[shape]
+        assert k < n
     want = sample_video(adapt_video(video, params), k, order)
     got = compress_video(video, params, k, order)
     assert got.keep == want.keep == k
