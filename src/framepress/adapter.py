@@ -19,13 +19,14 @@ each frame's D-wide features serve as both keys and values, and only the
 mixed rows a caller keeps are projected. The forward and the backward
 work in feature space alike.
 
-A caller that keeps fewer than N rows also selects before mixing: the
-whole video's (T, N, M) attention comes from one stacked call on the
-unshifted features (the temporal vector only shifts each logit row, which
-the softmax ignores), and only the kept rows are mixed and shifted. The
-full forward (:func:`adapt_video`) and the backward still attend frame by
-frame, through one loop kept only because the benchmark pins one
-``cross_attention`` call per frame in each training step.
+Each caller has one forward path. A sampler selects before mixing:
+:func:`attend` gives the whole video's (T, N, M) attention from one
+stacked call on the unshifted features (the temporal vector only shifts
+each logit row, which the softmax ignores), and :func:`kept_tokens` mixes,
+shifts and projects only the rows it keeps. The full forward
+(:func:`adapt_video`) and the backward attend frame by frame, through one
+loop kept only because the benchmark pins one ``cross_attention`` call
+per frame in each training step.
 
 Besides the forward pass this module carries its own reverse-mode
 gradients (the whole block is small enough that hand-written backprop
@@ -36,7 +37,7 @@ I/O built on FTV1 tensor files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,16 +55,14 @@ _CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class AdapterParams:
-    """All trainable tensors of the adapter plus its attention scale.
-
-    ``scale`` defaults to ``1 / sqrt(width)`` when not given.
-    """
+    """All trainable tensors of the adapter, plus its attention scale
+    ``1 / sqrt(width)``, which follows from them."""
 
     input_proj: np.ndarray  # (D, C)
     queries: np.ndarray  # (N, C)
     pos_table: np.ndarray  # (M, C)
     temporal: np.ndarray  # (T, D)
-    scale: float | None = None
+    scale: float = field(init=False)
 
     def __post_init__(self):
         proj = as_matrix(self.input_proj, "input projection")
@@ -83,17 +82,11 @@ class AdapterParams:
             raise ShapeError(
                 f"temporal width {temporal.shape[1]} != feature dim {d}"
             )
-        scale = self.scale
-        if scale is None:
-            scale = 1.0 / np.sqrt(c)
-        scale = float(scale)
-        if not np.isfinite(scale) or scale <= 0.0:
-            raise ParameterError(f"scale must be finite and > 0, got {scale}")
         object.__setattr__(self, "input_proj", proj)
         object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "pos_table", pos)
         object.__setattr__(self, "temporal", temporal)
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scale", float(1.0 / np.sqrt(c)))
 
     @property
     def feature_dim(self) -> int:
@@ -197,7 +190,6 @@ def init_adapter_params(
     grid_w: int,
     frames: int,
     seed: int,
-    scale: float | None = None,
 ) -> AdapterParams:
     """Fresh training-ready parameters.
 
@@ -220,9 +212,7 @@ def init_adapter_params(
     for a in (proj, bank, pos, temporal):
         a[...] = a.astype(np.float32)
         a.setflags(write=False)
-    return AdapterParams(
-        input_proj=proj, queries=bank, pos_table=pos, temporal=temporal, scale=scale
-    )
+    return AdapterParams(input_proj=proj, queries=bank, pos_table=pos, temporal=temporal)
 
 
 def random_adapter_params(
@@ -232,7 +222,6 @@ def random_adapter_params(
     source_tokens: int,
     frames: int,
     seed: int,
-    scale: float | None = None,
 ) -> AdapterParams:
     """Fully random parameters (including positional and temporal tables).
 
@@ -245,7 +234,6 @@ def random_adapter_params(
         queries=rng.normal(size=(queries, width)),
         pos_table=rng.normal(size=(source_tokens, width)),
         temporal=rng.normal(size=(frames, feature_dim)),
-        scale=scale,
     )
 
 
@@ -282,60 +270,45 @@ def _attend_frames(queries, values, bias, scale: float):
     return attention, mixed
 
 
-def _take_rows(a: np.ndarray, indices) -> np.ndarray:
-    """The (T, R, ·) rows of a (T, N, ·) array, or all of it for ``None``."""
-    return a if indices is None else np.take_along_axis(a, indices[:, :, None], axis=1)
-
-
-def attend(video: VideoTokenTensor, params: AdapterParams, rows: int):
-    """Every frame's attention, and the tokens of the rows a caller keeps.
-
-    ``rows`` is the number of token rows per frame the caller will ask
-    for. Returns ``(attention, tokens_of)``: the read-only (T, N, M)
-    softmax weights, and a function from (T, R) row indices, or ``None``
-    for all N rows, to the read-only (T, R, C) tokens of those rows. Each
-    frame mixes its D-wide features and only the rows returned are
-    projected. For fewer than N rows the whole video's attention is one
-    :func:`attention_weights` call and only the asked-for rows are mixed;
-    for all N rows each frame attends in turn.
-    """
-    features = _source_tokens(video, params)
+def attend(video: VideoTokenTensor, params: AdapterParams) -> np.ndarray:
+    """The video's read-only (T, N, M) attention, from one
+    :func:`attention_weights` call on the unshifted features: the temporal
+    vector adds a constant to each logit row, which the softmax ignores."""
     queries, bias = _operands(params)
-    if rows < params.query_count:
-        # The temporal vector adds a constant to each logit row, which the
-        # softmax ignores, so the unshifted features give the same
-        # attention; and attention rows sum to 1, so mixing the shifted
-        # features is mixing the unshifted ones, plus the shift.
-        attention = attention_weights(queries, features, params.scale, bias)
-
-        def mixed_of(indices):
-            return _take_rows(attention, indices) @ features + params.temporal[:, None, :]
-
-    else:
-        shifted = features + params.temporal[:, None, :]
-        attention, mixed = _attend_frames(queries, shifted, bias, params.scale)
-
-        def mixed_of(indices):
-            return _take_rows(mixed, indices)
-
+    attention = attention_weights(queries, _source_tokens(video, params), params.scale, bias)
     attention.setflags(write=False)
+    return attention
 
-    def tokens_of(indices):
-        kept = mixed_of(indices)
-        t_count, r, d = kept.shape
-        tokens = (kept.reshape(t_count * r, d) @ params.input_proj).reshape(
-            t_count, r, params.width
-        )
-        tokens.setflags(write=False)
-        return tokens
 
-    return attention, tokens_of
+def _project(mixed: np.ndarray, params: AdapterParams) -> np.ndarray:
+    """The read-only (T, R, C) tokens of (T, R, D) mixed features."""
+    t_count, r, d = mixed.shape
+    tokens = (mixed.reshape(t_count * r, d) @ params.input_proj).reshape(t_count, r, params.width)
+    tokens.setflags(write=False)
+    return tokens
+
+
+def kept_tokens(video: VideoTokenTensor, params: AdapterParams, rows: np.ndarray) -> np.ndarray:
+    """The read-only (T, R, C) tokens of (T, R, M) rows of :func:`attend`.
+
+    Attention rows sum to 1, so mixing the shifted features is mixing the
+    unshifted ones, plus the shift; only the R kept rows are projected.
+    """
+    mixed = rows @ _source_tokens(video, params)
+    mixed += params.temporal[:, None, :]
+    return _project(mixed, params)
 
 
 def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput:
     """Compress every frame of a video, preserving frame order."""
-    attention, tokens_of = attend(video, params, params.query_count)
-    return AdapterOutput(tokens=tokens_of(None), attention=attention)
+    queries, bias = _operands(params)
+    # The shifted features go straight into the loop, so they are freed
+    # before the projection allocates the tokens.
+    attention, mixed = _attend_frames(
+        queries, _source_tokens(video, params) + params.temporal[:, None, :], bias, params.scale
+    )
+    attention.setflags(write=False)  # so AdapterOutput keeps it without a copy
+    return AdapterOutput(tokens=_project(mixed, params), attention=attention)
 
 
 def adapter_gradients(
@@ -432,9 +405,10 @@ def save_checkpoint(params: AdapterParams, dirpath) -> None:
 def load_checkpoint(dirpath) -> AdapterParams:
     """Read a checkpoint directory written by :func:`save_checkpoint`.
 
-    Older checkpoints may carry an additive query term (``"query_pos":
-    true`` and ``query_pos.ftv1``); it is folded into the query bank, which
-    gives the same attention.
+    The header's ``scale`` must equal ``1 / sqrt(width)``. Older
+    checkpoints may carry an additive query term (``"query_pos": true`` and
+    ``query_pos.ftv1``); it is folded into the query bank, which gives the
+    same attention.
     """
     root = Path(dirpath)
     header_path = root / CHECKPOINT_HEADER
@@ -464,7 +438,6 @@ def load_checkpoint(dirpath) -> AdapterParams:
         queries=queries,
         pos_table=ftv1.read_tensor(root / "pos_table.ftv1", expect_rank=2),
         temporal=ftv1.read_tensor(root / "temporal.ftv1", expect_rank=2),
-        scale=scale,
     )
     declared = (
         header.get("queries"),
@@ -483,5 +456,9 @@ def load_checkpoint(dirpath) -> AdapterParams:
     if declared != actual:
         raise FormatError(
             f"checkpoint header {declared} does not match tensors {actual}"
+        )
+    if scale != params.scale:
+        raise FormatError(
+            f"checkpoint scale {scale!r} != 1/sqrt(width) = {params.scale!r}"
         )
     return params

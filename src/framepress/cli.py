@@ -192,12 +192,14 @@ def _read_calibration_csv(path) -> list[tuple[int, float]]:
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text: {exc}") from exc
     points = []
+    first = True
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         parts = [p.strip() for p in line.split(",")]
-        if lineno == 1:
+        if first:
+            first = False
             try:
                 float(parts[0])
             except ValueError:
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--width", type=int, help=f"new checkpoints: default {DEFAULT_WIDTH}"
         )
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="new checkpoints: default 0")
         p.add_argument("--out", required=True)
         if name == "adapt":
             p.add_argument("--attention-out")

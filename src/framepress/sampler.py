@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ftv1
-from .adapter import AdapterOutput, AdapterParams, attend
+from .adapter import AdapterOutput, AdapterParams, attend, kept_tokens
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
 from .linalg import _read_only
@@ -141,17 +141,18 @@ def sample_video(output: AdapterOutput, k: int, order: str = "score") -> Sampled
 def compress_video(
     video: VideoTokenTensor, params: AdapterParams, k: int, order: str = "score"
 ) -> SampledTokens:
-    """``sample_video(adapt_video(video, params), k, order)``, asking the
-    adapter for the kept rows only.
+    """``sample_video(adapt_video(video, params), k, order)``, selecting
+    before mixing.
 
-    Selection needs only the attention, so the adapter may mix and project
-    just the T·k kept rows instead of all T·N (see :func:`adapter.attend`).
-    ``k`` and ``order`` are checked before any attention is computed.
+    Selection needs only the attention, so only the T·k kept rows are mixed
+    and projected, not all T·N (see :func:`adapter.kept_tokens`). ``k`` and
+    ``order`` are checked before any attention is computed.
     """
     _check_keep(k, order, params.query_count)
-    attention, tokens_of = attend(video, params, k)
+    attention = attend(video, params)
     indices = _kept_indices(attention, k, order)
-    return SampledTokens(keep=k, indices=indices, tokens=tokens_of(indices))
+    rows = np.take_along_axis(attention, indices[:, :, None], axis=1)
+    return SampledTokens(keep=k, indices=indices, tokens=kept_tokens(video, params, rows))
 
 
 def save_sampled(sampled: SampledTokens, path, queries: int) -> None:

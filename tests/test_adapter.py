@@ -158,14 +158,6 @@ def test_params_shape_validation():
             pos_table=np.zeros((4, 4)),
             temporal=np.zeros((1, 3)),
         )
-    with pytest.raises(ParameterError):
-        AdapterParams(
-            input_proj=np.zeros((3, 4)),
-            queries=np.zeros((2, 4)),
-            pos_table=np.zeros((4, 4)),
-            temporal=np.zeros((1, 3)),
-            scale=-1.0,
-        )
 
 
 def test_adapter_output_validates_row_sums():

@@ -147,6 +147,13 @@ def test_cost_csv_first_row_with_a_signed_k_enters_the_fit(tmp_path, capsys):
     assert outs[1] == outs[0] and outs[1].count("residual=") == 4
 
 
+def test_cost_csv_header_after_a_blank_line(tmp_path, capsys):
+    """The header test applies to the first non-blank line, wherever it is."""
+    code, out, err = run(capsys, *_cost_with_csv(tmp_path, "\nk,tflops\n4,32.14\n16,33.47\n"))
+    assert (code, err) == (0, "")
+    assert out.count("residual=") == 2
+
+
 def test_cost_uses_builtin_reference_by_default(capsys):
     code, out, _ = run(capsys, "cost")
     assert code == 0
@@ -305,6 +312,9 @@ BAD_INPUTS = {
     ),
     "non-UTF-8 checkpoint header": lambda tmp: _with_header(tmp, b"}", b"}\xff"),
     "checkpoint header without scale": lambda tmp: _with_header(tmp, b'"scale"', b'"sbale"'),
+    "checkpoint scale other than 1/sqrt(width)": lambda tmp: _with_header(
+        tmp, b'"scale": 0.', b'"scale": 1.'
+    ),
     "negative encode --seed": lambda tmp: ["encode", "--seed", "-1", "--out", str(tmp / "f.ftv1")],
     "negative subsample --seed": lambda tmp: [
         "subsample", str(_manifest(tmp)), "--fraction", "0.5", "--seed", "-1", "--out", str(tmp / "o.jsonl")
@@ -403,6 +413,7 @@ NAMED_IN_ERROR = {
     "compress --k refused with a new checkpoint": "k must be in [1, 32], got 99",
     "non-UTF-8 sidecar": "kept.ftv1.json",
     "non-UTF-8 checkpoint header": "adapter.json",
+    "checkpoint scale other than 1/sqrt(width)": "checkpoint scale 1.3535533905932737",
     "mismatched --images sizes": "frame 1 shape (2, 3, 64) differs from frame 0 (2, 2, 64)",
     "negative encode --seed": "seed must be >= 0, got -1",
     "--frames with --images": "--frames",

@@ -122,15 +122,6 @@ def test_sample_video_rejects_bad_args():
             compress_video(three_frames, params, k, order)
 
 
-# (frames, grid, (D, C), queries, keep) that attend in one call and mix
-# only the kept rows (K < N, random temporal table).
-SELECT_FIRST = {
-    (4, (3, 3), (5, 5), "N=M", "1"),
-    (2, (3, 3), (5, 5), 3, "1"),
-    (2, (3, 3), (3, 3), 7, "1"),
-}
-
-
 @given(
     frames=st.integers(1, 4),
     grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
@@ -151,9 +142,6 @@ def test_compress_video_is_sample_of_adapt(frames, grid, dims, queries, keep, or
     k = 1 if keep == "1" else n
     video = synthetic_video(frames, *grid, dims[0], seed=seed)
     params = random_adapter_params(n, dims[1], dims[0], m, frames, seed=seed + 1)
-    shape = (frames, grid, dims, queries, keep)
-    if shape in SELECT_FIRST:
-        assert k < n
     want = sample_video(adapt_video(video, params), k, order)
     got = compress_video(video, params, k, order)
     assert got.keep == want.keep == k
