@@ -46,7 +46,7 @@ from . import ftv1
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
 from .ftv1 import _replacing
-from .linalg import as_matrix, attention_weights, cross_attention, make_rng
+from .linalg import _read_only, as_matrix, attention_weights, cross_attention, make_rng
 
 CHECKPOINT_HEADER = "adapter.json"
 _CHECKPOINT_FORMAT = "framepress-adapter"
@@ -111,14 +111,15 @@ class AdapterParams:
 
 @dataclass(frozen=True)
 class AdapterOutput:
-    """Compressed tokens of every frame and the attention that produced them."""
+    """Compressed tokens of every frame and the attention that produced
+    them. Like the other records, it checks shapes and row sums only."""
 
     tokens: np.ndarray  # (T, N, C)
     attention: np.ndarray  # (T, N, M)
 
     def __post_init__(self):
-        tokens = as_matrix(self.tokens, "compressed tokens", ndim=3)
-        attention = as_matrix(self.attention, "attention weights", ndim=3)
+        tokens = _read_only(self.tokens, "compressed tokens", ndim=3)
+        attention = _read_only(self.attention, "attention weights", ndim=3)
         if tokens.shape[0] == 0 or tokens.shape[1] == 0:
             raise ShapeError(f"adapter output needs frames and tokens, got {tokens.shape}")
         if attention.shape[:2] != tokens.shape[:2]:
@@ -127,7 +128,8 @@ class AdapterOutput:
                 "disagree on frames or rows"
             )
         deviation = np.abs(attention.sum(axis=2) - 1.0).max(axis=1)
-        if np.max(deviation) > 1e-9:
+        # Written so that a NaN row fails too.
+        if not np.max(deviation) <= 1e-9:
             frame = int(np.argmax(deviation))
             raise ShapeError(f"frame {frame}: attention rows do not sum to 1")
         object.__setattr__(self, "tokens", tokens)

@@ -40,7 +40,7 @@ from .encoder import (
 )
 from .errors import FormatError, FramepressError, ParameterError, ShapeError
 from .pipeline import assemble_sequence, spec_from_dict, train_toy
-from .sampler import compress_video, load_sampled, save_sampled
+from .sampler import KEEP_ORDERS, compress_video, load_sampled, save_sampled
 from .verify import format_report, verify_all
 
 # Adapter shape of a checkpoint that --queries/--width do not set.
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(fn=_cmd_adapt)
         else:
             p.add_argument("--k", type=int, required=True)
-            p.add_argument("--order", choices=("score", "index"), default="score")
+            p.add_argument("--order", choices=KEEP_ORDERS, default="score")
             p.set_defaults(fn=_cmd_compress)
 
     p = sub.add_parser("assemble", help="kept tokens -> decoder-ready sequence")

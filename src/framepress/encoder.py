@@ -98,14 +98,13 @@ class VideoTokenTensor:
 
 
 def frozen_projection(
-    patch_size: int = DEFAULT_PATCH_SIZE,
-    feature_dim: int = DEFAULT_FEATURE_DIM,
-    seed: int = FROZEN_PROJECTION_SEED,
+    patch_size: int = DEFAULT_PATCH_SIZE, feature_dim: int = DEFAULT_FEATURE_DIM
 ) -> np.ndarray:
-    """The toy encoder's (3*p*p, D) projection, fixed by its seed."""
+    """The toy encoder's (3*p*p, D) projection, drawn from
+    ``FROZEN_PROJECTION_SEED``."""
     if patch_size < 1 or feature_dim < 1:
         raise ParameterError("patch_size and feature_dim must be >= 1")
-    rng = make_rng(seed)
+    rng = make_rng(FROZEN_PROJECTION_SEED)
     flat = 3 * patch_size * patch_size
     proj = rng.normal(size=(flat, feature_dim)) / np.sqrt(flat)
     # Round to storage precision so checkpoints and FTV1 files round-trip

@@ -31,8 +31,8 @@ def _read_only(values, name: str, ndim: int) -> np.ndarray:
 
 
 def as_matrix(values, name: str = "matrix", ndim: int = 2) -> np.ndarray:
-    """:func:`_read_only`, and finite: the parameter and adapter output
-    constructors' validator. Video features and kept tokens skip the
+    """:func:`_read_only`, and finite: the adapter parameter constructor's
+    validator. Video features, adapter outputs and kept tokens skip the
     finiteness scan (see ``VideoTokenTensor``)."""
     arr = _read_only(values, name, ndim)
     if not np.all(np.isfinite(arr)):

@@ -13,7 +13,7 @@ suite measures.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,47 +38,50 @@ SCHEMA_VERSION = 1
 class SequenceAssembly:
     """The decoder-ready token sequence for one video plus prompt budget.
 
-    Like :class:`SampledTokens`, whose tokens it concatenates, it checks
-    shapes only; writing non-finite tokens to FTV1 raises NumericError.
+    It holds the (T, K, C) kept tokens of a :class:`SampledTokens`; the
+    concatenated sequence and the frame boundaries follow from their
+    shape. Like SampledTokens, it checks shapes only; writing non-finite
+    tokens to FTV1 raises NumericError.
     """
 
-    video_tokens: np.ndarray  # (T*K, C), frames concatenated in order
+    frame_tokens: np.ndarray  # (T, K, C)
     prompt_len: int
-    frame_boundaries: tuple[int, ...]  # T+1 fence posts into video_tokens
 
     def __post_init__(self):
-        tokens = _read_only(self.video_tokens, "video tokens", ndim=2)
+        tokens = _read_only(self.frame_tokens, "frame tokens", ndim=3)
+        if 0 in tokens.shape[:2]:
+            raise ShapeError(f"a sequence needs frames and kept rows, got shape {tokens.shape}")
         if self.prompt_len < 0:
             raise ParameterError(f"prompt_len must be >= 0, got {self.prompt_len}")
-        bounds = tuple(int(b) for b in self.frame_boundaries)
-        if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != tokens.shape[0]:
-            raise ShapeError("frame boundaries must start at 0 and end at the row count")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ShapeError("frame boundaries must be strictly increasing")
-        object.__setattr__(self, "video_tokens", tokens)
-        object.__setattr__(self, "frame_boundaries", bounds)
+        object.__setattr__(self, "frame_tokens", tokens)
+
+    @property
+    def video_tokens(self) -> np.ndarray:
+        """The (T*K, C) sequence, frames concatenated in order."""
+        t, k, c = self.frame_tokens.shape
+        return self.frame_tokens.reshape(t * k, c)
 
     @property
     def frame_count(self) -> int:
-        return len(self.frame_boundaries) - 1
+        return self.frame_tokens.shape[0]
+
+    @property
+    def frame_boundaries(self) -> tuple[int, ...]:
+        """The T+1 fence posts of the frames in :attr:`video_tokens`."""
+        k = self.frame_tokens.shape[1]
+        return tuple(k * i for i in range(self.frame_count + 1))
 
     @property
     def total_len(self) -> int:
         return self.video_tokens.shape[0] + self.prompt_len
 
     def frame_block(self, t: int) -> np.ndarray:
-        a, b = self.frame_boundaries[t], self.frame_boundaries[t + 1]
-        return self.video_tokens[a:b]
+        return self.frame_tokens[t]
 
 
 def assemble_sequence(sampled: SampledTokens, prompt_len: int) -> SequenceAssembly:
     """Concatenate kept tokens frame by frame and account for the prompt."""
-    t, k, c = sampled.tokens.shape
-    return SequenceAssembly(
-        video_tokens=sampled.tokens.reshape(t * k, c),
-        prompt_len=prompt_len,
-        frame_boundaries=tuple(k * i for i in range(t + 1)),
-    )
+    return SequenceAssembly(sampled.tokens, prompt_len)
 
 
 @dataclass(frozen=True)
@@ -164,23 +167,14 @@ class RunReport:
     final_metrics: dict
     checks: tuple[dict, ...]
     cost_summary: dict
-    schema_version: int = SCHEMA_VERSION
+    schema_version: int = field(init=False, default=SCHEMA_VERSION)
 
     @property
     def all_passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "kind": self.kind,
-            "config": self.config,
-            "loss_curve": list(self.loss_curve),
-            "final_metrics": self.final_metrics,
-            "checks": list(self.checks),
-            "cost_summary": self.cost_summary,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -196,7 +190,6 @@ class RunReport:
             final_metrics=raw["final_metrics"],
             checks=tuple(raw["checks"]),
             cost_summary=raw["cost_summary"],
-            schema_version=raw["schema_version"],
         )
 
 

@@ -65,31 +65,24 @@ def select_topk(scores, k: int) -> np.ndarray:
 class SampledTokens:
     """The kept tokens of each frame and where they came from.
 
-    The constructor checks shapes and indices only: kept tokens come from an
-    adapter forward or an FTV1 read, which check finiteness, and
-    :func:`save_sampled` refuses non-finite tokens built through the API.
+    K, the tokens kept per frame, is the tokens' second dimension. The
+    constructor checks shapes and indices only: kept tokens come from an
+    adapter forward or an FTV1 read, and :func:`save_sampled` refuses
+    non-finite tokens built through the API.
     """
 
-    keep: int
     indices: np.ndarray  # (T, K) int64
     tokens: np.ndarray  # (T, K, C)
 
     def __post_init__(self):
-        if self.keep < 1:
-            raise ParameterError(f"keep must be >= 1, got {self.keep}")
         tokens = _read_only(self.tokens, "sampled tokens", ndim=3)
         indices = np.array(self.indices, dtype=np.int64)
         indices.setflags(write=False)
-        frames = tokens.shape[0]
-        if frames == 0:
-            raise ShapeError("sampled tokens need at least one frame")
-        if tokens.shape[1] != self.keep:
+        if 0 in tokens.shape[:2]:
+            raise ShapeError(f"sampled tokens need frames and kept rows, got shape {tokens.shape}")
+        if indices.shape != tokens.shape[:2]:
             raise ShapeError(
-                f"expected {self.keep} token rows per frame, got {tokens.shape[1]}"
-            )
-        if indices.shape != (frames, self.keep):
-            raise ShapeError(
-                f"expected indices of shape {(frames, self.keep)}, got {indices.shape}"
+                f"expected indices of shape {tokens.shape[:2]}, got {indices.shape}"
             )
         if indices.min() < 0:
             raise ShapeError("token indices must be >= 0")
@@ -98,6 +91,10 @@ class SampledTokens:
             raise ShapeError(f"frame {int(np.argmax(repeats))}: duplicate token indices")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "tokens", tokens)
+
+    @property
+    def keep(self) -> int:
+        return self.tokens.shape[1]
 
     @property
     def frame_count(self) -> int:
@@ -135,7 +132,7 @@ def sample_video(output: AdapterOutput, k: int, order: str = "score") -> Sampled
     indices = _kept_indices(output.attention, k, order)
     tokens = np.take_along_axis(output.tokens, indices[:, :, None], axis=1)
     tokens.setflags(write=False)
-    return SampledTokens(keep=k, indices=indices, tokens=tokens)
+    return SampledTokens(indices, tokens)
 
 
 def compress_video(
@@ -152,7 +149,7 @@ def compress_video(
     attention = attend(video, params)
     indices = _kept_indices(attention, k, order)
     rows = np.take_along_axis(attention, indices[:, :, None], axis=1)
-    return SampledTokens(keep=k, indices=indices, tokens=kept_tokens(video, params, rows))
+    return SampledTokens(indices, kept_tokens(video, params, rows))
 
 
 def save_sampled(sampled: SampledTokens, path, queries: int) -> None:
@@ -191,8 +188,11 @@ def load_sampled(path) -> SampledTokens:
     if not isinstance(sidecar, dict):
         raise FormatError(f"index sidecar {sidecar_path} is not a JSON object")
     keep = sidecar.get("keep")
-    if type(keep) is not int:
-        raise FormatError(f"index sidecar needs an integer 'keep', got {keep!r}")
+    if type(keep) is not int or keep != stacked.shape[1]:
+        raise FormatError(
+            f"index sidecar {sidecar_path} needs 'keep' equal to the "
+            f"{stacked.shape[1]} token rows per frame of {path}, got {keep!r}"
+        )
     queries = sidecar.get("queries", _MAX_INDEX + 1)
     if type(queries) is not int:
         raise FormatError(
@@ -214,4 +214,4 @@ def load_sampled(path) -> SampledTokens:
             f"index sidecar {sidecar_path} 'indices' must be {frames} lists of "
             f"{keep} token indices in [0, {queries})"
         )
-    return SampledTokens(keep=keep, indices=indices, tokens=stacked)
+    return SampledTokens(indices, stacked)

@@ -164,6 +164,10 @@ def test_adapter_output_validates_row_sums():
     bad_att = np.array([[0.6, 0.6]])
     with pytest.raises(ShapeError):
         AdapterOutput(tokens=(np.zeros((1, 2)),), attention=(bad_att,))
+    nan_row = np.full((2, 1, 2), 0.5)
+    nan_row[1, 0, 0] = np.nan
+    with pytest.raises(ShapeError, match="frame 1"):
+        AdapterOutput(tokens=np.zeros((2, 1, 2)), attention=nan_row)
 
 
 def test_sinusoidal_table_layout():

@@ -294,6 +294,9 @@ BAD_INPUTS = {
     "sidecar indices not TxK": lambda tmp: _assemble_with_sidecar(
         tmp, '{"keep": 2, "indices": [[0, 1], "ab"]}'
     ),
+    "sidecar keep differs from the token file": lambda tmp: _assemble_with_sidecar(
+        tmp, '{"keep": 3, "indices": [[0, 1, 2], [0, 1, 2]]}'
+    ),
     "sidecar indices not integers": lambda tmp: _assemble_with_sidecar(
         tmp, '{"keep": 2, "indices": [[0, 1], [0, 1.5]]}'
     ),
@@ -412,6 +415,7 @@ NAMED_IN_ERROR = {
     "config noise_scale overflowing the batch": "noise_scale 1e+308 overflows",
     "compress --k refused with a new checkpoint": "k must be in [1, 32], got 99",
     "non-UTF-8 sidecar": "kept.ftv1.json",
+    "sidecar keep differs from the token file": "kept.ftv1.json",
     "non-UTF-8 checkpoint header": "adapter.json",
     "checkpoint scale other than 1/sqrt(width)": "checkpoint scale 1.3535533905932737",
     "mismatched --images sizes": "frame 1 shape (2, 3, 64) differs from frame 0 (2, 2, 64)",

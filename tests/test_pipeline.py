@@ -38,7 +38,6 @@ QUICK_SPEC = ToyTaskSpec(
 def make_sampled(t, k, c, seed=0):
     rng = np.random.default_rng(seed)
     return SampledTokens(
-        keep=k,
         indices=tuple(np.arange(k) for _ in range(t)),
         tokens=tuple(rng.normal(size=(k, c)) for _ in range(t)),
     )
@@ -67,9 +66,10 @@ def test_assembly_rejects_negative_prompt():
 
 def test_assembly_boundary_validation():
     with pytest.raises(ShapeError):
-        SequenceAssembly(
-            video_tokens=np.zeros((4, 2)), prompt_len=0, frame_boundaries=(0, 3)
-        )
+        SequenceAssembly(frame_tokens=np.zeros((4, 2)), prompt_len=0)
+    for empty in ((0, 2, 3), (2, 0, 3)):
+        with pytest.raises(ShapeError):
+            SequenceAssembly(frame_tokens=np.zeros(empty), prompt_len=0)
 
 
 def test_keep_all_pipeline_preserves_token_sets():

@@ -154,22 +154,22 @@ def test_compress_video_is_sample_of_adapt(frames, grid, dims, queries, keep, or
 def test_sampled_tokens_validation():
     with pytest.raises(ShapeError):
         SampledTokens(
-            keep=2,
             indices=np.array([[0, 1], [1, 1]]),  # duplicate in frame 1
             tokens=np.zeros((2, 2, 3)),
         )
     with pytest.raises(ShapeError):
         SampledTokens(
-            keep=2,
             indices=np.array([[0, 1]]),
-            tokens=np.zeros((1, 3, 3)),  # row count != keep
+            tokens=np.zeros((1, 3, 3)),  # 3 kept rows, 2 indices
         )
     with pytest.raises(ShapeError):
         SampledTokens(
-            keep=2,
             indices=np.array([[0, 1]]),  # one frame of indices for two of tokens
             tokens=np.zeros((2, 2, 3)),
         )
+    for t, k in ((0, 2), (2, 0)):  # no frames, no kept rows
+        with pytest.raises(ShapeError):
+            SampledTokens(indices=np.zeros((t, k)), tokens=np.zeros((t, k, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -177,11 +177,14 @@ def test_non_finite_sampled_tokens_reach_no_file(bad, tmp_path):
     """The constructors check shapes only; the writers refuse the values."""
     tokens = np.zeros((2, 2, 3))
     tokens[1, 0, 2] = bad
-    sampled = SampledTokens(keep=2, indices=[[0, 1], [1, 0]], tokens=tokens)
+    sampled = SampledTokens(indices=[[0, 1], [1, 0]], tokens=tokens)
     with pytest.raises(NumericError):
         save_sampled(sampled, tmp_path / "kept.ftv1", 4)
     with pytest.raises(NumericError):
         ftv1.write_tensor(tmp_path / "seq.ftv1", assemble_sequence(sampled, 0).video_tokens)
+    output = AdapterOutput(tokens=tokens, attention=np.full((2, 2, 4), 0.25))
+    with pytest.raises(NumericError):
+        ftv1.write_tensor(tmp_path / "adapted.ftv1", output.tokens)
     assert list(tmp_path.iterdir()) == []
 
 
