@@ -255,7 +255,9 @@ def _operands(params: AdapterParams):
     logit bias s·q·posᵀ, which together let the shifted features serve as
     both keys and values."""
     queries = params.queries
-    return queries @ params.input_proj.T, params.scale * (queries @ params.pos_table.T)
+    bias = queries @ params.pos_table.T
+    bias *= params.scale
+    return queries @ params.input_proj.T, bias
 
 
 def _attend_frames(queries, values, bias, scale: float):

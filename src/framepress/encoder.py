@@ -106,10 +106,12 @@ def frozen_projection(
         raise ParameterError("patch_size and feature_dim must be >= 1")
     rng = make_rng(FROZEN_PROJECTION_SEED)
     flat = 3 * patch_size * patch_size
-    proj = rng.normal(size=(flat, feature_dim)) / np.sqrt(flat)
-    # Round to storage precision so checkpoints and FTV1 files round-trip
-    # bit-exactly.
-    return proj.astype(np.float32).astype(np.float64)
+    proj = rng.standard_normal((flat, feature_dim))
+    proj /= np.sqrt(flat)
+    # Round to storage precision in place so checkpoints and FTV1 files
+    # round-trip bit-exactly.
+    proj[...] = proj.astype(np.float32)
+    return proj
 
 
 def patchify_encode(img: ImagePlane, patch_size: int, projection, out=None) -> np.ndarray:

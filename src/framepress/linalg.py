@@ -4,7 +4,8 @@ The package's one input validator, row-wise softmax, single-head
 attention weights (over one frame's keys or a stack of frames' keys) and
 cross-attention with exposed weights, seeded RNG streams, and
 central-difference gradients for verification. The kernels are pure
-functions of their inputs and return fresh arrays.
+functions of their inputs and return fresh arrays: the attention kernels
+normalise their own logits in place, and :func:`softmax_rows` its copy.
 """
 
 from __future__ import annotations
@@ -40,24 +41,27 @@ def as_matrix(values, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     return arr
 
 
+def _softmax_in_place(arr: np.ndarray) -> np.ndarray:
+    """:func:`softmax_rows` of a float64 array the caller owns, in place."""
+    if arr.ndim < 2 or arr.size == 0:
+        raise ShapeError(f"softmax requires a non-empty matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NumericError("softmax input contains non-finite entries")
+    arr -= arr.max(axis=-1, keepdims=True)
+    np.exp(arr, out=arr)
+    arr /= arr.sum(axis=-1, keepdims=True)
+    return arr
+
+
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max-subtraction for stability.
 
     Rows run along the last axis of a matrix or of a stack of matrices.
     Every output row is nonnegative and sums to 1 within 1e-12. Raises
     ShapeError unless ``m`` is a non-empty array of rank 2 or more and
-    NumericError if it has non-finite entries.
+    NumericError if it has non-finite entries. ``m`` is never written.
     """
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim < 2 or arr.size == 0:
-        raise ShapeError(f"softmax requires a non-empty matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("softmax input contains non-finite entries")
-    # One fresh array, exponentiated and normalised in place.
-    out = arr - arr.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+    return _softmax_in_place(np.array(m, dtype=np.float64))
 
 
 def _attention_weights(q: np.ndarray, k: np.ndarray, scale, bias) -> np.ndarray:
@@ -88,7 +92,7 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, scale, bias) -> np.ndarray:
     logits *= scale
     if bias is not None:
         logits += bias
-    return softmax_rows(logits)
+    return _softmax_in_place(logits)
 
 
 def attention_weights(queries, keys, scale: float | None = None, bias=None) -> np.ndarray:

@@ -149,6 +149,7 @@ def compress_video(
     attention = attend(video, params)
     indices = _kept_indices(attention, k, order)
     rows = np.take_along_axis(attention, indices[:, :, None], axis=1)
+    del attention  # freed before the kept rows are mixed
     return SampledTokens(indices, kept_tokens(video, params, rows))
 
 

@@ -57,9 +57,9 @@ def test_criterion_02_subsample_counts():
 
 
 def test_criterion_03_sampler_matches_oracle_and_nests():
-    """>=1000 random adapter outputs, every K from 1..N against the
-    brute-force oracle, plus >=500 nesting cases with injected ties;
-    under thirty seconds."""
+    """>=1000 attention score vectors (softmax rows of random logits),
+    every K from 1..N against the brute-force oracle, plus >=500 nesting
+    cases with injected ties; under thirty seconds."""
     start = time.perf_counter()
     oracle = check_sampler_oracle(cases=1000)
     nesting = check_nesting(cases=500)
@@ -110,7 +110,8 @@ def test_criterion_08_determinism_and_round_trips():
 
 def test_criterion_09_sequence_arithmetic():
     """Assembled length is T*K + prompt over T in {1,8}, K in {4,16,128},
-    prompt in {0,64} — including 8x128 = 1024 video tokens."""
+    prompt in {0,64} — including 8x128 = 1024 video tokens — with each
+    frame's kept tokens in that frame's slice of the sequence."""
     result, elapsed = timed(check_sequence_arithmetic)
     report(9, "sequence length arithmetic", result)
 

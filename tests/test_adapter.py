@@ -1,9 +1,9 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from framepress import ftv1
 from framepress.adapter import (
     AdapterOutput,
@@ -82,12 +82,7 @@ def test_adapt_holds_the_mixed_features_once():
     m = g * g
     video = synthetic_video(t, g, g, d, seed=1)
     params = random_adapter_params(m, d, d, m, t, seed=2)
-    tracemalloc.start()
-    try:
-        adapt_video(video, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(adapt_video, video, params)
     assert peak < 8 * (2.5 * t * m * d + t * m * m)
 
 
@@ -97,12 +92,7 @@ def test_init_rounds_the_params_in_place():
     through copies peaked at ~3.0 times the params)."""
     shape = dict(queries=64, width=256, feature_dim=256, grid_h=8, grid_w=8, frames=8)
     init_adapter_params(**shape, seed=0)  # first-call allocations are not the params'
-    tracemalloc.start()
-    try:
-        params = init_adapter_params(**shape, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    params, peak = traced_peak(init_adapter_params, **shape, seed=1)
     tables = (params.input_proj, params.queries, params.pos_table, params.temporal)
     assert peak < 2.0 * sum(a.nbytes for a in tables)
     for a in tables:

@@ -3,13 +3,13 @@ import io
 import json
 import math
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from framepress import cli, curriculum
 from framepress.curriculum import (
     DATA_TYPES,
@@ -252,12 +252,7 @@ def test_manifest_commands_hold_little_per_record(command, tmp_path):
         "filter": lambda: filter_file(src, out, {"vqa"}),
     }[command]
     run()  # first-call allocations are not per record
-    tracemalloc.start()
-    try:
-        run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(run)
     assert peak / 20_000 < PEAK_BYTES_PER_RECORD[command]
 
 

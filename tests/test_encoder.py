@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from framepress import cli
 from framepress.adapter import adapt_video, init_adapter_params
 from framepress.encoder import (
@@ -112,6 +113,14 @@ def test_frozen_projection_is_reproducible_and_f32_representable():
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, a.astype(np.float32).astype(np.float64))
     assert a.shape == (12, 4)
+
+
+def test_frozen_projection_draws_and_rounds_in_place():
+    """The projection costs one (3p², D) float64 array plus its float32
+    rounding; dividing and rounding through copies peaked at 2.5 arrays."""
+    frozen_projection(14, 256)  # first-call allocations are not the projection's
+    proj, peak = traced_peak(frozen_projection, 14, 256)
+    assert peak < 1.6 * proj.nbytes
 
 
 def test_video_tensor_requires_homogeneous_frames():

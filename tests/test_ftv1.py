@@ -2,11 +2,11 @@ import contextlib
 import os
 import struct
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from framepress import ftv1
 from framepress.errors import FormatError, NumericError, ParameterError, ShapeError
 from framepress.linalg import as_matrix, make_rng
@@ -213,15 +213,8 @@ def test_payloads_stream_through_a_bounded_buffer(tmp_path):
     arr = make_rng(4).normal(size=(8, 256, 1024))
     path = tmp_path / "big.ftv1"
     mib = 1 << 20
-    tracemalloc.start()
-    try:
-        ftv1.write_tensor(path, arr)
-        write_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        back = ftv1.read_tensor(path)
-        read_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, write_peak = traced_peak(ftv1.write_tensor, path, arr)
+    back, read_peak = traced_peak(ftv1.read_tensor, path)
     np.testing.assert_array_equal(back, arr.astype(np.float32))
     assert write_peak < 3 * mib, write_peak / mib
     assert read_peak < arr.nbytes + 2 * mib, read_peak / mib

@@ -49,6 +49,29 @@ def test_softmax_rejects_empty_and_nonfinite():
         softmax_rows(np.array([[np.nan, 1.0]]))
 
 
+def test_softmax_rows_never_writes_its_input():
+    m = make_rng(3).normal(size=(4, 5))
+    before = m.copy()
+    out = softmax_rows(m)
+    np.testing.assert_array_equal(m, before)
+    assert not np.shares_memory(out, m)
+
+
+def test_kernels_refuse_empty_keys_and_infinite_bias():
+    """Both kernels normalise their logits through softmax's own checks."""
+    q = np.zeros((3, 4))
+    for keys in (np.zeros((0, 4)), np.zeros((2, 0, 4))):
+        with pytest.raises(ShapeError, match="non-empty"):
+            attention_weights(q, keys)
+    with pytest.raises(ShapeError, match="non-empty"):
+        cross_attention(q, np.zeros((0, 4)), np.zeros((0, 4)))
+    keys, bias = np.zeros((2, 4)), np.array([[0.0, -np.inf]] * 3)
+    with pytest.raises(NumericError):
+        attention_weights(q, keys, bias=bias)
+    with pytest.raises(NumericError):
+        cross_attention(q, keys, keys, bias=bias)
+
+
 def test_cross_attention_matches_per_query_loop():
     """The vectorized kernel must agree with the obvious per-query math."""
     rng = make_rng(5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from framepress.adapter import (
     AdapterOutput,
     adapt_video,
@@ -149,6 +150,21 @@ def test_compress_video_is_sample_of_adapt(frames, grid, dims, queries, keep, or
     np.testing.assert_allclose(
         got.tokens, want.tokens, rtol=0, atol=1e-12 * np.abs(want.tokens).max()
     )
+
+
+def test_compress_holds_one_attention_array():
+    """At this shape the (T, K, D) mixed rows and their (T, K, C) tokens are
+    each as big as the (T, N, M) attention, and with the (T, K, M) kept rows
+    they come to 2.25 attentions. Two attentions at once (softmax into a
+    second array) or the attention beside the mixed rows and tokens peaked
+    at 2.9 and 3.26."""
+    t, g, d, k = 8, 8, 256, 16
+    m = g * g
+    video = synthetic_video(t, g, g, d, seed=1)
+    params = random_adapter_params(m, d, d, m, t, seed=2)
+    compress_video(video, params, k)  # first-call allocations are not the video's
+    _, peak = traced_peak(compress_video, video, params, k)
+    assert peak < 2.5 * (8 * t * m * m)
 
 
 def test_sampled_tokens_validation():

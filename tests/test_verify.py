@@ -55,6 +55,19 @@ def test_nesting_check_accepts_real_selector():
     assert check_nesting(cases=300, select_fn=select_topk).passed
 
 
+def test_sequence_check_catches_frames_out_of_order(monkeypatch):
+    """An assembly with the right length but the frames reversed fails."""
+    real = verify_mod.assemble_sequence
+
+    def reversed_frames(sampled, prompt_len):
+        return real(replace(sampled, tokens=sampled.tokens[::-1]), prompt_len)
+
+    monkeypatch.setattr(verify_mod, "assemble_sequence", reversed_frames)
+    result = check_sequence_arithmetic()
+    assert not result.passed
+    assert "frame 0 out of place" in result.detail
+
+
 def test_attention_check_reports_rows_that_do_not_sum_to_one(monkeypatch):
     import framepress.adapter as adapter_mod
 
