@@ -24,9 +24,10 @@ Each caller has one forward path. A sampler selects before mixing:
 stacked call on the unshifted features (the temporal vector only shifts
 each logit row, which the softmax ignores), and :func:`kept_tokens` mixes,
 shifts and projects only the rows it keeps. The full forward
-(:func:`adapt_video`) and the backward attend frame by frame, through one
-loop kept only because the benchmark pins one ``cross_attention`` call
-per frame in each training step.
+(:func:`adapt_video`) and the backward, which takes only the rows a loss
+reads, attend frame by frame through one loop, kept only because the
+benchmark pins one ``cross_attention`` call per frame in each training
+step.
 
 Besides the forward pass this module carries its own reverse-mode
 gradients (the whole block is small enough that hand-written backprop
@@ -261,16 +262,16 @@ def _operands(params: AdapterParams):
 
 
 def _attend_frames(queries, values, bias, scale: float):
-    """``(attention, mixed)``, (T, N, M) and (T, N, D), one
-    :func:`cross_attention` call per frame over ``values`` as keys. One
-    stacked :func:`attention_weights` call would do; the loop stays because
-    ``perfbench``'s ``toy_train`` test pins a call per frame in each
-    training step's forward and backward."""
-    t_count, m, width = values.shape
-    attention = np.empty((t_count, queries.shape[0], m))
-    mixed = np.empty((t_count, queries.shape[0], width))
+    """``(attention, mixed)``, (T, R, M) and (T, R, D), one
+    :func:`cross_attention` call per frame of (R, D) ``queries[t]`` and (R, M)
+    ``bias[t]`` over ``values[t]`` as keys. One stacked call would do for
+    the forward; the loop stays because ``perfbench``'s ``toy_train`` test
+    pins a call per frame in each training step's forward and backward."""
+    t_count, r, _ = queries.shape
+    attention = np.empty((t_count, r, values.shape[1]))
+    mixed = np.empty((t_count, r, values.shape[2]))
     for t in range(t_count):
-        attention[t], mixed[t] = cross_attention(queries, values[t], values[t], scale, bias)
+        attention[t], mixed[t] = cross_attention(queries[t], values[t], values[t], scale, bias[t])
     return attention, mixed
 
 
@@ -305,7 +306,7 @@ def kept_tokens(video: VideoTokenTensor, params: AdapterParams, rows: np.ndarray
 
 def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput:
     """Compress every frame of a video, preserving frame order."""
-    queries, bias = _operands(params)
+    queries, bias = (np.broadcast_to(a, (params.frame_count, *a.shape)) for a in _operands(params))
     # The shifted features go straight into the loop, so they are freed
     # before the projection allocates the tokens.
     attention, mixed = _attend_frames(
@@ -316,45 +317,51 @@ def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput
 
 
 def adapter_gradients(
-    video: VideoTokenTensor, params: AdapterParams, token_grads
+    video: VideoTokenTensor, params: AdapterParams, rows, row_grads
 ) -> AdapterGrads:
     """Reverse-mode gradients of a loss through :func:`adapt_video`.
 
-    ``token_grads`` is the (T, N, C) array dLoss/dTokens. Gradients are
-    returned for the projection, query bank, positional table and temporal
-    table. Each frame's attention is recomputed, not stored by the forward
-    pass.
+    ``rows`` are the (T, R) query rows the loss reads, as in
+    ``SampledTokens.indices``, and ``row_grads`` their (T, R, C)
+    dLoss/dTokens; other rows have zero gradient, and a repeated row adds.
+    Only the R rows' attention is recomputed, not stored by the forward.
     """
-    g_tokens = np.asarray(token_grads, dtype=np.float64)
+    rows = np.asarray(rows)
+    g_tokens = np.asarray(row_grads, dtype=np.float64)
     t_count, n, c = video.frame_count, params.query_count, params.width
-    if g_tokens.shape != (t_count, n, c):
+    if rows.ndim != 2 or rows.shape[0] != t_count or g_tokens.shape != (*rows.shape, c):
         raise ShapeError(
-            f"token grads must have shape {(t_count, n, c)}, got {g_tokens.shape}"
+            f"rows {rows.shape} and grads {g_tokens.shape} must be (T, R), (T, R, {c}); T={t_count}"
         )
+    # A negative row would wrap round and train the wrong query.
+    if rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= n)):
+        raise ShapeError(f"rows must be integers in [0, {n})")
     shifted = _source_tokens(video, params) + params.temporal[:, None, :]  # x, (T, M, D)
     feature_queries, bias = _operands(params)
-    att, mixed = _attend_frames(feature_queries, shifted, bias, params.scale)
+    att, mixed = _attend_frames(feature_queries[rows], shifted, bias[rows], params.scale)
     queries, proj, scale = params.queries, params.input_proj, params.scale
-    d = params.feature_dim
+    r, m, d = rows.shape[1], shifted.shape[1], params.feature_dim
 
-    # The (T, N, D) arrays are dropped once used, which keeps the peak
+    # The (T, R, D) arrays are dropped once used, which keeps the peak
     # memory near that of the per-frame backward at the paper shape.
-    g_flat = g_tokens.reshape(t_count * n, c)
+    g_flat = g_tokens.reshape(t_count * r, c)
     # W maps the mixed rows to tokens and the queries into feature space.
-    g_proj = mixed.reshape(t_count * n, d).T @ g_flat
+    g_proj = mixed.reshape(t_count * r, d).T @ g_flat
     del mixed
-    g_mixed = (g_flat @ proj.T).reshape(t_count, n, d)
-    # The temporal gradient is the row sum of dx_t = A_tᵀ·dZ_t + s·dlogits_tᵀ·Q.
+    g_mixed = (g_flat @ proj.T).reshape(t_count, r, d)
+    # The temporal gradient is the row sum of dx_t = A_tᵀ·dZ_t + s·dlogits_tᵀ·Q_t.
     # Rows of A_t sum to one and rows of dlogits_t to zero, so that row sum
-    # is dZ_t summed over the queries.
+    # is dZ_t summed over the rows.
     g_temporal = g_mixed.sum(axis=1)
-    g_logits = g_mixed @ shifted.transpose(0, 2, 1)  # dA, (T, N, M)
+    g_logits = g_mixed @ shifted.transpose(0, 2, 1)  # dA, (T, R, M)
     del g_mixed
     # Softmax backward, row-wise, in place.
     g_logits -= np.sum(g_logits * att, axis=2, keepdims=True)
     g_logits *= att
-    g_bias = g_logits.sum(axis=0)  # (N, M), unscaled
-    g_feature_queries = scale * np.tensordot(g_logits, shifted, axes=([0, 2], [0, 1]))
+    # Each row's gradients are summed onto its query, so a repeated row adds.
+    onehot = (np.arange(n)[:, None] == rows.ravel()).astype(np.float64)  # (N, T·R)
+    g_bias = onehot @ g_logits.reshape(t_count * r, m)  # (N, M), unscaled
+    g_feature_queries = scale * (onehot @ (g_logits @ shifted).reshape(t_count * r, d))
     g_proj += g_feature_queries.T @ queries
     g_queries = g_feature_queries @ proj + scale * (g_bias @ params.pos_table)
     g_pos = scale * (g_bias.T @ queries)

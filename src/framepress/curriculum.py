@@ -180,11 +180,13 @@ def _scan(path):
             offset += len(raw)
 
 
-def _check_subsample_args(fraction: float, qa_cap_per_video: int | None) -> None:
+def _check_subsample_args(fraction: float, seed: int, qa_cap_per_video: int | None) -> None:
     if not 0.0 < fraction <= 1.0:
         raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
     if qa_cap_per_video is not None and qa_cap_per_video < 1:
         raise ParameterError(f"qa_cap_per_video must be >= 1, got {qa_cap_per_video}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
 def _kept_positions(
@@ -234,7 +236,7 @@ def subsample_file(
     must be a regular file that stays unchanged between the passes. Returns
     (videos, QA pairs) of ``src`` and of the output.
     """
-    _check_subsample_args(fraction, qa_cap_per_video)
+    _check_subsample_args(fraction, seed, qa_cap_per_video)
     if not stat.S_ISREG(os.stat(src).st_mode):
         raise FormatError(f"{src}: not a regular file; subsample reads it twice")
     offsets = array("q")

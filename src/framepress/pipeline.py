@@ -270,10 +270,9 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
     )
 
     b, t, k = spec.batch_videos, spec.frames, spec.keep
-    n, c = spec.queries, spec.embed_dim
+    c = spec.embed_dim
     denom = b * spec.out_dim
     zero_pos = np.zeros_like(params.pos_table)
-    frame_rows = np.arange(t)[:, None]
     curve = []
     for step in range(spec.steps + 1):
         try:
@@ -298,9 +297,8 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
         g_temporal = np.zeros_like(params.temporal)
         for vb in range(b):
             # Mean pooling spreads the gradient evenly over the kept tokens.
-            token_grads = np.zeros((t, n, c))
-            token_grads[frame_rows, sampled[vb].indices] = g_pooled[vb] / (t * k)
-            grads = adapter_gradients(videos[vb], params, token_grads)
+            row_grads = np.broadcast_to(g_pooled[vb] / (t * k), (t, k, c))
+            grads = adapter_gradients(videos[vb], params, sampled[vb].indices, row_grads)
             g_proj += grads.input_proj
             g_queries += grads.queries
             g_temporal += grads.temporal

@@ -244,9 +244,7 @@ def _grad_check_point(seed: int, step: float):
         return float(sum(np.sum(tok**2) for tok in sampled.tokens))
 
     sampled = sample_video(out, k)
-    token_grads = np.zeros(out.tokens.shape)
-    np.put_along_axis(token_grads, sampled.indices[:, :, None], 2.0 * sampled.tokens, axis=1)
-    grads = adapter_gradients(video, params, token_grads)
+    grads = adapter_gradients(video, params, sampled.indices, 2.0 * sampled.tokens)
     errs = {}
     for name in (f.name for f in fields(AdapterGrads)):
         fd = fd_gradient(partial(loss_at, name), getattr(params, name).ravel(), step=step)

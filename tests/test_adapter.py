@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+from framepress import adapter as adapter_mod
 from framepress import ftv1
 from framepress.adapter import (
     AdapterOutput,
@@ -185,7 +186,7 @@ def test_gradients_match_finite_differences_seed3():
 
     out = adapt_video(video, params)
     token_grads = np.stack([2.0 * t for t in out.tokens])
-    grads = adapter_gradients(video, params, token_grads)
+    grads = adapter_gradients(video, params, np.tile(np.arange(3), (2, 1)), token_grads)
 
     for name in names:
         base = getattr(params, name)
@@ -199,11 +200,52 @@ def test_gradients_match_finite_differences_seed3():
         assert err < 1e-4, f"{name}: relative error {err:.3e}"
 
 
+def test_gradients_refuse_rows_out_of_range():
+    """A negative row would wrap onto row N-1 and train the wrong query;
+    a float row is no row at all."""
+    video = synthetic_video(1, 2, 2, 3, seed=38)
+    params = small_params(seed=39, frames=1)
+    for row in (-1, 3, 1.0):
+        with pytest.raises(ShapeError, match=r"rows must be integers in \[0, 3\)"):
+            adapter_gradients(video, params, [[row]], np.ones((1, 1, 4)))
+
+
+def test_gradients_of_a_repeated_row_add():
+    """Rows [[r, r]] with gradients g1 and g2 train like [[r]] with g1 + g2;
+    a scatter that assigns would keep only one of them."""
+    video = synthetic_video(1, 2, 2, 3, seed=40)
+    params = small_params(seed=41, frames=1)
+    g1, g2 = make_rng(42).normal(size=(2, 4))
+    twice = adapter_gradients(video, params, [[1, 1]], np.stack([g1, g2])[None])
+    once = adapter_gradients(video, params, [[1]], (g1 + g2)[None, None])
+    for name in ("input_proj", "queries", "pos_table", "temporal"):
+        np.testing.assert_allclose(getattr(twice, name), getattr(once, name), rtol=1e-12, atol=1e-14)
+
+
+def test_backward_attends_once_per_frame_with_the_given_rows(monkeypatch):
+    """T cross_attention calls of (R, D) queries each: the training step's
+    2·B·T call count holds, and the backward's work scales with R, not N."""
+    shapes, cross_attention = [], adapter_mod.cross_attention
+
+    def recording(queries, *args):
+        shapes.append(np.shape(queries))
+        return cross_attention(queries, *args)
+
+    monkeypatch.setattr(adapter_mod, "cross_attention", recording)
+    video = synthetic_video(3, 2, 2, 3, seed=43)
+    params = small_params(seed=44, frames=3, queries=6)
+    rows = np.array([[0, 5], [2, 3], [4, 4]])
+    adapter_gradients(video, params, rows, np.ones((3, 2, 4)))
+    assert shapes == [(2, 3)] * 3
+
+
 def test_apply_grads_moves_params():
     params = small_params(seed=25)
     video = synthetic_video(2, 2, 2, 3, seed=26)
     out = adapt_video(video, params)
-    grads = adapter_gradients(video, params, np.stack([2 * t for t in out.tokens]))
+    grads = adapter_gradients(
+        video, params, np.tile(np.arange(3), (2, 1)), np.stack([2 * t for t in out.tokens])
+    )
     stepped = apply_grads(params, grads, lr=0.1)
     assert not np.array_equal(stepped.queries, params.queries)
     np.testing.assert_allclose(
@@ -268,4 +310,4 @@ def test_adapt_video_rejects_wrong_token_count():
     wide = synthetic_video(2, 2, 3, 3, seed=36)
     params = small_params(seed=37)
     with pytest.raises(ShapeError, match="tokens"):
-        adapter_gradients(wide, params, np.zeros((2, 3, 4)))
+        adapter_gradients(wide, params, np.tile(np.arange(3), (2, 1)), np.zeros((2, 3, 4)))

@@ -112,6 +112,18 @@ def test_subsample_errors(tmp_path):
     assert not out.exists()
 
 
+def test_subsample_refuses_a_negative_seed_before_reading(tmp_path, capsys):
+    """The seed is checked with the other arguments, before the first pass:
+    a missing manifest is never opened."""
+    missing, out = tmp_path / "missing.jsonl", tmp_path / "out.jsonl"
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        subsample_file(missing, out, 0.5, seed=-1)
+    argv = ["subsample", str(missing), "--fraction", "0.5", "--seed", "-1", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 @given(st.integers(1, 300), st.floats(0.001, 1.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_subsample_count_is_floor_property(videos, fraction):

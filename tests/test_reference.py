@@ -86,14 +86,8 @@ def test_adapter_gradients_match_reference_loss(case):
     head, target = rng.normal(size=(params.width, 2)), rng.normal(size=2)
 
     indices, kept = reference.compress(features, *tables, k, "score")
-    token_grads = np.zeros((video.frame_count, params.query_count, params.width))
-    np.put_along_axis(
-        token_grads,
-        indices[:, :, None],
-        reference.mean_pool_token_grads(kept, head, target),
-        axis=1,
-    )
-    grads = adapter_gradients(video, params, token_grads)
+    row_grads = reference.mean_pool_token_grads(kept, head, target)
+    grads = adapter_gradients(video, params, indices, row_grads)
 
     for i, name in enumerate(TABLES):
         base = tables[i]
