@@ -38,7 +38,7 @@ I/O built on FTV1 tensor files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -371,19 +371,6 @@ def adapter_gradients(
         queries=g_queries,
         pos_table=g_pos,
         temporal=g_temporal,
-    )
-
-
-def apply_grads(params: AdapterParams, grads: AdapterGrads, lr: float) -> AdapterParams:
-    """One plain gradient step; immutable in, immutable out."""
-    if not np.isfinite(lr):
-        raise ParameterError("learning rate must be finite")
-    return replace(
-        params,
-        input_proj=params.input_proj - lr * grads.input_proj,
-        queries=params.queries - lr * grads.queries,
-        pos_table=params.pos_table - lr * grads.pos_table,
-        temporal=params.temporal - lr * grads.temporal,
     )
 
 

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import zipfile
 from pathlib import Path
@@ -411,14 +412,22 @@ _NUMPY_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded", "Max
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # Before any work: an empty value would read as an absent flag, and a
-        # path that names a directory cannot be written.
+        # Before any work: an empty value would read as an absent flag, a
+        # path that names a directory cannot be written, and of two outputs
+        # written to one file only the last would survive.
         for flag in _NOT_EMPTY:
             if getattr(args, flag, None) == "":
                 raise ParameterError(f"--{flag.replace('_', '-')} must not be empty")
-        for path in (getattr(args, flag, None) for flag in ("out", "report", "attention_out")):
+        written = {}
+        for flag in ("out", "report", "attention_out"):
+            path = getattr(args, flag, None)
             if path:
-                ftv1._output_path(path)
+                option = "--" + flag.replace("_", "-")
+                # realpath, unlike Path.resolve, raises nothing on a symlink loop.
+                resolved = os.path.realpath(ftv1._output_path(path))
+                if resolved in written:
+                    raise ParameterError(f"{written[resolved]} and {option} name the same file {path}")
+                written[resolved] = option
         return args.fn(args)
     except (FramepressError, OSError) as exc:
         message = exc

@@ -13,19 +13,12 @@ suite measures.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import cost
-from .adapter import (
-    AdapterGrads,
-    AdapterParams,
-    adapt_video,
-    adapter_gradients,
-    apply_grads,
-    init_adapter_params,
-)
+from .adapter import AdapterParams, adapt_video, adapter_gradients, init_adapter_params
 from .encoder import VideoTokenTensor
 from .errors import NumericError, ParameterError, ShapeError
 from .linalg import _read_only, split_rng
@@ -51,8 +44,8 @@ class SequenceAssembly:
         tokens = _read_only(self.frame_tokens, "frame tokens", ndim=3)
         if 0 in tokens.shape[:2]:
             raise ShapeError(f"a sequence needs frames and kept rows, got shape {tokens.shape}")
-        if self.prompt_len < 0:
-            raise ParameterError(f"prompt_len must be >= 0, got {self.prompt_len}")
+        if type(self.prompt_len) is not int or self.prompt_len < 0:
+            raise ParameterError(f"prompt_len must be an integer >= 0, got {self.prompt_len!r}")
         object.__setattr__(self, "frame_tokens", tokens)
 
     @property
@@ -194,53 +187,30 @@ class RunReport:
 
 
 def _make_batch(spec: ToyTaskSpec, data_rng, target_rng):
-    """The batch's videos and their (B, out) regression targets."""
+    """The batch as one video of B·T frames, video by video, and its (B, out)
+    regression targets."""
     b, t = spec.batch_videos, spec.frames
     m, d, s = spec.patch_tokens, spec.feature_dim, spec.signal_patches
     # A noise_scale near the float64 limit overflows the draw: bad input,
     # refused below, not a divergence for the step loop to report.
     with np.errstate(over="ignore", invalid="ignore"):
-        feats = spec.noise_scale * data_rng.normal(size=(b, t, m, d))
-        positions = []
-        for vb in range(b):
-            per_frame = []
-            for ft in range(t):
-                pos = data_rng.choice(m, size=s, replace=False)
-                feats[vb, ft, pos, :] += data_rng.normal(size=d)
-                per_frame.append(np.sort(pos))
-            positions.append(per_frame)
+        feats = spec.noise_scale * data_rng.normal(size=(b * t, m, d))
+        signal = np.empty((b * t, d))  # each frame's mean signal-patch feature
+        for f in range(b * t):
+            pos = np.sort(data_rng.choice(m, size=s, replace=False))
+            feats[f, pos] += data_rng.normal(size=d)
+            signal[f] = feats[f, pos].mean(axis=0)
         readout = target_rng.normal(size=(d, spec.out_dim)) / np.sqrt(d)
-        targets = np.empty((b, spec.out_dim))
-        for vb in range(b):
-            signal_mean = np.mean(
-                [feats[vb, ft, positions[vb][ft], :].mean(axis=0) for ft in range(t)],
-                axis=0,
-            )
-            targets[vb] = signal_mean @ readout
+        targets = signal.reshape(b, t, d).mean(axis=1) @ readout
     if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(targets))):
         raise ParameterError(
             f"noise_scale {spec.noise_scale} overflows the drawn toy batch"
         )
-    # Read-only, so each video wraps a view of the batch without a copy.
+    # Read-only, so the B videos' frames, in order, are one video that
+    # wraps the draw without a copy.
     feats.setflags(write=False)
-    videos = [
-        VideoTokenTensor(feats[vb].reshape(t, spec.grid_h, spec.grid_w, d))
-        for vb in range(b)
-    ]
-    return videos, targets
-
-
-def _forward(spec: ToyTaskSpec, videos, targets, params: AdapterParams, head):
-    """The loss and what the backward pass reads: the pooled tokens, the
-    prediction error and the kept tokens of each video."""
-    outputs = [adapt_video(video, params) for video in videos]
-    sampled = [sample_video(out, spec.keep) for out in outputs]
-    pooled = np.stack(
-        [s.tokens.reshape(-1, s.width).mean(axis=0) for s in sampled]
-    )  # (B, C)
-    diff = pooled @ head - targets  # (B, out)
-    loss = float(np.mean(diff**2))
-    return loss, pooled, diff, sampled
+    video = VideoTokenTensor(feats.reshape(b * t, spec.grid_h, spec.grid_w, d))
+    return video, targets
 
 
 def train_toy(spec: ToyTaskSpec) -> RunReport:
@@ -249,11 +219,15 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
     Trainable tensors: the adapter's input projection, query bank and
     temporal table, plus the readout head. The positional table stays at
     its initialization, and the per-step token selection is treated as a
-    constant of the forward pass. Raises a numeric error naming the step
-    if the loss leaves the finite range.
+    constant of the forward pass. Each step runs the batch as one video of
+    B·T frames, with the (T, D) temporal table tiled once per video.
+    Raises a numeric error naming the step if the loss leaves the finite
+    range.
     """
+    b, t, k = spec.batch_videos, spec.frames, spec.keep
+    c, lr = spec.embed_dim, spec.learning_rate
     data_rng, target_rng = split_rng(spec.seed, 2)
-    videos, targets = _make_batch(spec, data_rng, target_rng)
+    video, targets = _make_batch(spec, data_rng, target_rng)
     params = init_adapter_params(
         queries=spec.queries,
         width=spec.embed_dim,
@@ -263,25 +237,24 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
         frames=spec.frames,
         seed=spec.seed,
     )
+    temporal = params.temporal  # (T, D)
+    params = replace(params, temporal=np.tile(temporal, (b, 1)))
     head = (
         (target_rng.normal(size=(spec.embed_dim, spec.out_dim)) / np.sqrt(spec.embed_dim))
         .astype(np.float32)
         .astype(np.float64)
     )
 
-    b, t, k = spec.batch_videos, spec.frames, spec.keep
-    c = spec.embed_dim
-    denom = b * spec.out_dim
-    zero_pos = np.zeros_like(params.pos_table)
     curve = []
     for step in range(spec.steps + 1):
         try:
             # Overflow here is not a bug to warn about — it is the
             # divergence this loop reports by step index.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, pooled, diff, sampled = _forward(
-                    spec, videos, targets, params, head
-                )
+                sampled = sample_video(adapt_video(video, params), k)
+                pooled = sampled.tokens.reshape(b, t * k, c).mean(axis=1)  # (B, C)
+                diff = pooled @ head - targets  # (B, out)
+                loss = float(np.mean(diff**2))
         except NumericError as exc:
             raise NumericError(f"loss diverged at step {step}: {exc}") from exc
         if not np.isfinite(loss):
@@ -289,26 +262,23 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
         curve.append(loss)
         if step == spec.steps:
             break
-        g_preds = 2.0 * diff / denom  # (B, out)
+        g_preds = 2.0 * diff / diff.size  # (B, out)
         g_head = pooled.T @ g_preds
         g_pooled = g_preds @ head.T  # (B, C)
-        g_proj = np.zeros_like(params.input_proj)
-        g_queries = np.zeros_like(params.queries)
-        g_temporal = np.zeros_like(params.temporal)
-        for vb in range(b):
-            # Mean pooling spreads the gradient evenly over the kept tokens.
-            row_grads = np.broadcast_to(g_pooled[vb] / (t * k), (t, k, c))
-            grads = adapter_gradients(videos[vb], params, sampled[vb].indices, row_grads)
-            g_proj += grads.input_proj
-            g_queries += grads.queries
-            g_temporal += grads.temporal
-        # The positional table is not trained: its step is zero.
-        grads = AdapterGrads(g_proj, g_queries, zero_pos, g_temporal)
+        # Mean pooling spreads each video's gradient evenly over its T·K kept tokens.
+        row_grads = np.broadcast_to(np.repeat(g_pooled / (t * k), t, axis=0)[:, None, :], (b * t, k, c))
+        grads = adapter_gradients(video, params, sampled.indices, row_grads)
+        temporal = temporal - lr * grads.temporal.reshape(b, t, -1).sum(axis=0)
         try:
-            params = apply_grads(params, grads, spec.learning_rate)
+            params = AdapterParams(
+                input_proj=params.input_proj - lr * grads.input_proj,
+                queries=params.queries - lr * grads.queries,
+                pos_table=params.pos_table,  # not trained
+                temporal=np.tile(temporal, (b, 1)),
+            )
         except NumericError as exc:
             raise NumericError(f"loss diverged at step {step}: {exc}") from exc
-        head = head - spec.learning_rate * g_head
+        head = head - lr * g_head
 
     calibration = cost.calibrate()
     cost_cfg = cost.calibrated_config(

@@ -76,10 +76,14 @@ class SampledTokens:
 
     def __post_init__(self):
         tokens = _read_only(self.tokens, "sampled tokens", ndim=3)
-        indices = np.array(self.indices, dtype=np.int64)
-        indices.setflags(write=False)
         if 0 in tokens.shape[:2]:
             raise ShapeError(f"sampled tokens need frames and kept rows, got shape {tokens.shape}")
+        indices = np.asarray(self.indices)
+        # A float or bool index would otherwise be truncated to an integer.
+        if indices.dtype.kind not in "iu":
+            raise ShapeError(f"token indices must be integers, got dtype {indices.dtype}")
+        indices = np.array(indices, dtype=np.int64)
+        indices.setflags(write=False)
         if indices.shape != tokens.shape[:2]:
             raise ShapeError(
                 f"expected indices of shape {tokens.shape[:2]}, got {indices.shape}"

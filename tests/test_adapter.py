@@ -11,7 +11,6 @@ from framepress.adapter import (
     AdapterParams,
     adapt_video,
     adapter_gradients,
-    apply_grads,
     init_adapter_params,
     load_checkpoint,
     random_adapter_params,
@@ -237,20 +236,6 @@ def test_backward_attends_once_per_frame_with_the_given_rows(monkeypatch):
     rows = np.array([[0, 5], [2, 3], [4, 4]])
     adapter_gradients(video, params, rows, np.ones((3, 2, 4)))
     assert shapes == [(2, 3)] * 3
-
-
-def test_apply_grads_moves_params():
-    params = small_params(seed=25)
-    video = synthetic_video(2, 2, 2, 3, seed=26)
-    out = adapt_video(video, params)
-    grads = adapter_gradients(
-        video, params, np.tile(np.arange(3), (2, 1)), np.stack([2 * t for t in out.tokens])
-    )
-    stepped = apply_grads(params, grads, lr=0.1)
-    assert not np.array_equal(stepped.queries, params.queries)
-    np.testing.assert_allclose(
-        stepped.input_proj, params.input_proj - 0.1 * grads.input_proj
-    )
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -366,6 +366,14 @@ BAD_INPUTS = {
         "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
         "--attention-out", f"{tmp / 'd'}{os.sep}",
     ],
+    "adapt --out and --attention-out one file": lambda tmp: [
+        "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
+        "--attention-out", str(tmp / "a.ftv1"),
+    ],
+    "adapt --attention-out naming --out relatively": lambda tmp: [
+        "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
+        "--attention-out", os.path.join(".", os.path.relpath(tmp / "a.ftv1")),
+    ],
     "verify --report ending in a separator": lambda tmp: ["verify", "--report", f"{tmp / 'd'}{os.sep}"],
     "train-toy --report ending in a separator": lambda tmp: [
         "train-toy", "--report", f"{tmp / 'd'}{os.sep}"
@@ -439,6 +447,8 @@ NAMED_IN_ERROR = {
     "compress --out ending in a separator": f"d{os.sep} names a directory",
     "plan --out ending in a separator": f"d{os.sep} names a directory",
     "adapt --attention-out ending in a separator": f"d{os.sep} names a directory",
+    "adapt --out and --attention-out one file": "--out and --attention-out name the same file",
+    "adapt --attention-out naming --out relatively": "--out and --attention-out name the same file",
     "verify --report ending in a separator": f"d{os.sep} names a directory",
     "train-toy --report ending in a separator": f"d{os.sep} names a directory",
     "encode --grid too large to allocate": "(1, 99999999, 99999999, 64)",
@@ -460,6 +470,8 @@ NAMED_IN_ERROR = {
 
 # The work a case's output path must be refused before.
 NEVER_CALLED = {
+    "adapt --out and --attention-out one file": "adapt_video",
+    "adapt --attention-out naming --out relatively": "adapt_video",
     "verify --report ending in a separator": "verify_all",
     "train-toy --report ending in a separator": "train_toy",
     "train-toy --report empty": "train_toy",

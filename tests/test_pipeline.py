@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framepress.adapter import adapt_video, init_adapter_params
-from framepress.encoder import synthetic_video
+from framepress import pipeline
+from framepress.adapter import AdapterParams, adapt_video, adapter_gradients, init_adapter_params
+from framepress.encoder import VideoTokenTensor, synthetic_video
 from framepress.errors import NumericError, ParameterError, ShapeError
+from framepress.linalg import split_rng
 from framepress.pipeline import (
     RunReport,
     SequenceAssembly,
     ToyTaskSpec,
+    _make_batch,
     assemble_sequence,
     spec_from_dict,
     train_toy,
@@ -60,8 +63,10 @@ def test_assembly_concatenates_in_frame_order():
 
 
 def test_assembly_rejects_negative_prompt():
-    with pytest.raises(ParameterError):
-        assemble_sequence(make_sampled(1, 2, 3), -1)
+    # And a prompt length that is not an int, which would skew total_len.
+    for prompt_len in (-1, 2.5, 2.0, True, "2"):
+        with pytest.raises(ParameterError):
+            assemble_sequence(make_sampled(1, 2, 3), prompt_len)
 
 
 def test_assembly_boundary_validation():
@@ -132,6 +137,58 @@ def test_train_toy_is_bit_deterministic():
     b = train_toy(QUICK_SPEC)
     assert a.to_json() == b.to_json()
     assert a.loss_curve == b.loss_curve
+
+
+def reference_curve(spec: ToyTaskSpec) -> list[float]:
+    """train_toy's loss curve, stepped video by video through the public
+    adapter calls, with the adapter gradients summed over the videos."""
+    b, t, k, lr = spec.batch_videos, spec.frames, spec.keep, spec.learning_rate
+    data_rng, target_rng = split_rng(spec.seed, 2)
+    batch, targets = _make_batch(spec, data_rng, target_rng)
+    videos = [VideoTokenTensor(batch.features[vb * t : (vb + 1) * t]) for vb in range(b)]
+    params = init_adapter_params(
+        queries=spec.queries, width=spec.embed_dim, feature_dim=spec.feature_dim,
+        grid_h=spec.grid_h, grid_w=spec.grid_w, frames=t, seed=spec.seed,
+    )
+    c = spec.embed_dim
+    head = (target_rng.normal(size=(c, spec.out_dim)) / np.sqrt(c)).astype(np.float32).astype(np.float64)
+    curve = []
+    for _ in range(spec.steps + 1):
+        sampled = [sample_video(adapt_video(video, params), k) for video in videos]
+        pooled = np.stack([s.tokens.reshape(t * k, c).mean(axis=0) for s in sampled])
+        diff = pooled @ head - targets
+        curve.append(float(np.mean(diff**2)))
+        g_preds = 2.0 * diff / diff.size
+        grads = [
+            adapter_gradients(video, params, s.indices, np.broadcast_to(g / (t * k), (t, k, c)))
+            for video, s, g in zip(videos, sampled, g_preds @ head.T)
+        ]
+        params = AdapterParams(
+            input_proj=params.input_proj - lr * sum(g.input_proj for g in grads),
+            queries=params.queries - lr * sum(g.queries for g in grads),
+            pos_table=params.pos_table,
+            temporal=params.temporal - lr * sum(g.temporal for g in grads),
+        )
+        head = head - lr * (pooled.T @ g_preds)
+    return curve
+
+
+@pytest.mark.parametrize("keep", [2, 4], ids=["K<N", "K=N"])
+def test_train_toy_matches_a_per_video_reference(keep):
+    spec = replace(QUICK_SPEC, batch_videos=3, frames=3, keep=keep)
+    np.testing.assert_allclose(train_toy(spec).loss_curve, reference_curve(spec), rtol=1e-12, atol=0)
+
+
+def test_train_toy_makes_one_forward_and_one_backward_call_per_step(monkeypatch):
+    calls = {"adapt_video": 0, "adapter_gradients": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(pipeline, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    train_toy(replace(QUICK_SPEC, batch_videos=3, steps=4))
+    assert calls == {"adapt_video": 5, "adapter_gradients": 4}
 
 
 def test_zero_learning_rate_freezes_the_loss():

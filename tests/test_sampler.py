@@ -186,6 +186,10 @@ def test_sampled_tokens_validation():
     for t, k in ((0, 2), (2, 0)):  # no frames, no kept rows
         with pytest.raises(ShapeError):
             SampledTokens(indices=np.zeros((t, k)), tokens=np.zeros((t, k, 3)))
+    # Non-integer indices are refused, not truncated.
+    for indices in ([[1.7, 2.2]], [[np.nan, 1.0]], np.array([[True, False]])):
+        with pytest.raises(ShapeError, match="integers"):
+            SampledTokens(indices=indices, tokens=np.zeros((1, 2, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
