@@ -52,6 +52,14 @@ from .linalg import _read_only, as_matrix, attention_weights, cross_attention, m
 CHECKPOINT_HEADER = "adapter.json"
 _CHECKPOINT_FORMAT = "framepress-adapter"
 _CHECKPOINT_VERSION = 1
+# The checkpoint header's shape keys, each with the AdapterParams property it declares.
+_HEADER_SHAPES = {
+    "queries": "query_count",
+    "width": "width",
+    "feature_dim": "feature_dim",
+    "source_tokens": "source_tokens",
+    "frames": "frame_count",
+}
 
 
 @dataclass(frozen=True)
@@ -378,16 +386,8 @@ def save_checkpoint(params: AdapterParams, dirpath) -> None:
     """Write a checkpoint directory: a JSON header plus FTV1 tensors."""
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
-    header = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "queries": params.query_count,
-        "width": params.width,
-        "feature_dim": params.feature_dim,
-        "source_tokens": params.source_tokens,
-        "frames": params.frame_count,
-        "scale": params.scale,
-    }
+    header = {key: getattr(params, prop) for key, prop in _HEADER_SHAPES.items()}
+    header.update(format=_CHECKPOINT_FORMAT, version=_CHECKPOINT_VERSION, scale=params.scale)
     # The header goes last and atomically: a directory holds a header only
     # once all four tensors under it are written.
     header_path = root / CHECKPOINT_HEADER
@@ -437,20 +437,8 @@ def load_checkpoint(dirpath) -> AdapterParams:
         pos_table=ftv1.read_tensor(root / "pos_table.ftv1", expect_rank=2),
         temporal=ftv1.read_tensor(root / "temporal.ftv1", expect_rank=2),
     )
-    declared = (
-        header.get("queries"),
-        header.get("width"),
-        header.get("feature_dim"),
-        header.get("source_tokens"),
-        header.get("frames"),
-    )
-    actual = (
-        params.query_count,
-        params.width,
-        params.feature_dim,
-        params.source_tokens,
-        params.frame_count,
-    )
+    declared = tuple(header.get(key) for key in _HEADER_SHAPES)
+    actual = tuple(getattr(params, prop) for prop in _HEADER_SHAPES.values())
     if declared != actual:
         raise FormatError(
             f"checkpoint header {declared} does not match tensors {actual}"

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import cost, curriculum, ftv1
 from .adapter import (
+    CHECKPOINT_HEADER,
     adapt_video,
     init_adapter_params,
     load_checkpoint,
@@ -51,9 +52,6 @@ DEFAULT_WIDTH = 32
 # Shape of synthetic frames that encode's --frames/--grid do not set.
 DEFAULT_FRAMES = 8
 DEFAULT_GRID = "8x8"
-
-# The largest k the cost model can price: a larger int has no float64 value.
-MAX_K = sys.float_info.max
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -120,7 +118,7 @@ def _load_or_init_params(args, video: VideoTokenTensor):
     """The adapter params from --checkpoint, or new ones, and whether they
     are new: the caller saves new params only once its forward pass has
     succeeded, so a refused run writes no checkpoint."""
-    if args.checkpoint and Path(args.checkpoint, "adapter.json").is_file():
+    if args.checkpoint and Path(args.checkpoint, CHECKPOINT_HEADER).is_file():
         params = load_checkpoint(args.checkpoint)
         for flag, given, stored in (
             ("--queries", args.queries, params.query_count),
@@ -213,8 +211,8 @@ def _read_calibration_csv(path) -> list[tuple[int, float]]:
             raise ParameterError(f"{path}:{lineno}: expected 'k,tflops', got {line!r}") from exc
         if k < 1:
             raise ParameterError(f"{path}:{lineno}: k must be >= 1, got {k}")
-        if k > MAX_K:
-            raise ParameterError(f"{path}:{lineno}: k must be at most {MAX_K:.2g}")
+        if k > cost.MAX_COUNT:
+            raise ParameterError(f"{path}:{lineno}: k must be at most {cost.MAX_COUNT:.2g}")
         if not math.isfinite(tflops) or tflops < 0.0:
             raise ParameterError(
                 f"{path}:{lineno}: tflops must be finite and >= 0, got {parts[1]!r}"
@@ -228,8 +226,8 @@ def _parse_ks(text: str) -> list[int]:
         ks = [int(k) for k in text.split(",")]
     except ValueError as exc:
         raise ParameterError(f"--k must be comma-separated integers, got {text!r}") from exc
-    if max(ks) > MAX_K:
-        raise ParameterError(f"--k values must be at most {MAX_K:.2g}")
+    if max(ks) > cost.MAX_COUNT:
+        raise ParameterError(f"--k values must be at most {cost.MAX_COUNT:.2g}")
     return ks
 
 

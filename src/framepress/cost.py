@@ -13,6 +13,7 @@ coefficients are fit by least squares to measured (k, total) pairs.
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +33,19 @@ REFERENCE_TOTALS = (
 )
 REFERENCE_FRAMES = 8
 
+# The largest count the model can price: a larger int has no float64 value.
+MAX_COUNT = sys.float_info.max
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a frame or token count that is not an int in [1, MAX_COUNT]."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ParameterError(f"{name} must be >= 1, got {value}")
+    if value > MAX_COUNT:  # not printed: it may run to hundreds of digits
+        raise ParameterError(f"{name} must be at most {MAX_COUNT:.2g}")
+
 
 @dataclass(frozen=True)
 class CostConfig:
@@ -49,12 +63,8 @@ class CostConfig:
     adapter_tflops: float = 0.0
 
     def __post_init__(self):
-        if self.frames < 1:
-            raise ParameterError(f"frames must be >= 1, got {self.frames}")
-        if self.tokens_per_frame < 1:
-            raise ParameterError(
-                f"tokens_per_frame must be >= 1, got {self.tokens_per_frame}"
-            )
+        _check_count("frames", self.frames)
+        _check_count("tokens_per_frame", self.tokens_per_frame)
         for name in (
             "overhead_tflops",
             "per_token_tflops",
@@ -95,16 +105,6 @@ class CostReport:
         if abs(parts - self.total_tflops) > 1e-9 * max(1.0, abs(self.total_tflops)):
             raise ParameterError("cost breakdown does not sum to the total")
 
-    def as_dict(self) -> dict:
-        return {
-            "tokens_per_frame": self.tokens_per_frame,
-            "sequence_len": self.sequence_len,
-            "total_tflops": self.total_tflops,
-            "encoder_tflops": self.encoder_tflops,
-            "adapter_tflops": self.adapter_tflops,
-            "llm_linear_tflops": self.llm_linear_tflops,
-        }
-
 
 def estimate(cfg: CostConfig) -> CostReport:
     """Evaluate the cost model at one configuration."""
@@ -140,13 +140,16 @@ class CalibrationResult:
 
 def calibrate(points=REFERENCE_TOTALS) -> CalibrationResult:
     """Fit c0 and c1 to measured (k, total) pairs."""
-    pts = [(int(k), float(total)) for k, total in points]
+    pts = []
+    for k, total in points:
+        _check_count("calibration k", k)
+        if not 0.0 <= total <= MAX_COUNT:  # NaN fails too; an int this large is not printed
+            raise ParameterError(f"the calibration total at k={k} must be finite and >= 0")
+        pts.append((k, float(total)))
     if len(pts) < 2:
         raise ParameterError(f"need at least 2 calibration points, got {len(pts)}")
     ks = np.array([k for k, _ in pts], dtype=np.float64)
     totals = np.array([t for _, t in pts], dtype=np.float64)
-    if ks.min() < 1:
-        raise ParameterError("calibration points need k >= 1")
     design = np.stack([np.ones_like(ks), ks], axis=1)
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise FitError("calibration points are degenerate (identical k values)")
@@ -184,7 +187,7 @@ def calibrated_config(
 
 def sweep(k_values, template: CostConfig) -> tuple[CostReport, ...]:
     """Estimates over a range of kept-token budgets, other inputs fixed."""
-    ks = [int(k) for k in k_values]
+    ks = list(k_values)
     if not ks:
         raise ParameterError("sweep needs at least one k value")
     return tuple(estimate(replace(template, tokens_per_frame=k)) for k in ks)

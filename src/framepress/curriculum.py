@@ -14,7 +14,7 @@ import math
 import os
 import stat
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EmptyInputError, FormatError, ParameterError, PlanError
 from .ftv1 import _replacing
@@ -414,18 +414,5 @@ def make_plan(
 
 
 def plan_to_text(plan: StagePlan) -> str:
-    """Render a plan as structured text with a stable field order."""
-    payload = {
-        "strategy": plan.strategy,
-        "stages": [
-            {
-                "name": s.name,
-                "image_datasets": list(s.image_datasets),
-                "video_dataset": s.video_dataset,
-                "video_fraction": s.video_fraction,
-                "trainable": list(s.trainable),
-            }
-            for s in plan.stages
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Render a plan as structured text in its fields' declared order."""
+    return json.dumps(asdict(plan), indent=2) + "\n"

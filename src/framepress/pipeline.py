@@ -13,7 +13,7 @@ suite measures.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -97,6 +97,20 @@ class ToyTaskSpec:
     batch_videos: int = 4
 
     def __post_init__(self):
+        # Each field takes its default's type: an int field an int (not a
+        # bool), a float field an int or a float, stored as a float.
+        for f in fields(self):
+            value, want = getattr(self, f.name), type(f.default)
+            allowed = (int, float) if want is float else want
+            try:
+                if isinstance(value, bool) or not isinstance(value, allowed):
+                    raise TypeError
+                object.__setattr__(self, f.name, want(value))
+            except (TypeError, OverflowError):  # float() overflows past 1.8e308
+                raise ParameterError(
+                    f"config key {f.name!r} must be {want.__name__}, "
+                    f"got {type(value).__name__} {value!r}"
+                ) from None
         m = self.grid_h * self.grid_w
         if self.frames < 1 or self.grid_h < 1 or self.grid_w < 1:
             raise ParameterError("frames and grid dims must be >= 1")
@@ -125,29 +139,12 @@ class ToyTaskSpec:
 
 
 def spec_from_dict(raw: dict) -> ToyTaskSpec:
-    """Build a :class:`ToyTaskSpec` from parsed config text.
-
-    Unknown keys are rejected, and each value must have its default's type:
-    an int field takes an int (not a bool), a float field an int or a float.
-    """
-    defaults = asdict(ToyTaskSpec())
-    unknown = set(raw) - set(defaults)
+    """Build a :class:`ToyTaskSpec` from parsed config text, refusing
+    unknown keys; the spec itself checks each value's type."""
+    unknown = set(raw) - {f.name for f in fields(ToyTaskSpec)}
     if unknown:
         raise ParameterError(f"unknown config keys {sorted(unknown)}")
-    fields = {}
-    for key, value in raw.items():
-        want = type(defaults[key])
-        allowed = (int, float) if want is float else (want,)
-        try:
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise TypeError
-            fields[key] = want(value)
-        except (TypeError, OverflowError):  # float() overflows past 1.8e308
-            raise ParameterError(
-                f"config key {key!r} must be {want.__name__}, "
-                f"got {type(value).__name__} {value!r}"
-            ) from None
-    return ToyTaskSpec(**fields)
+    return ToyTaskSpec(**raw)
 
 
 @dataclass(frozen=True)
@@ -176,14 +173,10 @@ class RunReport:
             raise ParameterError(
                 f"unsupported report schema {raw.get('schema_version')!r}"
             )
-        return cls(
-            kind=raw["kind"],
-            config=raw["config"],
-            loss_curve=tuple(raw["loss_curve"]),
-            final_metrics=raw["final_metrics"],
-            checks=tuple(raw["checks"]),
-            cost_summary=raw["cost_summary"],
-        )
+        values = {f.name: raw[f.name] for f in fields(cls) if f.init}
+        for name in ("loss_curve", "checks"):
+            values[name] = tuple(values[name])
+        return cls(**values)
 
 
 def _make_batch(spec: ToyTaskSpec, data_rng, target_rng):
@@ -248,37 +241,34 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
     curve = []
     for step in range(spec.steps + 1):
         try:
-            # Overflow here is not a bug to warn about — it is the
-            # divergence this loop reports by step index.
+            # Overflow in the forward is not a bug to warn about — it is
+            # the divergence this loop reports by step index.
             with np.errstate(over="ignore", invalid="ignore"):
                 sampled = sample_video(adapt_video(video, params), k)
                 pooled = sampled.tokens.reshape(b, t * k, c).mean(axis=1)  # (B, C)
                 diff = pooled @ head - targets  # (B, out)
                 loss = float(np.mean(diff**2))
-        except NumericError as exc:
-            raise NumericError(f"loss diverged at step {step}: {exc}") from exc
-        if not np.isfinite(loss):
-            raise NumericError(f"loss diverged at step {step}: loss={loss}")
-        curve.append(loss)
-        if step == spec.steps:
-            break
-        g_preds = 2.0 * diff / diff.size  # (B, out)
-        g_head = pooled.T @ g_preds
-        g_pooled = g_preds @ head.T  # (B, C)
-        # Mean pooling spreads each video's gradient evenly over its T·K kept tokens.
-        row_grads = np.broadcast_to(np.repeat(g_pooled / (t * k), t, axis=0)[:, None, :], (b * t, k, c))
-        grads = adapter_gradients(video, params, sampled.indices, row_grads)
-        temporal = temporal - lr * grads.temporal.reshape(b, t, -1).sum(axis=0)
-        try:
+            if not np.isfinite(loss):
+                raise NumericError(f"loss={loss}")
+            curve.append(loss)
+            if step == spec.steps:
+                break
+            g_preds = 2.0 * diff / diff.size  # (B, out)
+            g_head = pooled.T @ g_preds
+            g_pooled = g_preds @ head.T  # (B, C)
+            # Mean pooling spreads each video's gradient evenly over its T·K kept tokens.
+            row_grads = np.broadcast_to(np.repeat(g_pooled / (t * k), t, axis=0)[:, None, :], (b * t, k, c))
+            grads = adapter_gradients(video, params, sampled.indices, row_grads)
+            temporal = temporal - lr * grads.temporal.reshape(b, t, -1).sum(axis=0)
             params = AdapterParams(
                 input_proj=params.input_proj - lr * grads.input_proj,
                 queries=params.queries - lr * grads.queries,
                 pos_table=params.pos_table,  # not trained
                 temporal=np.tile(temporal, (b, 1)),
             )
+            head = head - lr * g_head
         except NumericError as exc:
             raise NumericError(f"loss diverged at step {step}: {exc}") from exc
-        head = head - lr * g_head
 
     calibration = cost.calibrate()
     cost_cfg = cost.calibrated_config(
@@ -294,6 +284,6 @@ def train_toy(spec: ToyTaskSpec) -> RunReport:
             "steps_run": spec.steps,
         },
         checks=(),
-        cost_summary=cost.estimate(cost_cfg).as_dict(),
+        cost_summary=asdict(cost.estimate(cost_cfg)),
     )
 

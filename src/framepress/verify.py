@@ -12,7 +12,7 @@ failures are report content, with a counterexample in the detail string.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -47,9 +47,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def check_reference_fit() -> CheckResult:
@@ -452,8 +449,8 @@ def verify_all() -> RunReport:
         config={"checks": [r.name for r in results]},
         loss_curve=(),
         final_metrics={"passed": passed, "failed": len(results) - passed},
-        checks=tuple(r.as_dict() for r in results),
-        cost_summary=cost.estimate(cost_cfg).as_dict(),
+        checks=tuple(asdict(r) for r in results),
+        cost_summary=asdict(cost.estimate(cost_cfg)),
     )
 
 

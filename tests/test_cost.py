@@ -43,6 +43,11 @@ def test_calibrate_input_validation():
         calibrate([(4, 32.0), (4, 33.0)])
     with pytest.raises(ParameterError):
         calibrate([(0, 1.0), (2, 2.0)])
+    # A k that is not an int in [1, float max], or a total that is not finite and >= 0.
+    for points in ([(10**400, 1.0), (1, 2.0)], [(2.5, 1.0), (4, 2.0)], [(True, 1.0), (4, 2.0)],
+                   [(4, float("nan")), (16, 1.0)], [(4, -1.0), (16, 1.0)], [(4, 10**400), (16, 1.0)]):
+        with pytest.raises(ParameterError):
+            calibrate(points)
 
 
 @given(
@@ -84,6 +89,12 @@ def test_config_validation():
             encoder_tflops=0.9,
             adapter_tflops=0.2,  # slices exceed overhead
         )
+    fit = calibrate()
+    for k in (2.5, True, 0, 10**400):
+        with pytest.raises(ParameterError):
+            estimate(calibrated_config(fit, tokens_per_frame=k))
+        with pytest.raises(ParameterError):
+            sweep([k], calibrated_config(fit))
 
 
 def test_sweep_monotone_and_csv_shape():

@@ -115,14 +115,16 @@ def test_spec_from_dict_round_trip_and_unknown_keys():
      {"learning_rate": "0.5"}, {"learning_rate": False}, {"learning_rate": 10**400}],
 )
 def test_spec_from_dict_rejects_mistyped_values(raw):
-    with pytest.raises(ParameterError, match=repr(next(iter(raw)))):
-        spec_from_dict(raw)
+    for build in (spec_from_dict, lambda raw: ToyTaskSpec(**raw)):
+        with pytest.raises(ParameterError, match=repr(next(iter(raw)))):
+            build(raw)
 
 
 def test_spec_from_dict_float_field_takes_an_int():
-    spec = spec_from_dict({"learning_rate": 1, "noise_scale": 0})
-    assert type(spec.learning_rate) is float and spec.learning_rate == 1.0
-    assert type(spec.noise_scale) is float and spec.noise_scale == 0.0
+    raw = {"learning_rate": 1, "noise_scale": 0}
+    for spec in (spec_from_dict(raw), ToyTaskSpec(**raw)):
+        assert type(spec.learning_rate) is float and spec.learning_rate == 1.0
+        assert type(spec.noise_scale) is float and spec.noise_scale == 0.0
 
 
 def test_train_toy_learns_on_quick_task():
