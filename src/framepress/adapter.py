@@ -24,10 +24,9 @@ Each caller has one forward path. A sampler selects before mixing:
 stacked call on the unshifted features (the temporal vector only shifts
 each logit row, which the softmax ignores), and :func:`kept_tokens` mixes,
 shifts and projects only the rows it keeps. The full forward
-(:func:`adapt_video`) and the backward, which takes only the rows a loss
-reads, attend frame by frame through one loop, kept only because the
-benchmark pins one ``cross_attention`` call per frame in each training
-step.
+(:func:`adapt_video`) and the backward, over the rows a loss reads, attend
+frame by frame in one loop that shifts each frame as it attends it; the
+benchmark pins its one ``cross_attention`` call per frame per training step.
 
 Besides the forward pass this module carries its own reverse-mode
 gradients (the whole block is small enough that hand-written backprop
@@ -269,17 +268,19 @@ def _operands(params: AdapterParams):
     return queries @ params.input_proj.T, bias
 
 
-def _attend_frames(queries, values, bias, scale: float):
-    """``(attention, mixed)``, (T, R, M) and (T, R, D), one
-    :func:`cross_attention` call per frame of (R, D) ``queries[t]`` and (R, M)
-    ``bias[t]`` over ``values[t]`` as keys. One stacked call would do for
-    the forward; the loop stays because ``perfbench``'s ``toy_train`` test
-    pins a call per frame in each training step's forward and backward."""
+def _attend_frames(queries, x, temporal, bias, scale: float):
+    """``(attention, mixed)``, (T, R, M) and (T, R, D): per frame, one
+    :func:`cross_attention` call of (R, D) ``queries[t]`` and (R, M) ``bias[t]``
+    over ``x[t] + temporal[t]`` (in one reused buffer) as keys and values. A
+    stacked call would do for the forward, but ``perfbench``'s ``toy_train``
+    test pins a call per frame in each training step's forward and backward."""
     t_count, r, _ = queries.shape
-    attention = np.empty((t_count, r, values.shape[1]))
-    mixed = np.empty((t_count, r, values.shape[2]))
+    attention = np.empty((t_count, r, x.shape[1]))
+    mixed = np.empty((t_count, r, x.shape[2]))
+    shifted = np.empty(x.shape[1:])
     for t in range(t_count):
-        attention[t], mixed[t] = cross_attention(queries[t], values[t], values[t], scale, bias[t])
+        np.add(x[t], temporal[t], out=shifted)
+        attention[t], mixed[t] = cross_attention(queries[t], shifted, shifted, scale, bias[t])
     return attention, mixed
 
 
@@ -315,11 +316,8 @@ def kept_tokens(video: VideoTokenTensor, params: AdapterParams, rows: np.ndarray
 def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput:
     """Compress every frame of a video, preserving frame order."""
     queries, bias = (np.broadcast_to(a, (params.frame_count, *a.shape)) for a in _operands(params))
-    # The shifted features go straight into the loop, so they are freed
-    # before the projection allocates the tokens.
-    attention, mixed = _attend_frames(
-        queries, _source_tokens(video, params) + params.temporal[:, None, :], bias, params.scale
-    )
+    x = _source_tokens(video, params)
+    attention, mixed = _attend_frames(queries, x, params.temporal, bias, params.scale)
     attention.setflags(write=False)  # so AdapterOutput keeps it without a copy
     return AdapterOutput(tokens=_project(mixed, params), attention=attention)
 
@@ -332,7 +330,9 @@ def adapter_gradients(
     ``rows`` are the (T, R) query rows the loss reads, as in
     ``SampledTokens.indices``, and ``row_grads`` their (T, R, C)
     dLoss/dTokens; other rows have zero gradient, and a repeated row adds.
-    Only the R rows' attention is recomputed, not stored by the forward.
+    Only the R rows' attention is recomputed. The products take x unshifted:
+    the softmax backward cancels the row constants dZ_r·τ_t that the shift
+    adds to dA, and rows of dlogits sum to 0, so τ_t drops out of dlogits·x.
     """
     rows = np.asarray(rows)
     g_tokens = np.asarray(row_grads, dtype=np.float64)
@@ -344,11 +344,10 @@ def adapter_gradients(
     # A negative row would wrap round and train the wrong query.
     if rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= n)):
         raise ShapeError(f"rows must be integers in [0, {n})")
-    shifted = _source_tokens(video, params) + params.temporal[:, None, :]  # x, (T, M, D)
+    x = _source_tokens(video, params)  # (T, M, D), unshifted
     feature_queries, bias = _operands(params)
-    att, mixed = _attend_frames(feature_queries[rows], shifted, bias[rows], params.scale)
-    queries, proj, scale = params.queries, params.input_proj, params.scale
-    r, m, d = rows.shape[1], shifted.shape[1], params.feature_dim
+    att, mixed = _attend_frames(feature_queries[rows], x, params.temporal, bias[rows], params.scale)
+    r, m, d = rows.shape[1], x.shape[1], params.feature_dim
 
     # The (T, R, D) arrays are dropped once used, which keeps the peak
     # memory near that of the per-frame backward at the paper shape.
@@ -356,12 +355,11 @@ def adapter_gradients(
     # W maps the mixed rows to tokens and the queries into feature space.
     g_proj = mixed.reshape(t_count * r, d).T @ g_flat
     del mixed
-    g_mixed = (g_flat @ proj.T).reshape(t_count, r, d)
-    # The temporal gradient is the row sum of dx_t = A_tᵀ·dZ_t + s·dlogits_tᵀ·Q_t.
-    # Rows of A_t sum to one and rows of dlogits_t to zero, so that row sum
-    # is dZ_t summed over the rows.
+    g_mixed = (g_flat @ params.input_proj.T).reshape(t_count, r, d)
+    # Rows of A_t sum to 1 and rows of dlogits_t to 0, so the temporal gradient,
+    # the row sum of dx_t = A_tᵀ·dZ_t + s·dlogits_tᵀ·Q_t, is dZ_t summed over rows.
     g_temporal = g_mixed.sum(axis=1)
-    g_logits = g_mixed @ shifted.transpose(0, 2, 1)  # dA, (T, R, M)
+    g_logits = g_mixed @ x.transpose(0, 2, 1)  # dA less its row constants, (T, R, M)
     del g_mixed
     # Softmax backward, row-wise, in place.
     g_logits -= np.sum(g_logits * att, axis=2, keepdims=True)
@@ -369,10 +367,10 @@ def adapter_gradients(
     # Each row's gradients are summed onto its query, so a repeated row adds.
     onehot = (np.arange(n)[:, None] == rows.ravel()).astype(np.float64)  # (N, T·R)
     g_bias = onehot @ g_logits.reshape(t_count * r, m)  # (N, M), unscaled
-    g_feature_queries = scale * (onehot @ (g_logits @ shifted).reshape(t_count * r, d))
-    g_proj += g_feature_queries.T @ queries
-    g_queries = g_feature_queries @ proj + scale * (g_bias @ params.pos_table)
-    g_pos = scale * (g_bias.T @ queries)
+    g_feature_queries = params.scale * (onehot @ (g_logits @ x).reshape(t_count * r, d))
+    g_proj += g_feature_queries.T @ params.queries
+    g_queries = g_feature_queries @ params.input_proj + params.scale * (g_bias @ params.pos_table)
+    g_pos = params.scale * (g_bias.T @ params.queries)
 
     return AdapterGrads(
         input_proj=g_proj,

@@ -45,7 +45,7 @@ def _softmax_in_place(arr: np.ndarray) -> np.ndarray:
     """:func:`softmax_rows` of a float64 array the caller owns, in place."""
     if arr.ndim < 2 or arr.size == 0:
         raise ShapeError(f"softmax requires a non-empty matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError("softmax input contains non-finite entries")
     arr -= arr.max(axis=-1, keepdims=True)
     np.exp(arr, out=arr)

@@ -169,12 +169,14 @@ class RunReport:
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ParameterError(f"a report must be a JSON object, got {type(raw).__name__}")
         if raw.get("schema_version") != SCHEMA_VERSION:
-            raise ParameterError(
-                f"unsupported report schema {raw.get('schema_version')!r}"
-            )
+            raise ParameterError(f"unsupported report schema {raw.get('schema_version')!r}")
         values = {f.name: raw[f.name] for f in fields(cls) if f.init}
-        for name in ("loss_curve", "checks"):
+        for name, kind, what in (("loss_curve", (int, float), "numbers"), ("checks", (dict,), "objects")):
+            if type(values[name]) is not list or any(type(v) not in kind for v in values[name]):
+                raise ParameterError(f"report field '{name}' must be a list of {what}")
             values[name] = tuple(values[name])
         return cls(**values)
 

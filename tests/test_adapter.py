@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import traced_peak
 from framepress import adapter as adapter_mod
@@ -75,15 +77,63 @@ def test_both_associations_give_the_same_function(shape):
 
 def test_adapt_holds_the_mixed_features_once():
     """All N rows at D = C and N = M: the positions enter as a logit bias,
-    so the shifted features serve as keys and values, and the peak stays
-    under 2.5 (T, M, C) arrays plus the (T, N, M) attention (two at a time
-    of the shifted features, the mixed features and the tokens)."""
+    so each frame's shifted features serve as keys and values, and the
+    peak stays under 2.25 (T, M, C) arrays plus the (T, N, M) attention:
+    the mixed features and the tokens, with one frame's shifted features
+    and its attention output (a whole shifted copy peaked at 2.32)."""
     t, g, d = 8, 8, 256
     m = g * g
     video = synthetic_video(t, g, g, d, seed=1)
     params = random_adapter_params(m, d, d, m, t, seed=2)
     _, peak = traced_peak(adapt_video, video, params)
-    assert peak < 8 * (2.5 * t * m * d + t * m * m)
+    assert peak < 8 * (2.25 * t * m * d + t * m * m)
+
+
+def _few_queries_case(t=8, g=16, d=256, n=4, c=16):
+    """A video whose (T, M, D) features dwarf everything the adapter
+    returns: N and C are small, so its peak is mostly what it copies."""
+    video = synthetic_video(t, g, g, d, seed=61)
+    return video, random_adapter_params(n, c, d, g * g, t, seed=62), t * g * g * d
+
+
+def test_adapt_shifts_one_frame_at_a_time():
+    """No shifted (T, M, D) copy: each frame is shifted while it is
+    attended (a whole shifted copy peaked at 1.04 such arrays)."""
+    video, params, features = _few_queries_case()
+    _, peak = traced_peak(adapt_video, video, params)
+    assert peak < 0.5 * 8 * features
+
+
+def test_gradients_make_no_shifted_copy():
+    """The backward attends one shifted frame at a time and differentiates
+    on the unshifted features (a whole shifted copy peaked at 1.05 (T, M, D)
+    arrays)."""
+    video, params, features = _few_queries_case()
+    rows = np.tile([1, 3], (video.frame_count, 1))
+    grads = make_rng(63).normal(size=(video.frame_count, 2, params.width))
+    _, peak = traced_peak(adapter_gradients, video, params, rows, grads)
+    assert peak < 0.5 * 8 * features
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), t=st.integers(1, 3), r=st.integers(1, 4))
+def test_gradients_ignore_how_the_shift_is_applied(seed, t, r):
+    """The gradients equal those on the τ-shifted video with a zero
+    temporal table: the backward's products on the unshifted features lose
+    only the row constants that the softmax backward cancels."""
+    video = synthetic_video(t, 2, 3, 5, seed=seed)
+    params = random_adapter_params(4, 8, 5, 6, t, seed=seed + 1)
+    params = replace(params, temporal=10.0 * params.temporal)
+    rng = make_rng(seed + 2)
+    rows = rng.integers(0, 4, size=(t, r))
+    g = rng.normal(size=(t, r, 8))
+    shifted = VideoTokenTensor(video.features + params.temporal[:, None, None, :])
+    zero_t = replace(params, temporal=np.zeros_like(params.temporal))
+    got = adapter_gradients(video, params, rows, g)
+    want = adapter_gradients(shifted, zero_t, rows, g)
+    for name in ("input_proj", "queries", "pos_table", "temporal"):
+        a, b = getattr(got, name), getattr(want, name)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10 * np.abs(b).max(), err_msg=name)
 
 
 def test_init_rounds_the_params_in_place():

@@ -1,3 +1,4 @@
+import json
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -216,6 +217,33 @@ def test_report_schema_version_checked():
     mangled = report.to_json().replace('"schema_version": 1', '"schema_version": 99')
     with pytest.raises(ParameterError):
         RunReport.from_json(mangled)
+
+
+def _report_json(**overrides):
+    report = RunReport(
+        kind="train-toy", config={}, loss_curve=(1.0, 0.5), final_metrics={},
+        checks=({"name": "c", "passed": True},), cost_summary={},
+    )
+    raw = asdict(report)
+    raw.update(overrides)
+    return json.dumps(raw)
+
+
+def test_report_from_json_refuses_a_non_object():
+    with pytest.raises(ParameterError, match="JSON object, got list"):
+        RunReport.from_json("[1, 2]")
+
+
+@pytest.mark.parametrize("curve", ["abc", [1.0, "x"], [True], {"a": 1.0}])
+def test_report_from_json_refuses_a_loss_curve_of_non_numbers(curve):
+    with pytest.raises(ParameterError, match="'loss_curve' must be a list of numbers"):
+        RunReport.from_json(_report_json(loss_curve=curve))
+
+
+@pytest.mark.parametrize("checks", ["pq", [1], [["passed"]], None])
+def test_report_from_json_refuses_checks_that_are_not_objects(checks):
+    with pytest.raises(ParameterError, match="'checks' must be a list of objects"):
+        RunReport.from_json(_report_json(checks=checks))
 
 
 def test_report_carries_cost_summary():
