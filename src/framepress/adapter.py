@@ -46,7 +46,7 @@ from . import ftv1
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
 from .ftv1 import _replacing
-from .linalg import _read_only, as_matrix, attention_weights, cross_attention, make_rng
+from .linalg import _check_count, _read_only, as_matrix, attention_weights, cross_attention, make_rng
 
 CHECKPOINT_HEADER = "adapter.json"
 _CHECKPOINT_FORMAT = "framepress-adapter"
@@ -176,9 +176,9 @@ def sinusoidal_pos_table(grid_h: int, grid_w: int, width: int) -> np.ndarray:
     Each of the four width quarters carries sin/cos of the row index and
     sin/cos of the column index at geometrically spaced frequencies.
     """
-    if grid_h < 1 or grid_w < 1:
-        raise ParameterError("grid dims must be >= 1")
-    if width < 4 or width % 4 != 0:
+    for name, value in (("grid_h", grid_h), ("grid_w", grid_w), ("width", width)):
+        _check_count(name, value)
+    if width % 4 != 0:
         raise ParameterError(f"width must be a positive multiple of 4, got {width}")
     quarter = width // 4
     omega = 1.0 / (10000.0 ** (np.arange(quarter) / quarter))
@@ -208,9 +208,9 @@ def init_adapter_params(
     at zero (frames initially indistinguishable). Everything is rounded to
     float32 so checkpoints round-trip bit-exactly through FTV1 files.
     """
-    if queries < 1 or frames < 1 or feature_dim < 1:
-        raise ParameterError("queries, frames and feature_dim must be >= 1")
-    pos = sinusoidal_pos_table(grid_h, grid_w, width)  # validates the width
+    for name, value in (("queries", queries), ("frames", frames), ("feature_dim", feature_dim)):
+        _check_count(name, value)
+    pos = sinusoidal_pos_table(grid_h, grid_w, width)  # validates the grid and width
     rng = make_rng(seed)
     proj = rng.standard_normal((feature_dim, width))
     proj /= np.sqrt(feature_dim)

@@ -209,10 +209,10 @@ def _read_calibration_csv(path) -> list[tuple[int, float]]:
             k, tflops = int(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ParameterError(f"{path}:{lineno}: expected 'k,tflops', got {line!r}") from exc
-        if k < 1:
-            raise ParameterError(f"{path}:{lineno}: k must be >= 1, got {k}")
-        if k > cost.MAX_COUNT:
-            raise ParameterError(f"{path}:{lineno}: k must be at most {cost.MAX_COUNT:.2g}")
+        try:
+            cost._priced_count("k", k)
+        except ParameterError as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from None
         if not math.isfinite(tflops) or tflops < 0.0:
             raise ParameterError(
                 f"{path}:{lineno}: tflops must be finite and >= 0, got {parts[1]!r}"

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FitError, NumericError, ParameterError
+from .linalg import _check_count
 
 # Measured end-to-end totals (kept tokens per frame -> TFLOPs) for an
 # 8-frame pipeline over a 7B-class decoder; used as the default
@@ -37,14 +38,12 @@ REFERENCE_FRAMES = 8
 MAX_COUNT = sys.float_info.max
 
 
-def _check_count(name: str, value) -> None:
-    """Refuse a frame or token count that is not an int in [1, MAX_COUNT]."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ParameterError(f"{name} must be >= 1, got {value}")
+def _priced_count(name: str, value) -> int:
+    """A frame or token count as an int, refused unless it is in [1, MAX_COUNT]."""
+    _check_count(name, value)
     if value > MAX_COUNT:  # not printed: it may run to hundreds of digits
         raise ParameterError(f"{name} must be at most {MAX_COUNT:.2g}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,8 @@ class CostConfig:
     adapter_tflops: float = 0.0
 
     def __post_init__(self):
-        _check_count("frames", self.frames)
-        _check_count("tokens_per_frame", self.tokens_per_frame)
+        for name in ("frames", "tokens_per_frame"):
+            object.__setattr__(self, name, _priced_count(name, getattr(self, name)))
         for name in (
             "overhead_tflops",
             "per_token_tflops",
@@ -142,7 +141,7 @@ def calibrate(points=REFERENCE_TOTALS) -> CalibrationResult:
     """Fit c0 and c1 to measured (k, total) pairs."""
     pts = []
     for k, total in points:
-        _check_count("calibration k", k)
+        k = _priced_count("calibration k", k)
         if not 0.0 <= total <= MAX_COUNT:  # NaN fails too; an int this large is not printed
             raise ParameterError(f"the calibration total at k={k} must be finite and >= 0")
         pts.append((k, float(total)))

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import EmptyInputError, FormatError, ParameterError, PlanError
 from .ftv1 import _replacing
-from .linalg import make_rng
+from .linalg import _check_count, make_rng
 
 DATA_TYPES = (
     "classification",
@@ -183,10 +183,9 @@ def _scan(path):
 def _check_subsample_args(fraction: float, seed: int, qa_cap_per_video: int | None) -> None:
     if not 0.0 < fraction <= 1.0:
         raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
-    if qa_cap_per_video is not None and qa_cap_per_video < 1:
-        raise ParameterError(f"qa_cap_per_video must be >= 1, got {qa_cap_per_video}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    if qa_cap_per_video is not None:
+        _check_count("qa_cap_per_video", qa_cap_per_video)
+    _check_count("seed", seed, low=0)
 
 
 def _kept_positions(
@@ -299,8 +298,8 @@ def filter_file(src, dst, types) -> tuple[int, int]:
 
 def synthetic_manifest(path, videos: int, qa_per_video: int, seed: int = 0) -> None:
     """Write a quick deterministic manifest to ``path``, for tests and demos."""
-    if videos < 1 or qa_per_video < 1:
-        raise ParameterError("videos and qa_per_video must be >= 1")
+    _check_count("videos", videos)
+    _check_count("qa_per_video", qa_per_video)
     rng = make_rng(seed)
     type_idx = rng.integers(0, len(DATA_TYPES) - 1, size=videos * qa_per_video).tolist()
     pos = 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ftv1
 from .errors import EmptyInputError, ParameterError, ShapeError
-from .linalg import make_rng
+from .linalg import _check_count, make_rng
 
 DEFAULT_PATCH_SIZE = 14
 DEFAULT_FEATURE_DIM = 64
@@ -102,8 +102,8 @@ def frozen_projection(
 ) -> np.ndarray:
     """The toy encoder's (3*p*p, D) projection, drawn from
     ``FROZEN_PROJECTION_SEED``."""
-    if patch_size < 1 or feature_dim < 1:
-        raise ParameterError("patch_size and feature_dim must be >= 1")
+    _check_count("patch_size", patch_size)
+    _check_count("feature_dim", feature_dim)
     rng = make_rng(FROZEN_PROJECTION_SEED)
     flat = 3 * patch_size * patch_size
     proj = rng.standard_normal((flat, feature_dim))
@@ -152,8 +152,7 @@ def patchify_encode(img: ImagePlane, patch_size: int, projection, out=None) -> n
 def _patch_grid(img: ImagePlane, patch_size: int) -> tuple[int, int]:
     """The (grid_h, grid_w) patch grid of an image; the patch size must
     divide both image dims."""
-    if patch_size < 1:
-        raise ParameterError(f"patch size must be >= 1, got {patch_size}")
+    _check_count("patch_size", patch_size)
     h, w = img.height, img.width
     if h % patch_size != 0 or w % patch_size != 0:
         raise ShapeError(
@@ -180,8 +179,10 @@ def synthetic_video(
     seed: int,
 ) -> VideoTokenTensor:
     """A seeded random video tensor with float32-representable values."""
-    if min(frames, grid_h, grid_w, feature_dim) < 1:
-        raise ParameterError("frames, grid dims and feature_dim must be >= 1")
+    for name, value in (
+        ("frames", frames), ("grid_h", grid_h), ("grid_w", grid_w), ("feature_dim", feature_dim)
+    ):
+        _check_count(name, value)
     rng = make_rng(seed)
     raw = rng.normal(size=(frames, grid_h, grid_w, feature_dim))
     vals = raw.astype(np.float32).astype(np.float64)

@@ -1,11 +1,12 @@
 """Dense float64 kernels everything else builds on.
 
-The package's one input validator, row-wise softmax, single-head
-attention weights (over one frame's keys or a stack of frames' keys) and
-cross-attention with exposed weights, seeded RNG streams, and
-central-difference gradients for verification. The kernels are pure
-functions of their inputs and return fresh arrays: the attention kernels
-normalise their own logits in place, and :func:`softmax_rows` its copy.
+The package's input validators (one for arrays, one for every count, k
+and seed), row-wise softmax, single-head attention weights (over one
+frame's keys or a stack of frames' keys) and cross-attention with exposed
+weights, seeded RNG streams, and central-difference gradients for
+verification. The kernels are pure functions of their inputs and return
+fresh arrays: the attention kernels normalise their own logits in place,
+and :func:`softmax_rows` its copy.
 """
 
 from __future__ import annotations
@@ -16,6 +17,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
+
+
+def _check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
+    """The package's one count rule, for every count, k and seed: ``value``
+    must be an int or a numpy integer, never a bool, in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an int, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ParameterError(f"{name} must be {bound}, got {value}")
 
 
 def _read_only(values, name: str, ndim: int) -> np.ndarray:
@@ -141,23 +152,21 @@ def cross_attention(
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    _check_count("seed", seed, low=0)
     return np.random.SeedSequence(seed)
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic PCG64 stream; the seed alone fixes every draw.
 
-    Raises ParameterError for a negative seed.
+    Raises ParameterError unless the seed is an int >= 0.
     """
     return np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
 
 
 def split_rng(seed: int, n: int) -> list[np.random.Generator]:
     """``n`` independent child streams, reproducible from ``(seed, n)``."""
-    if n < 0:
-        raise ParameterError(f"cannot split into {n} streams")
+    _check_count("n", n, low=0)
     children = _seed_sequence(seed).spawn(n)
     return [np.random.Generator(np.random.PCG64(child)) for child in children]
 

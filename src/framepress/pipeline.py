@@ -21,10 +21,18 @@ from . import cost
 from .adapter import AdapterParams, adapt_video, adapter_gradients, init_adapter_params
 from .encoder import VideoTokenTensor
 from .errors import NumericError, ParameterError, ShapeError
-from .linalg import _read_only, split_rng
+from .linalg import _check_count, _read_only, split_rng
 from .sampler import SampledTokens, sample_video
 
 SCHEMA_VERSION = 1
+# What a report field of each annotation must be in JSON: the type, the
+# types of a list's items, and how an error names it.
+_JSON_OF = {
+    "str": (str, (), "a string"),
+    "dict": (dict, (), "an object"),
+    "tuple[float, ...]": (list, (int, float), "a list of numbers"),
+    "tuple[dict, ...]": (list, (dict,), "a list of objects"),
+}
 
 
 @dataclass(frozen=True)
@@ -44,8 +52,7 @@ class SequenceAssembly:
         tokens = _read_only(self.frame_tokens, "frame tokens", ndim=3)
         if 0 in tokens.shape[:2]:
             raise ShapeError(f"a sequence needs frames and kept rows, got shape {tokens.shape}")
-        if type(self.prompt_len) is not int or self.prompt_len < 0:
-            raise ParameterError(f"prompt_len must be an integer >= 0, got {self.prompt_len!r}")
+        _check_count("prompt_len", self.prompt_len, low=0)
         object.__setattr__(self, "frame_tokens", tokens)
 
     @property
@@ -111,23 +118,12 @@ class ToyTaskSpec:
                     f"config key {f.name!r} must be {want.__name__}, "
                     f"got {type(value).__name__} {value!r}"
                 ) from None
-        m = self.grid_h * self.grid_w
-        if self.frames < 1 or self.grid_h < 1 or self.grid_w < 1:
-            raise ParameterError("frames and grid dims must be >= 1")
-        if self.feature_dim < 1 or self.queries < 1 or self.embed_dim < 1:
-            raise ParameterError("feature_dim, queries and embed_dim must be >= 1")
-        if self.out_dim < 1 or self.batch_videos < 1:
-            raise ParameterError("out_dim and batch_videos must be >= 1")
-        if not 1 <= self.signal_patches <= m:
-            raise ParameterError(
-                f"signal_patches must be in [1, {m}], got {self.signal_patches}"
-            )
-        if not 1 <= self.keep <= self.queries:
-            raise ParameterError(
-                f"keep must be in [1, {self.queries}], got {self.keep}"
-            )
-        if self.steps < 0:
-            raise ParameterError(f"steps must be >= 0, got {self.steps}")
+        for name in ("frames", "grid_h", "grid_w", "feature_dim", "queries", "embed_dim",
+                     "out_dim", "batch_videos"):
+            _check_count(name, getattr(self, name))
+        _check_count("signal_patches", self.signal_patches, high=self.patch_tokens)
+        _check_count("keep", self.keep, high=self.queries)
+        _check_count("steps", self.steps, low=0)
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ParameterError("learning_rate must be finite and >= 0")
         if not np.isfinite(self.noise_scale) or self.noise_scale < 0:
@@ -173,11 +169,15 @@ class RunReport:
             raise ParameterError(f"a report must be a JSON object, got {type(raw).__name__}")
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise ParameterError(f"unsupported report schema {raw.get('schema_version')!r}")
-        values = {f.name: raw[f.name] for f in fields(cls) if f.init}
-        for name, kind, what in (("loss_curve", (int, float), "numbers"), ("checks", (dict,), "objects")):
-            if type(values[name]) is not list or any(type(v) not in kind for v in values[name]):
-                raise ParameterError(f"report field '{name}' must be a list of {what}")
-            values[name] = tuple(values[name])
+        values = {}
+        for f in (f for f in fields(cls) if f.init):
+            if f.name not in raw:
+                raise ParameterError(f"report field '{f.name}' is missing")
+            want, items, what = _JSON_OF[f.type]
+            value = raw[f.name]
+            if type(value) is not want or (want is list and any(type(v) not in items for v in value)):
+                raise ParameterError(f"report field '{f.name}' must be {what}")
+            values[f.name] = tuple(value) if want is list else value
         return cls(**values)
 
 

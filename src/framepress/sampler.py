@@ -22,7 +22,7 @@ from . import ftv1
 from .adapter import AdapterOutput, AdapterParams, attend, kept_tokens
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
-from .linalg import _read_only
+from .linalg import _check_count, _read_only
 
 KEEP_ORDERS = ("score", "index")
 
@@ -54,9 +54,7 @@ def select_topk(scores, k: int) -> np.ndarray:
     values = np.asarray(scores, dtype=np.float64)
     if values.ndim < 1 or 0 in values.shape:
         raise ShapeError(f"scores must be non-empty, got shape {values.shape}")
-    n = values.shape[-1]
-    if not 1 <= k <= n:
-        raise ParameterError(f"k must be in [1, {n}], got {k}")
+    _check_count("k", k, high=values.shape[-1])
     # A stable sort keeps equal scores in index order.
     return np.argsort(-values, axis=-1, kind="stable")[..., :k].copy()
 
@@ -113,8 +111,7 @@ def _check_keep(k: int, order: str, n: int) -> None:
     """Reject a keep count outside [1, n] or an unknown ``order``."""
     if order not in KEEP_ORDERS:
         raise ParameterError(f"order must be one of {KEEP_ORDERS}, got {order!r}")
-    if not 1 <= k <= n:
-        raise ParameterError(f"k must be in [1, {n}], got {k}")
+    _check_count("k", k, high=n)
 
 
 def _kept_indices(attention: np.ndarray, k: int, order: str) -> np.ndarray:

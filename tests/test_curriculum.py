@@ -113,11 +113,15 @@ def test_subsample_errors(tmp_path):
 
 
 def test_subsample_refuses_a_negative_seed_before_reading(tmp_path, capsys):
-    """The seed is checked with the other arguments, before the first pass:
-    a missing manifest is never opened."""
+    """The seed and the cap are checked with the other arguments, before the
+    first pass: a missing manifest is never opened."""
     missing, out = tmp_path / "missing.jsonl", tmp_path / "out.jsonl"
     with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
         subsample_file(missing, out, 0.5, seed=-1)
+    with pytest.raises(ParameterError, match="seed must be an int, got 1.5"):
+        subsample_file(missing, out, 0.5, seed=1.5)
+    with pytest.raises(ParameterError, match="qa_cap_per_video must be an int, got 1.5"):
+        subsample_file(missing, out, 0.5, seed=0, qa_cap_per_video=1.5)
     argv = ["subsample", str(missing), "--fraction", "0.5", "--seed", "-1", "--out", str(out)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"

@@ -219,6 +219,9 @@ def test_report_schema_version_checked():
         RunReport.from_json(mangled)
 
 
+_MISSING = object()  # an override that leaves the field out
+
+
 def _report_json(**overrides):
     report = RunReport(
         kind="train-toy", config={}, loss_curve=(1.0, 0.5), final_metrics={},
@@ -226,7 +229,7 @@ def _report_json(**overrides):
     )
     raw = asdict(report)
     raw.update(overrides)
-    return json.dumps(raw)
+    return json.dumps({name: value for name, value in raw.items() if value is not _MISSING})
 
 
 def test_report_from_json_refuses_a_non_object():
@@ -244,6 +247,22 @@ def test_report_from_json_refuses_a_loss_curve_of_non_numbers(curve):
 def test_report_from_json_refuses_checks_that_are_not_objects(checks):
     with pytest.raises(ParameterError, match="'checks' must be a list of objects"):
         RunReport.from_json(_report_json(checks=checks))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [(name, _MISSING, "is missing") for name in ("kind", "config", "loss_curve",
+                                                 "final_metrics", "checks", "cost_summary")]
+    + [
+        ("kind", 3, "must be a string"),
+        ("config", [], "must be an object"),
+        ("final_metrics", 1, "must be an object"),
+        ("cost_summary", None, "must be an object"),
+    ],
+)
+def test_report_from_json_refuses_a_missing_or_mistyped_field(field, value, message):
+    with pytest.raises(ParameterError, match=f"report field '{field}' {message}"):
+        RunReport.from_json(_report_json(**{field: value}))
 
 
 def test_report_carries_cost_summary():

@@ -1,5 +1,5 @@
-"""The verification suite itself needs teeth: these tests run the cheap
-checks for real and prove the expensive ones catch planted defects."""
+"""The verification suite itself needs teeth: these tests prove the checks
+catch planted defects. tests/test_acceptance.py runs each check as shipped."""
 
 from dataclasses import fields, replace
 
@@ -13,27 +13,12 @@ from framepress.verify import (
     check_attention_validity,
     check_gradients,
     check_nesting,
-    check_permutation_equivariance,
     check_reference_fit,
-    check_sampler_oracle,
     check_sequence_arithmetic,
     format_report,
     verify_all,
 )
 from framepress.pipeline import RunReport
-
-
-def test_light_checks_pass():
-    for fn, kwargs in (
-        (check_reference_fit, {}),
-        (check_sampler_oracle, {"cases": 150}),
-        (check_nesting, {"cases": 120}),
-        (check_attention_validity, {"passes": 150}),
-        (check_permutation_equivariance, {"cases": 40}),
-        (check_sequence_arithmetic, {}),
-    ):
-        result = fn(**kwargs)
-        assert result.passed, f"{result.name}: {result.detail}"
 
 
 def _tiebreak_flips_with_parity(scores, k):
@@ -46,13 +31,13 @@ def _tiebreak_flips_with_parity(scores, k):
 
 
 def test_nesting_check_catches_broken_tiebreak():
-    result = check_nesting(cases=300, select_fn=_tiebreak_flips_with_parity)
+    result = check_nesting(select_fn=_tiebreak_flips_with_parity)
     assert not result.passed
     assert "not inside" in result.detail  # names the counterexample
 
 
 def test_nesting_check_accepts_real_selector():
-    assert check_nesting(cases=300, select_fn=select_topk).passed
+    assert check_nesting(select_fn=select_topk).passed
 
 
 def test_sequence_check_catches_frames_out_of_order(monkeypatch):
@@ -78,7 +63,7 @@ def test_attention_check_reports_rows_that_do_not_sum_to_one(monkeypatch):
         return 1.01 * weights, out
 
     monkeypatch.setattr(adapter_mod, "cross_attention", leaky)
-    result = check_attention_validity(passes=5)
+    result = check_attention_validity()
     assert not result.passed
     assert result.detail.startswith("case 0: ")
 
@@ -92,7 +77,7 @@ def test_gradient_check_catches_one_wrong_field(field, monkeypatch):
         return replace(grads, **{field: 1.01 * getattr(grads, field)})
 
     monkeypatch.setattr(verify_mod, "adapter_gradients", one_percent_off)
-    result = check_gradients(points=2)
+    result = check_gradients()
     assert not result.passed
     assert f": {field} relative error" in result.detail
 
