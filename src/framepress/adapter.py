@@ -45,7 +45,6 @@ import numpy as np
 from . import ftv1
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
-from .ftv1 import _replacing
 from .linalg import _check_count, _read_only, as_matrix, attention_weights, cross_attention, make_rng
 
 CHECKPOINT_HEADER = "adapter.json"
@@ -238,6 +237,9 @@ def random_adapter_params(
     Used by gradient and equivariance checks, which need every table to sit
     at a generic point rather than at a structured initialization.
     """
+    for name, value in zip(("queries", "width", "feature_dim", "source_tokens", "frames"),
+                           (queries, width, feature_dim, source_tokens, frames)):
+        _check_count(name, value)
     rng = make_rng(seed)
     return AdapterParams(
         input_proj=rng.normal(size=(feature_dim, width)),
@@ -394,7 +396,7 @@ def save_checkpoint(params: AdapterParams, dirpath) -> None:
     ftv1.write_tensor(root / "queries.ftv1", params.queries)
     ftv1.write_tensor(root / "pos_table.ftv1", params.pos_table)
     ftv1.write_tensor(root / "temporal.ftv1", params.temporal)
-    with _replacing(header_path) as fh:
+    with ftv1._replacing(header_path) as fh:
         fh.write(json.dumps(header, indent=2, sort_keys=True) + "\n")
 
 
@@ -408,13 +410,8 @@ def load_checkpoint(dirpath) -> AdapterParams:
     """
     root = Path(dirpath)
     header_path = root / CHECKPOINT_HEADER
-    if not header_path.is_file():
-        raise FormatError(f"missing checkpoint header {header_path}")
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable checkpoint header {header_path}: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_FORMAT:
+    header = ftv1._read_json(header_path, "checkpoint header")
+    if header.get("format") != _CHECKPOINT_FORMAT:
         raise FormatError(f"not an adapter checkpoint: {header_path}")
     if header.get("version") != _CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {header.get('version')!r}")

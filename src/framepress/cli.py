@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -226,9 +225,7 @@ def _parse_ks(text: str) -> list[int]:
         ks = [int(k) for k in text.split(",")]
     except ValueError as exc:
         raise ParameterError(f"--k must be comma-separated integers, got {text!r}") from exc
-    if max(ks) > cost.MAX_COUNT:
-        raise ParameterError(f"--k values must be at most {cost.MAX_COUNT:.2g}")
-    return ks
+    return [cost._priced_count("--k values", k) for k in ks]
 
 
 def _cmd_cost(args) -> int:
@@ -281,15 +278,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
-    raw = {}
-    if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except ValueError as exc:  # bad JSON or bad UTF-8
-            raise ParameterError(f"{args.config}: bad config: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ParameterError("config must be a JSON object of ToyTaskSpec fields")
-    spec = spec_from_dict(raw)
+    spec = spec_from_dict(ftv1._read_json(args.config, "config") if args.config else {})
     report = train_toy(spec)
     if args.report:
         with ftv1._replacing(args.report) as fh:

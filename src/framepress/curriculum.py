@@ -17,7 +17,7 @@ from array import array
 from dataclasses import asdict, dataclass
 
 from .errors import EmptyInputError, FormatError, ParameterError, PlanError
-from .ftv1 import _replacing
+from .ftv1 import _JSON_ERRORS, _parse_json, _replacing
 from .linalg import _check_count, make_rng
 
 DATA_TYPES = (
@@ -111,16 +111,10 @@ def _parse_line(path, where, raw: bytes):
         return None
     try:
         obj, end = _raw_decode(line)
-    except (ValueError, RecursionError):
+    except _JSON_ERRORS:
         end = None
-    if end != len(line):
-        # Decode again for json's own message (trailing data, a BOM, ...).
-        # Beyond JSONDecodeError, json raises ValueError for an integer too
-        # long to convert and RecursionError for nesting too deep.
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"{path}:{where}: bad record: {exc}") from exc
+    if end != len(line):  # decode again for json's own message (trailing data, a BOM, ...)
+        obj = _parse_json(line, f"{path}:{where}: bad record")
     if not isinstance(obj, dict):
         raise FormatError(f"{path}:{where}: record is not an object")
     try:
@@ -269,7 +263,10 @@ def subsample_file(
     return videos, len(video_ids), len({video_ids[i] for i in kept}), len(kept)
 
 
-def _check_types(types) -> set[str]:
+def filter_file(src, dst, types) -> tuple[int, int]:
+    """Write the records of manifest ``src`` whose data_type lies in
+    ``types`` to ``dst``, order preserved, in one streaming pass. Returns
+    the QA pairs read and the QA pairs kept."""
     wanted = set(types)
     if not wanted:
         raise ParameterError("type set must be non-empty")
@@ -278,14 +275,6 @@ def _check_types(types) -> set[str]:
         raise ParameterError(
             f"unknown data types {sorted(unknown)}; expected from {DATA_TYPES}"
         )
-    return wanted
-
-
-def filter_file(src, dst, types) -> tuple[int, int]:
-    """Write the records of manifest ``src`` whose data_type lies in
-    ``types`` to ``dst``, order preserved, in one streaming pass. Returns
-    the QA pairs read and the QA pairs kept."""
-    wanted = _check_types(types)
     read = kept = 0
     with _replacing(dst) as out:
         for _, _, fields, plain in _scan(src):

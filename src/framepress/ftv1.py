@@ -11,14 +11,15 @@ Payloads stream through one float32 staging buffer of at most
 that buffer, and a write of a C-contiguous float64 array holds only the
 buffer, never a whole-file copy.
 
-Also home to ``_replacing``, the atomic file write shared by
-:func:`write_tensor` (binary), the manifest, checkpoint header and index
-sidecar writers, and the CLI's plan and report outputs.
+Also home to the package's one atomic write, ``_replacing`` (used by
+:func:`write_tensor`, the manifest, checkpoint header and sidecar writers,
+and the CLI's text outputs), and its one JSON reader, ``_parse_json``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 import secrets
@@ -166,3 +167,29 @@ def _replacing(path, binary: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+# json refuses bad text and over-long ints with ValueError, deep nesting with RecursionError.
+_JSON_ERRORS = (ValueError, RecursionError)
+
+
+def _parse_json(text: str, where: str):
+    """``text`` decoded, or FormatError ``{where}: {json's message}``."""
+    try:
+        return json.loads(text)
+    except _JSON_ERRORS as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def _read_json(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file or pipe ``path``, a ``what``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise FormatError(f"missing {what} {path}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"unreadable {what} {path}: {exc}") from exc
+    value = _parse_json(text, f"unreadable {what} {path}")
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} {path} is not a JSON object")
+    return value

@@ -21,6 +21,7 @@ from . import cost
 from .adapter import AdapterParams, adapt_video, adapter_gradients, init_adapter_params
 from .encoder import VideoTokenTensor
 from .errors import NumericError, ParameterError, ShapeError
+from .ftv1 import _parse_json
 from .linalg import _check_count, _read_only, split_rng
 from .sampler import SampledTokens, sample_video
 
@@ -164,7 +165,7 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        raw = json.loads(text)
+        raw = _parse_json(text, "unreadable report")
         if not isinstance(raw, dict):
             raise ParameterError(f"a report must be a JSON object, got {type(raw).__name__}")
         if raw.get("schema_version") != SCHEMA_VERSION:

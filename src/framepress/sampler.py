@@ -181,14 +181,7 @@ def load_sampled(path) -> SampledTokens:
     path = Path(path)
     stacked = ftv1.read_tensor(path, expect_rank=3)
     sidecar_path = path.with_suffix(path.suffix + ".json")
-    if not sidecar_path.is_file():
-        raise FormatError(f"missing index sidecar {sidecar_path}")
-    try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable index sidecar {sidecar_path}: {exc}") from exc
-    if not isinstance(sidecar, dict):
-        raise FormatError(f"index sidecar {sidecar_path} is not a JSON object")
+    sidecar = ftv1._read_json(sidecar_path, "index sidecar")
     keep = sidecar.get("keep")
     if type(keep) is not int or keep != stacked.shape[1]:
         raise FormatError(

@@ -407,6 +407,16 @@ BAD_INPUTS = {
     "verify --report empty": lambda tmp: ["verify", "--report", ""],
     "cost --k empty": lambda tmp: ["cost", "--k", ""],
     "cost --calibrate empty": lambda tmp: ["cost", "--calibrate", ""],
+    # Documents json refuses with RecursionError or a ValueError of its own.
+    "config nested too deeply": lambda tmp: _train_toy_with_config(tmp, "[" * 200_000),
+    "checkpoint header nested too deeply": lambda tmp: _with_header(tmp, b"{", b"[" * 200_000),
+    "checkpoint version of 5,000 digits": lambda tmp: _with_header(
+        tmp, b'"version": 1', b'"version": ' + b"1" * 5000
+    ),
+    "sidecar nested too deeply": lambda tmp: _assemble_with_sidecar(tmp, "[" * 200_000),
+    "sidecar keep of 5,000 digits": lambda tmp: _assemble_with_sidecar(
+        tmp, '{"keep": ' + "1" * 5000 + ', "indices": [[0, 1], [0, 1]]}'
+    ),
 }
 
 # What each case's error message must name.
@@ -416,6 +426,7 @@ NAMED_IN_ERROR = {
     "csv tflops past float range": "measured.csv:3: tflops must be finite and >= 0, got '1e400'",
     "negative csv tflops": "measured.csv:5: tflops must be finite and >= 0, got '-1'",
     "csv k of zero": "measured.csv:2: k must be >= 1, got 0",
+    "cost --k with a zero": "--k values must be >= 1, got 0",
     "cost --k past float range": "--k values must be at most 1.8e+308",
     "csv k past float range": "measured.csv:3: k must be at most 1.8e+308",
     "csv tflops overflowing the fit": "the fit of c0 and c1 to these points overflows",
@@ -465,6 +476,11 @@ NAMED_IN_ERROR = {
     "verify --report empty": "--report must not be empty",
     "cost --k empty": "--k must not be empty",
     "cost --calibrate empty": "--calibrate must not be empty",
+    "config nested too deeply": "unreadable config",
+    "checkpoint header nested too deeply": "unreadable checkpoint header",
+    "checkpoint version of 5,000 digits": "unreadable checkpoint header",
+    "sidecar nested too deeply": "unreadable index sidecar",
+    "sidecar keep of 5,000 digits": "unreadable index sidecar",
 }
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import framepress
-from framepress.adapter import adapt_video, init_adapter_params, sinusoidal_pos_table
+from framepress.adapter import (
+    adapt_video, init_adapter_params, random_adapter_params, sinusoidal_pos_table,
+)
 from framepress.cost import CostConfig
 from framepress.curriculum import subsample_file, synthetic_manifest
 from framepress.encoder import frozen_projection, synthetic_video
@@ -42,6 +44,7 @@ COUNT_ARGUMENTS = {
     "compress_video": ("k", lambda v, tmp: compress_video(_video(), _params(), v)),
     "sample_video": ("k", lambda v, tmp: sample_video(adapt_video(_video(), _params()), v)),
     "init_adapter_params": ("queries", lambda v, tmp: init_adapter_params(v, 4, 4, 2, 2, 2, 0)),
+    "random_adapter_params": ("queries", lambda v, tmp: random_adapter_params(v, 4, 4, 4, 2, 0)),
     "sinusoidal_pos_table": ("grid_h", lambda v, tmp: sinusoidal_pos_table(v, 2, 4)),
     "frozen_projection": ("patch_size", lambda v, tmp: frozen_projection(v, 4)),
     "synthetic_video": ("frames", lambda v, tmp: synthetic_video(v, 2, 2, 4, seed=0)),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from framepress import pipeline
 from framepress.adapter import AdapterParams, adapt_video, adapter_gradients, init_adapter_params
 from framepress.encoder import VideoTokenTensor, synthetic_video
-from framepress.errors import NumericError, ParameterError, ShapeError
+from framepress.errors import FormatError, NumericError, ParameterError, ShapeError
 from framepress.linalg import split_rng
 from framepress.pipeline import (
     RunReport,
@@ -235,6 +235,11 @@ def _report_json(**overrides):
 def test_report_from_json_refuses_a_non_object():
     with pytest.raises(ParameterError, match="JSON object, got list"):
         RunReport.from_json("[1, 2]")
+
+
+def test_report_from_json_refuses_nesting_too_deep():
+    with pytest.raises(FormatError, match="unreadable report: maximum recursion depth"):
+        RunReport.from_json("[" * 200_000)
 
 
 @pytest.mark.parametrize("curve", ["abc", [1.0, "x"], [True], {"a": 1.0}])
