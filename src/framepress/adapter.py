@@ -151,10 +151,6 @@ class AdapterOutput:
         return self.tokens.shape[1]
 
     @property
-    def width(self) -> int:
-        return self.tokens.shape[2]
-
-    @property
     def source_tokens(self) -> int:
         return self.attention.shape[2]
 

@@ -17,7 +17,7 @@ from array import array
 from dataclasses import asdict, dataclass
 
 from .errors import EmptyInputError, FormatError, ParameterError, PlanError
-from .ftv1 import _JSON_ERRORS, _parse_json, _replacing
+from .ftv1 import _IO_BUFFER, _JSON_ERRORS, _parse_json, _replacing
 from .linalg import _check_count, make_rng
 
 DATA_TYPES = (
@@ -161,7 +161,7 @@ def _scan(path):
     an error."""
     seen = set()
     offset = 0
-    with open(path, "rb") as fh:
+    with open(path, "rb", _IO_BUFFER) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parsed = _parse_line(path, lineno, raw)
             if parsed is not None:
@@ -244,6 +244,7 @@ def subsample_file(
             video_id = fields[0]
         video_ids.append(video_id)
     kept, videos = _kept_positions(video_ids, fraction, seed, qa_cap_per_video)
+    # Default buffering: each seek outside the buffer refills all of it.
     with open(src, "rb") as fh, _replacing(dst) as out:
         for i in kept:
             at = offsets[i]

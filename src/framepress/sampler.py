@@ -102,10 +102,6 @@ class SampledTokens:
     def frame_count(self) -> int:
         return self.tokens.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.tokens.shape[2]
-
 
 def _check_keep(k: int, order: str, n: int) -> None:
     """Reject a keep count outside [1, n] or an unknown ``order``."""

@@ -82,7 +82,8 @@ def test_criterion_04_attention_validity():
 def test_criterion_05_gradient_correctness():
     """Analytic gradients for the projection, query bank, positional and
     temporal tables match central differences (step 1e-5, relative error
-    < 1e-4) at >=20 stable points; under one minute."""
+    < 1e-4) at 20 fixed points, each with a top-K margin of at least 1e-3;
+    under one minute."""
     result, elapsed = timed(check_gradients)
     report(5, "analytic vs finite-difference gradients", result, elapsed, budget=60.0)
 
@@ -96,9 +97,11 @@ def test_criterion_06_permutation_equivariance():
 
 def test_criterion_07_compression_robustness():
     """Fixed-seed toy task: final loss keeping 16 of 32 tokens lands within
-    25% of the keep-all baseline; both runs within two minutes."""
+    25% of the keep-all baseline; both runs within two minutes. Both final
+    losses are the pinned ones."""
     result, elapsed = timed(check_compression_robustness)
     report(7, "pruned vs keep-all training loss", result, elapsed, budget=120.0)
+    assert "keep=16: 0.061321" in result.detail and "keep=32: 0.067787" in result.detail
 
 
 def test_criterion_08_determinism_and_round_trips():

@@ -191,13 +191,16 @@ def test_default_scale_is_inverse_sqrt_width():
 
 
 def test_params_shape_validation():
-    with pytest.raises(ShapeError):
-        AdapterParams(
-            input_proj=np.zeros((3, 4)),
-            queries=np.zeros((2, 5)),  # width mismatch
-            pos_table=np.zeros((4, 4)),
-            temporal=np.zeros((1, 3)),
-        )
+    tables = dict(
+        input_proj=np.zeros((3, 4)), queries=np.zeros((2, 4)), pos_table=np.zeros((4, 4)), temporal=np.zeros((1, 3))
+    )
+    for field, shape, message in (
+        ("queries", (2, 5), "query width 5 != projection width 4"),
+        ("pos_table", (4, 5), "positional width 5 != projection width 4"),
+        ("temporal", (1, 4), "temporal width 4 != feature dim 3"),
+    ):
+        with pytest.raises(ShapeError, match=message):
+            AdapterParams(**{**tables, field: np.zeros(shape)})
 
 
 def test_adapter_output_validates_row_sums():
@@ -208,6 +211,13 @@ def test_adapter_output_validates_row_sums():
     nan_row[1, 0, 0] = np.nan
     with pytest.raises(ShapeError, match="frame 1"):
         AdapterOutput(tokens=np.zeros((2, 1, 2)), attention=nan_row)
+
+
+def test_adapter_output_validates_shapes():
+    with pytest.raises(ShapeError, match="needs frames and tokens"):
+        AdapterOutput(tokens=np.zeros((0, 2, 2)), attention=np.zeros((0, 2, 2)))
+    with pytest.raises(ShapeError, match="disagree on frames or rows"):
+        AdapterOutput(tokens=np.zeros((1, 2, 2)), attention=np.full((1, 3, 2), 0.5))
 
 
 def test_sinusoidal_table_layout():
@@ -257,6 +267,10 @@ def test_gradients_refuse_rows_out_of_range():
     for row in (-1, 3, 1.0):
         with pytest.raises(ShapeError, match=r"rows must be integers in \[0, 3\)"):
             adapter_gradients(video, params, [[row]], np.ones((1, 1, 4)))
+    # Rows for two frames of a one-frame video, and grads of the wrong width.
+    for rows, grads in (([[0], [1]], np.ones((2, 1, 4))), ([[0]], np.ones((1, 1, 3)))):
+        with pytest.raises(ShapeError, match=r"must be \(T, R\), \(T, R, 4\); T=1"):
+            adapter_gradients(video, params, rows, grads)
 
 
 def test_gradients_of_a_repeated_row_add():

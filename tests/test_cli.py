@@ -4,7 +4,9 @@ import io
 import json
 import math
 import os
+import runpy
 import struct
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -315,6 +317,8 @@ BAD_INPUTS = {
     ),
     "non-UTF-8 checkpoint header": lambda tmp: _with_header(tmp, b"}", b"}\xff"),
     "checkpoint header without scale": lambda tmp: _with_header(tmp, b'"scale"', b'"sbale"'),
+    "checkpoint of a later version": lambda tmp: _with_header(tmp, b'"version": 1', b'"version": 2'),
+    "--grid not HxW": lambda tmp: ["encode", "--grid", "8by8", "--out", str(tmp / "f.ftv1")],
     "checkpoint scale other than 1/sqrt(width)": lambda tmp: _with_header(
         tmp, b'"scale": 0.', b'"scale": 1.'
     ),
@@ -437,6 +441,8 @@ NAMED_IN_ERROR = {
     "sidecar keep differs from the token file": "kept.ftv1.json",
     "non-UTF-8 checkpoint header": "adapter.json",
     "checkpoint scale other than 1/sqrt(width)": "checkpoint scale 1.3535533905932737",
+    "checkpoint of a later version": "unsupported checkpoint version 2",
+    "--grid not HxW": "grid must look like 8x8, got '8by8'",
     "mismatched --images sizes": "frame 1 shape (2, 3, 64) differs from frame 0 (2, 2, 64)",
     "negative encode --seed": "seed must be >= 0, got -1",
     "--frames with --images": "--frames",
@@ -512,6 +518,28 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypat
     assert "Traceback" not in err
     assert NAMED_IN_ERROR.get(case, "") in err
     assert sorted(os.listdir(tmp_path)) == files  # nothing written
+
+
+def test_an_unexpected_value_error_is_raised_not_reported(monkeypatch):
+    """Only numpy's size refusals exit 2; any other ValueError is a bug."""
+
+    def broken(*args, **kwargs):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(curriculum, "make_plan", broken)
+    with pytest.raises(ValueError, match="math domain error"):
+        cli.main(["plan", "--strategy", "S4-V"])
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    argv = ["plan", "--strategy", "S4-V"]
+    code, want, _ = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["framepress", *argv])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exit_:
+        warnings.simplefilter("ignore", RuntimeWarning)  # runpy: framepress.cli is already imported
+        runpy.run_module("framepress.cli", run_name="__main__")
+    assert exit_.value.code == code == 0
+    assert capsys.readouterr().out == want
 
 
 def test_zip_like_images_file_is_closed(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from framepress.cost import (
     REFERENCE_TOTALS,
     CostConfig,
+    CostReport,
     calibrate,
     calibrated_config,
     calibration_report_text,
@@ -89,12 +90,27 @@ def test_config_validation():
             encoder_tflops=0.9,
             adapter_tflops=0.2,  # slices exceed overhead
         )
+    for bad in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ParameterError, match=f"per_token_tflops must be finite and >= 0, got {bad}"):
+            CostConfig(frames=1, tokens_per_frame=1, overhead_tflops=1.0, per_token_tflops=bad)
     fit = calibrate()
     for k in (2.5, True, 0, 10**400):
         with pytest.raises(ParameterError):
             estimate(calibrated_config(fit, tokens_per_frame=k))
         with pytest.raises(ParameterError):
             sweep([k], calibrated_config(fit))
+
+
+def test_report_refuses_parts_that_do_not_sum_to_the_total():
+    with pytest.raises(ParameterError, match="cost breakdown does not sum to the total"):
+        CostReport(
+            tokens_per_frame=1,
+            sequence_len=8,
+            total_tflops=2.0,
+            encoder_tflops=0.5,
+            adapter_tflops=0.5,
+            llm_linear_tflops=0.5,
+        )
 
 
 def test_sweep_monotone_and_csv_shape():

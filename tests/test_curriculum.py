@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from framepress import cli, curriculum
+from framepress import cli, curriculum, ftv1
 from framepress.curriculum import (
     DATA_TYPES,
     IMAGE_DATASET_ROLES,
@@ -254,9 +255,52 @@ def test_subsample_names_the_record_it_expected_on_the_second_read(tmp_path, mon
     )
 
 
+def test_subsample_refuses_a_kept_offset_that_lands_off_a_record(tmp_path, monkeypatch):
+    """The first record, given a question between the passes, keeps its key
+    and puts the second record's offset inside it, on text that is not a
+    record."""
+    path, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+    lines = [json.dumps({"video_id": v, "qa_id": "q"}) + "\n" for v in ("a", "b")]
+    path.write_text("".join(lines), encoding="utf-8")
+    first_pass = curriculum._kept_positions
+
+    def select_then_grow(*args):
+        kept = first_pass(*args)
+        path.write_text(lines[0].replace("}", ', "question": "why?"}') + lines[1], encoding="utf-8")
+        return kept
+
+    monkeypatch.setattr(curriculum, "_kept_positions", select_then_grow)
+    with pytest.raises(FormatError) as caught:
+        subsample_file(path, out, 1.0, seed=0)
+    assert str(caught.value) == (
+        f"{path}:byte {len(lines[0])}: bad record: Extra data: line 1 column 11 (char 10); "
+        "the file changed after the first read"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl"]
+
+
+def test_a_record_longer_than_the_read_buffer_passes_through(tmp_path):
+    """A 300,000-character answer, 0.5 MB of UTF-8 with escapes in it,
+    between short records: filter of every type and subsample of every
+    video write the manifest back byte for byte."""
+    answer = ("猫が走る \"quoted\"\n" * 20_000)[:300_000]
+    records = [("v1", "q1", "short?", "yes"), ("v2", "q1", "long?", answer), ("v3", "q1", "again?", "no")]
+    text = "".join(_record_line((*r, "vqa")) for r in records)
+    assert len(text.encode("utf-8")) > ftv1._IO_BUFFER
+    src, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+    src.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    _cli_stdout(["filter", src, "--types", ",".join(DATA_TYPES), "--out", out])
+    assert out.read_bytes() == src.read_bytes()
+    _cli_stdout(["subsample", src, "--fraction", "1.0", "--seed", "0", "--out", out])
+    assert out.read_bytes() == src.read_bytes()
+    assert time.perf_counter() - start < 0.2
+
+
 # Traced peak bytes per record of each manifest command on 20,000 records.
 # A (video_id, qa_id) tuple key per record held ~318 (subsample) and ~294
-# (filter); one string key holds ~238 and ~199.
+# (filter); one string key holds ~238 and ~199. The 256 KiB buffers add
+# ~13 to subsample's peak (one is open at a time) and ~26 to filter's.
 PEAK_BYTES_PER_RECORD = {"subsample": 280, "filter": 250}
 
 
@@ -476,6 +520,25 @@ def test_stage_plan_invariant_enforced_on_construction():
             strategy="S4-V",
             stages=(ok.stages[0], bad_stage, ok.stages[2], ok.stages[3]),
         )
+    with pytest.raises(PlanError, match="unknown strategy 'S9-X'"):
+        StagePlan(strategy="S9-X", stages=ok.stages)
+    with pytest.raises(PlanError, match=r"stage order must be \['align', 'pretrain', 'instruct'\]"):
+        StagePlan(strategy="S3-IV", stages=(ok.stages[1], ok.stages[0], ok.stages[2]))
+
+
+@pytest.mark.parametrize(
+    "dataset, fraction, message",
+    [
+        ("VideoInstruct", None, "video dataset and fraction must come together"),
+        (None, 0.5, "video dataset and fraction must come together"),
+        ("VideoInstruct", 0.0, r"video fraction must be in \(0, 1\], got 0.0"),
+        ("VideoInstruct", 1.5, r"video fraction must be in \(0, 1\], got 1.5"),
+    ],
+    ids=["dataset without a fraction", "fraction without a dataset", "fraction 0", "fraction 1.5"],
+)
+def test_stage_spec_refuses_a_bad_video_mix(dataset, fraction, message):
+    with pytest.raises(PlanError, match="stage instruct: " + message):
+        StageSpec("instruct", IMAGE_DATASET_ROLES["instruct"], dataset, fraction, ("adapter", "llm"))
 
 
 def test_plan_to_text_is_stable_and_parseable():

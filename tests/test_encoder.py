@@ -100,9 +100,17 @@ def test_patchify_requires_divisible_dims():
         patchify_encode(img, 4, np.zeros((48, 2)))
 
 
+def test_patchify_requires_a_projection_of_patch_rows():
+    img = ImagePlane(np.zeros((4, 4, 3)))
+    with pytest.raises(ShapeError, match=r"projection must have shape \(12, D\), got \(11, 2\)"):
+        patchify_encode(img, 2, np.zeros((11, 2)))
+
+
 def test_image_plane_validation():
     with pytest.raises(ShapeError):
         ImagePlane(np.zeros((4, 4)))
+    with pytest.raises(ShapeError, match="image must be non-empty"):
+        ImagePlane(np.zeros((0, 4, 3)))
     with pytest.raises(ParameterError):
         ImagePlane(np.full((2, 2, 3), 1.5))
 

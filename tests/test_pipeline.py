@@ -100,6 +100,8 @@ def test_toy_spec_validation():
         replace(QUICK_SPEC, signal_patches=5)  # grid has only 4 patches
     with pytest.raises(ParameterError):
         replace(QUICK_SPEC, learning_rate=float("nan"))
+    with pytest.raises(ParameterError, match="noise_scale must be finite and >= 0"):
+        replace(QUICK_SPEC, noise_scale=-0.1)
 
 
 def test_spec_from_dict_round_trip_and_unknown_keys():
@@ -202,6 +204,10 @@ def test_zero_learning_rate_freezes_the_loss():
 def test_divergence_aborts_with_step_index():
     with pytest.raises(NumericError, match=r"step \d+"):
         train_toy(replace(QUICK_SPEC, learning_rate=1e6, steps=40))
+    # At learning rate 300 the step-3 forward is finite, its kept tokens near
+    # 3e114, and the squared error overflows: only the loss check sees it.
+    with pytest.raises(NumericError, match=r"^loss diverged at step 3: loss=inf$"):
+        train_toy(replace(QUICK_SPEC, learning_rate=300.0, steps=40))
 
 
 def test_report_json_round_trip():

@@ -73,6 +73,8 @@ def test_select_topk_bounds():
         select_topk(scores, 0)
     with pytest.raises(ParameterError):
         select_topk(scores, 3)
+    with pytest.raises(ShapeError, match="scores must be non-empty"):
+        select_topk(np.zeros((2, 0)), 1)
 
 
 @given(
@@ -183,6 +185,8 @@ def test_sampled_tokens_validation():
             indices=np.array([[0, 1]]),  # one frame of indices for two of tokens
             tokens=np.zeros((2, 2, 3)),
         )
+    with pytest.raises(ShapeError, match="token indices must be >= 0"):
+        SampledTokens(indices=np.array([[0, -1]]), tokens=np.zeros((1, 2, 3)))
     for t, k in ((0, 2), (2, 0)):  # no frames, no kept rows
         with pytest.raises(ShapeError):
             SampledTokens(indices=np.zeros((t, k)), tokens=np.zeros((t, k, 3)))
