@@ -278,7 +278,7 @@ def _attend_frames(queries, x, temporal, bias, scale: float):
     shifted = np.empty(x.shape[1:])
     for t in range(t_count):
         np.add(x[t], temporal[t], out=shifted)
-        attention[t], mixed[t] = cross_attention(queries[t], shifted, shifted, scale, bias[t])
+        attention[t], mixed[t] = cross_attention(queries[t], shifted, scale, bias[t])
     return attention, mixed
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FitError, NumericError, ParameterError
-from .linalg import _check_count
+from .linalg import _check_count, _check_real
 
 # Measured end-to-end totals (kept tokens per frame -> TFLOPs) for an
 # 8-frame pipeline over a 7B-class decoder; used as the default
@@ -64,15 +64,8 @@ class CostConfig:
     def __post_init__(self):
         for name in ("frames", "tokens_per_frame"):
             object.__setattr__(self, name, _priced_count(name, getattr(self, name)))
-        for name in (
-            "overhead_tflops",
-            "per_token_tflops",
-            "encoder_tflops",
-            "adapter_tflops",
-        ):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0.0:
-                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("overhead_tflops", "per_token_tflops", "encoder_tflops", "adapter_tflops"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if self.encoder_tflops + self.adapter_tflops > self.overhead_tflops + 1e-12:
             raise ParameterError(
                 "encoder and adapter slices exceed the fixed overhead"
@@ -142,9 +135,7 @@ def calibrate(points=REFERENCE_TOTALS) -> CalibrationResult:
     pts = []
     for k, total in points:
         k = _priced_count("calibration k", k)
-        if not 0.0 <= total <= MAX_COUNT:  # NaN fails too; an int this large is not printed
-            raise ParameterError(f"the calibration total at k={k} must be finite and >= 0")
-        pts.append((k, float(total)))
+        pts.append((k, _check_real(f"the calibration total at k={k}", total)))
     if len(pts) < 2:
         raise ParameterError(f"need at least 2 calibration points, got {len(pts)}")
     ks = np.array([k for k, _ in pts], dtype=np.float64)

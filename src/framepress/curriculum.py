@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import EmptyInputError, FormatError, ParameterError, PlanError
 from .ftv1 import _IO_BUFFER, _JSON_ERRORS, _parse_json, _replacing
-from .linalg import _check_count, make_rng
+from .linalg import _check_count, _check_real, make_rng
 
 DATA_TYPES = (
     "classification",
@@ -174,14 +174,6 @@ def _scan(path):
             offset += len(raw)
 
 
-def _check_subsample_args(fraction: float, seed: int, qa_cap_per_video: int | None) -> None:
-    if not 0.0 < fraction <= 1.0:
-        raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
-    if qa_cap_per_video is not None:
-        _check_count("qa_cap_per_video", qa_cap_per_video)
-    _check_count("seed", seed, low=0)
-
-
 def _kept_positions(
     video_ids, fraction: float, seed: int, qa_cap_per_video: int | None
 ) -> tuple[list[int], int]:
@@ -229,7 +221,10 @@ def subsample_file(
     must be a regular file that stays unchanged between the passes. Returns
     (videos, QA pairs) of ``src`` and of the output.
     """
-    _check_subsample_args(fraction, seed, qa_cap_per_video)
+    fraction = _check_real("fraction", fraction, fraction=True)
+    if qa_cap_per_video is not None:
+        _check_count("qa_cap_per_video", qa_cap_per_video)
+    _check_count("seed", seed, low=0)
     if not stat.S_ISREG(os.stat(src).st_mode):
         raise FormatError(f"{src}: not a regular file; subsample reads it twice")
     offsets = array("q")
@@ -323,11 +318,12 @@ class StageSpec:
             raise PlanError(
                 f"stage {self.name}: video dataset and fraction must come together"
             )
-        if self.video_fraction is not None and not 0.0 < self.video_fraction <= 1.0:
-            raise PlanError(
-                f"stage {self.name}: video fraction must be in (0, 1], "
-                f"got {self.video_fraction}"
-            )
+        if self.video_fraction is not None:
+            try:
+                fraction = _check_real("video fraction", self.video_fraction, fraction=True)
+            except ParameterError as exc:
+                raise PlanError(f"stage {self.name}: {exc}") from None
+            object.__setattr__(self, "video_fraction", fraction)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ftv1
 from .errors import EmptyInputError, ParameterError, ShapeError
-from .linalg import _check_count, make_rng
+from .linalg import _check_count, _read_only, make_rng
 
 DEFAULT_PATCH_SIZE = 14
 DEFAULT_FEATURE_DIM = 64
@@ -66,14 +66,11 @@ class VideoTokenTensor:
     features: np.ndarray  # (T, grid_h, grid_w, D)
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim == 4 and feats.shape[0] == 0:
+        feats = _read_only(self.features, "video features", ndim=4)
+        if feats.shape[0] == 0:
             raise EmptyInputError("a video needs at least one frame")
-        if feats.ndim != 4 or 0 in feats.shape:
-            raise ShapeError(f"video features must be 4-D and non-empty, got shape {feats.shape}")
-        if feats.flags.writeable:
-            feats = feats.copy()
-            feats.setflags(write=False)
+        if 0 in feats.shape:
+            raise ShapeError(f"video features must be non-empty, got shape {feats.shape}")
         object.__setattr__(self, "features", feats)
 
     @property

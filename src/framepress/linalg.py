@@ -1,12 +1,13 @@
 """Dense float64 kernels everything else builds on.
 
 The package's input validators (one for arrays, one for every count, k
-and seed), row-wise softmax, single-head attention weights (over one
-frame's keys or a stack of frames' keys) and cross-attention with exposed
-weights, seeded RNG streams, and central-difference gradients for
-verification. The kernels are pure functions of their inputs and return
-fresh arrays: the attention kernels normalise their own logits in place,
-and :func:`softmax_rows` its copy.
+and seed, and one for every real-valued argument), row-wise softmax,
+single-head attention weights of queries over one frame's keys or a stack
+of frames' keys, cross-attention in which one frame's features serve as
+both keys and values and the weights are exposed, seeded RNG streams, and
+central-difference gradients for verification. The kernels are pure
+functions of their inputs and return fresh arrays: the attention kernels
+normalise their own logits in place, and :func:`softmax_rows` its copy.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 
+# The central-difference step of :func:`fd_gradient`.
+FD_STEP = 1e-5
+
 
 def _check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
     """The package's one count rule, for every count, k and seed: ``value``
@@ -27,6 +31,23 @@ def _check_count(name: str, value, low: int = 1, high: int | None = None) -> Non
     if value < low or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ParameterError(f"{name} must be {bound}, got {value}")
+
+
+def _check_real(name: str, value, fraction: bool = False) -> float:
+    """The package's one real-number rule, beside :func:`_check_count`:
+    ``value`` must be an int or a float, numpy's too, never a bool, and
+    finite and >= 0 or, for a ``fraction``, in (0, 1]. Returns it as a
+    plain float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    bound = "in (0, 1]" if fraction else "finite and >= 0"
+    try:
+        real = float(value)
+    except OverflowError:  # an int past float64's range: not printed, it may run to 300+ digits
+        raise ParameterError(f"{name} must be {bound}") from None
+    if not (0.0 < real <= 1.0 if fraction else 0.0 <= real < math.inf):
+        raise ParameterError(f"{name} must be {bound}, got {value}")
+    return real
 
 
 def _read_only(values, name: str, ndim: int) -> np.ndarray:
@@ -42,11 +63,11 @@ def _read_only(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def as_matrix(values, name: str = "matrix", ndim: int = 2) -> np.ndarray:
-    """:func:`_read_only`, and finite: the adapter parameter constructor's
-    validator. Video features, adapter outputs and kept tokens skip the
-    finiteness scan (see ``VideoTokenTensor``)."""
-    arr = _read_only(values, name, ndim)
+def as_matrix(values, name: str) -> np.ndarray:
+    """:func:`_read_only` of rank 2, and finite: the adapter parameter
+    constructor's validator. Video features, adapter outputs and kept
+    tokens skip the finiteness scan (see ``VideoTokenTensor``)."""
+    arr = _read_only(values, name, 2)
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{name} contains non-finite entries")
     return arr
@@ -87,13 +108,10 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, scale, bias) -> np.ndarray:
         raise ShapeError(
             f"queries and keys must share a column count, got {q.shape} vs {k.shape}"
         )
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        want = (q.shape[0], k.shape[-2])
-        if bias.shape != want:
-            raise ShapeError(f"bias must have shape {want} (queries, keys), got {bias.shape}")
-    if scale is None:
-        scale = 1.0 / math.sqrt(q.shape[1])
+    bias = np.asarray(bias, dtype=np.float64)
+    want = (q.shape[0], k.shape[-2])
+    if bias.shape != want:
+        raise ShapeError(f"bias must have shape {want} (queries, keys), got {bias.shape}")
     if k.ndim == 3:
         # F frames' keys as one (Nq, D) @ (D, F·Nk) GEMM, viewed as (F, Nq, Nk).
         frames, nk, d = k.shape
@@ -101,21 +119,20 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, scale, bias) -> np.ndarray:
     else:
         logits = q @ k.T
     logits *= scale
-    if bias is not None:
-        logits += bias
+    logits += bias
     return _softmax_in_place(logits)
 
 
-def attention_weights(queries, keys, scale: float | None = None, bias=None) -> np.ndarray:
+def attention_weights(queries, keys, scale: float, bias) -> np.ndarray:
     """Softmax attention of (Nq, D) queries over (Nk, D) keys, or over the
     keys of F frames stacked as (F, Nk, D).
 
     Returns ``softmax(queries @ keys.T * scale + bias)`` row-wise, an
     (Nq, Nk) matrix or, for stacked keys, an (F, Nq, Nk) array from one
-    (Nq, D) @ (D, F·Nk) matrix product. ``scale`` defaults to ``1 / sqrt(D)``;
-    ``bias``, an optional (Nq, Nk) matrix, is added to the scaled logits of
-    every frame. Raises ShapeError on operands of the wrong rank or width
-    and on a bias of the wrong shape, and NumericError on non-finite logits.
+    (Nq, D) @ (D, F·Nk) matrix product. ``bias``, an (Nq, Nk) matrix, is
+    added to the scaled logits of every frame. Raises ShapeError on operands
+    of the wrong rank or width and on a bias of the wrong shape, and
+    NumericError on non-finite logits.
     """
     q, k = np.asarray(queries, dtype=np.float64), np.asarray(keys, dtype=np.float64)
     if q.ndim != 2 or k.ndim not in (2, 3):
@@ -123,32 +140,22 @@ def attention_weights(queries, keys, scale: float | None = None, bias=None) -> n
     return _attention_weights(q, k, scale, bias)
 
 
-def cross_attention(
-    queries,
-    keys,
-    values,
-    scale: float | None = None,
-    bias=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-head scaled dot-product cross-attention.
+def cross_attention(queries, features, scale: float, bias) -> tuple[np.ndarray, np.ndarray]:
+    """Single-head scaled dot-product cross-attention of (Nq, D) queries
+    over one frame's (Nk, D) features, which serve as both keys and values.
 
     Returns ``(weights, output)`` where ``weights`` is the
-    :func:`attention_weights` of the queries over the keys and ``output =
-    weights @ values``. The weight matrix is returned so callers can score
-    tokens by their attention responses. Raises ShapeError on operands that
-    are not compatible matrices and NumericError on non-finite scores.
+    :func:`attention_weights` of the queries over the features and
+    ``output = weights @ features``. The weight matrix is returned so
+    callers can score tokens by their attention responses. Raises
+    ShapeError on operands that are not compatible matrices and
+    NumericError on non-finite scores.
     """
-    q, k, v = (np.asarray(a, dtype=np.float64) for a in (queries, keys, values))
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError(
-            f"attention operands must be 2-D, got {q.shape}, {k.shape}, {v.shape}"
-        )
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(
-            f"keys and values must share a row count, got {k.shape} vs {v.shape}"
-        )
-    weights = _attention_weights(q, k, scale, bias)
-    return weights, weights @ v
+    q, f = np.asarray(queries, dtype=np.float64), np.asarray(features, dtype=np.float64)
+    if q.ndim != 2 or f.ndim != 2:
+        raise ShapeError(f"attention operands must be 2-D, got {q.shape}, {f.shape}")
+    weights = _attention_weights(q, f, scale, bias)
+    return weights, weights @ f
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
@@ -171,17 +178,12 @@ def split_rng(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(child)) for child in children]
 
 
-def fd_gradient(
-    f: Callable[[np.ndarray], float],
-    x: Sequence[float] | np.ndarray,
-    step: float = 1e-5,
-) -> np.ndarray:
+def fd_gradient(f: Callable[[np.ndarray], float], x: Sequence[float] | np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function of a vector.
 
-    Evaluates ``(f(x + h e_i) - f(x - h e_i)) / (2 h)`` per coordinate.
+    Evaluates ``(f(x + h e_i) - f(x - h e_i)) / (2 h)`` per coordinate,
+    with ``h = FD_STEP``.
     """
-    if step <= 0:
-        raise ParameterError(f"step must be positive, got {step}")
     base = np.asarray(x, dtype=np.float64)
     if base.ndim != 1:
         raise ShapeError(f"x must be a vector, got shape {base.shape}")
@@ -189,11 +191,11 @@ def fd_gradient(
     for i in range(base.size):
         hi = base.copy()
         lo = base.copy()
-        hi[i] += step
-        lo[i] -= step
+        hi[i] += FD_STEP
+        lo[i] -= FD_STEP
         f_hi = float(f(hi))
         f_lo = float(f(lo))
         if not (math.isfinite(f_hi) and math.isfinite(f_lo)):
             raise NumericError(f"non-finite function value near coordinate {i}")
-        grad[i] = (f_hi - f_lo) / (2.0 * step)
+        grad[i] = (f_hi - f_lo) / (2.0 * FD_STEP)
     return grad

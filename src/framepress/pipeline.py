@@ -22,7 +22,7 @@ from .adapter import AdapterParams, adapt_video, adapter_gradients, init_adapter
 from .encoder import VideoTokenTensor
 from .errors import NumericError, ParameterError, ShapeError
 from .ftv1 import _parse_json
-from .linalg import _check_count, _read_only, split_rng
+from .linalg import _check_count, _check_real, _read_only, split_rng
 from .sampler import SampledTokens, sample_video
 
 SCHEMA_VERSION = 1
@@ -76,9 +76,6 @@ class SequenceAssembly:
     def total_len(self) -> int:
         return self.video_tokens.shape[0] + self.prompt_len
 
-    def frame_block(self, t: int) -> np.ndarray:
-        return self.frame_tokens[t]
-
 
 def assemble_sequence(sampled: SampledTokens, prompt_len: int) -> SequenceAssembly:
     """Concatenate kept tokens frame by frame and account for the prompt."""
@@ -125,10 +122,8 @@ class ToyTaskSpec:
         _check_count("signal_patches", self.signal_patches, high=self.patch_tokens)
         _check_count("keep", self.keep, high=self.queries)
         _check_count("steps", self.steps, low=0)
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ParameterError("learning_rate must be finite and >= 0")
-        if not np.isfinite(self.noise_scale) or self.noise_scale < 0:
-            raise ParameterError("noise_scale must be finite and >= 0")
+        _check_real("learning_rate", self.learning_rate)
+        _check_real("noise_scale", self.noise_scale)
 
     @property
     def patch_tokens(self) -> int:

@@ -103,30 +103,10 @@ class SampledTokens:
         return self.tokens.shape[0]
 
 
-def _check_keep(k: int, order: str, n: int) -> None:
-    """Reject a keep count outside [1, n] or an unknown ``order``."""
-    if order not in KEEP_ORDERS:
-        raise ParameterError(f"order must be one of {KEEP_ORDERS}, got {order!r}")
-    _check_count("k", k, high=n)
-
-
-def _kept_indices(attention: np.ndarray, k: int, order: str) -> np.ndarray:
-    """The (T, k) indices :func:`sample_video` keeps from (T, N, M) attention."""
-    indices = select_topk(score_frame(attention), k)
-    if order == "index":
-        indices.sort(axis=1)
-    return indices
-
-
-def sample_video(output: AdapterOutput, k: int, order: str = "score") -> SampledTokens:
-    """Keep the top-k tokens of every frame of an adapter output.
-
-    ``order`` controls how kept tokens are laid out within a frame:
-    ``"score"`` keeps the descending-score order of :func:`select_topk`,
-    ``"index"`` re-sorts them by their original token index.
-    """
-    _check_keep(k, order, output.query_count)
-    indices = _kept_indices(output.attention, k, order)
+def sample_video(output: AdapterOutput, k: int) -> SampledTokens:
+    """Keep the top-k tokens of every frame of an adapter output, in the
+    descending-score order of :func:`select_topk`."""
+    indices = select_topk(score_frame(output.attention), k)
     tokens = np.take_along_axis(output.tokens, indices[:, :, None], axis=1)
     tokens.setflags(write=False)
     return SampledTokens(indices, tokens)
@@ -135,16 +115,23 @@ def sample_video(output: AdapterOutput, k: int, order: str = "score") -> Sampled
 def compress_video(
     video: VideoTokenTensor, params: AdapterParams, k: int, order: str = "score"
 ) -> SampledTokens:
-    """``sample_video(adapt_video(video, params), k, order)``, selecting
-    before mixing.
+    """The top-k tokens of every frame of ``adapt_video(video, params)``,
+    selecting before mixing.
 
-    Selection needs only the attention, so only the T·k kept rows are mixed
-    and projected, not all T·N (see :func:`adapter.kept_tokens`). ``k`` and
+    ``order`` controls how kept tokens are laid out within a frame:
+    ``"score"`` keeps the descending-score order of :func:`select_topk`,
+    ``"index"`` re-sorts them by their original token index. Selection
+    needs only the attention, so only the T·k kept rows are mixed and
+    projected, not all T·N (see :func:`adapter.kept_tokens`). ``k`` and
     ``order`` are checked before any attention is computed.
     """
-    _check_keep(k, order, params.query_count)
+    if order not in KEEP_ORDERS:
+        raise ParameterError(f"order must be one of {KEEP_ORDERS}, got {order!r}")
+    _check_count("k", k, high=params.query_count)
     attention = attend(video, params)
-    indices = _kept_indices(attention, k, order)
+    indices = select_topk(score_frame(attention), k)
+    if order == "index":
+        indices.sort(axis=1)
     rows = np.take_along_axis(attention, indices[:, :, None], axis=1)
     del attention  # freed before the kept rows are mixed
     return SampledTokens(indices, kept_tokens(video, params, rows))

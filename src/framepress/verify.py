@@ -143,21 +143,17 @@ def check_sampler_oracle() -> CheckResult:
     return CheckResult(name, True, f"{len(streams)} attention score vectors, every K, all equal")
 
 
-def check_nesting(select_fn=select_topk) -> CheckResult:
-    """Keep-sets nest: the selection for K sits inside the one for K+1 (seed 2027).
-
-    ``select_fn`` exists so a deliberately broken tie-break can be
-    injected to prove the check has teeth.
-    """
+def check_nesting() -> CheckResult:
+    """Keep-sets nest: the selection for K sits inside the one for K+1 (seed 2027)."""
     name = "sampler_nesting"
     streams = split_rng(2027, 500)
     for case, rng in enumerate(streams):
         n = int(rng.integers(2, 33))
         # Coarse quantization makes exact ties common.
         values = np.round(rng.random(size=n), 1)
-        prev = set(select_fn(values, 1).tolist())
+        prev = set(select_topk(values, 1).tolist())
         for k in range(2, n + 1):
-            cur = set(select_fn(values, k).tolist())
+            cur = set(select_topk(values, k).tolist())
             if not prev <= cur:
                 return CheckResult(
                     name,
@@ -239,7 +235,7 @@ def _grad_check_point(seed: int):
     grads = adapter_gradients(video, params, sampled.indices, 2.0 * sampled.tokens)
     errs = {}
     for name in (f.name for f in fields(AdapterGrads)):
-        fd = fd_gradient(partial(loss_at, name), getattr(params, name).ravel(), step=1e-5)
+        fd = fd_gradient(partial(loss_at, name), getattr(params, name).ravel())
         num = np.linalg.norm(getattr(grads, name).ravel() - fd)
         errs[name] = num / max(np.linalg.norm(fd), 1e-12)
     return margin, errs

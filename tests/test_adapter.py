@@ -253,7 +253,7 @@ def test_gradients_match_finite_differences_seed3():
         def f(x, name=name):
             return loss(replace(params, **{name: x.reshape(base.shape)}))
 
-        fd = fd_gradient(f, base.ravel(), step=1e-5).reshape(base.shape)
+        fd = fd_gradient(f, base.ravel()).reshape(base.shape)
         analytic = getattr(grads, name)
         err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         assert err < 1e-4, f"{name}: relative error {err:.3e}"

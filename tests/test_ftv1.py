@@ -9,7 +9,7 @@ import pytest
 from conftest import traced_peak
 from framepress import ftv1
 from framepress.errors import FormatError, NumericError, ParameterError, ShapeError
-from framepress.linalg import as_matrix, make_rng
+from framepress.linalg import _read_only, make_rng
 
 
 def test_exact_byte_layout(tmp_path):
@@ -39,7 +39,7 @@ def test_round_trip_is_exact_for_float32_values(tmp_path):
         assert back.shape == arr.shape
         np.testing.assert_array_equal(back, arr)
         # Read-only, so the validator passes it on without a copy.
-        assert as_matrix(back, ndim=back.ndim) is back
+        assert _read_only(back, "tensor", back.ndim) is back
 
 
 def test_non_float32_values_round_to_storage_precision(tmp_path):

@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ import framepress
 from framepress.adapter import (
     adapt_video, init_adapter_params, random_adapter_params, sinusoidal_pos_table,
 )
-from framepress.cost import CostConfig
-from framepress.curriculum import subsample_file, synthetic_manifest
+from framepress.cost import CostConfig, calibrate
+from framepress.curriculum import (
+    IMAGE_DATASET_ROLES, StageSpec, make_plan, plan_to_text, subsample_file, synthetic_manifest,
+)
 from framepress.encoder import frozen_projection, synthetic_video
-from framepress.errors import ParameterError
+from framepress.errors import ParameterError, PlanError
 from framepress.linalg import make_rng, split_rng
 from framepress.sampler import compress_video, sample_video, select_topk
 
@@ -71,3 +75,97 @@ def test_every_count_is_an_int_or_numpy_integer_and_never_a_bool(entry, tmp_path
         with pytest.raises(ParameterError, match=re.escape(f"{name} must be an int, got {bad!r}")):
             call(bad, tmp_path)
     call(np.int64(2), tmp_path)
+
+
+# Every entry point that takes a real number: the error class, how the
+# refusal names the argument, and a call that passes a value for it.
+REAL_ARGUMENTS = {
+    "CostConfig": (
+        ParameterError, "per_token_tflops",
+        lambda v, tmp: CostConfig(8, 16, 31.7, v).per_token_tflops,
+    ),
+    "calibrate": (
+        ParameterError, "the calibration total at k=4",
+        lambda v, tmp: calibrate([(4, v), (16, 33.47)]).points[0][1],
+    ),
+    "subsample_file": (
+        ParameterError, "fraction",
+        lambda v, tmp: subsample_file(_manifest(tmp), tmp / "o.jsonl", v, 0),
+    ),
+    "StageSpec": (
+        PlanError, "stage instruct: video fraction",
+        lambda v, tmp: StageSpec(
+            "instruct", IMAGE_DATASET_ROLES["instruct"], "VideoInstruct", v, ("adapter", "llm")
+        ).video_fraction,
+    ),
+    "make_plan": (
+        PlanError, "stage instruct: video fraction",
+        lambda v, tmp: plan_to_text(make_plan("S3-IV", instruct_fraction=v)),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(REAL_ARGUMENTS))
+def test_every_real_is_an_int_or_float_and_never_a_bool(entry, tmp_path):
+    """One rule at every entry point: a bool or a string raises an error
+    naming the argument, and a numpy float is taken as the float it holds."""
+    error, name, call = REAL_ARGUMENTS[entry]
+    for bad in (True, "0.5"):
+        with pytest.raises(error, match=re.escape(f"{name} must be a real number, got {bad!r}")):
+            call(bad, tmp_path)
+    plain = call(0.5, tmp_path)
+    taken = call(np.float32(0.5), tmp_path)
+    assert taken == plain and type(taken) is type(plain)
+
+
+# Defaulted parameters that no call outside the tests sets, each with the
+# reason it stays.
+UNSET_DEFAULTS_KEPT = {
+    ("calibrated_config", "encoder_tflops"): "ROADMAP item 4 fills it from the encoder's shapes",
+    ("calibrated_config", "adapter_tflops"): "ROADMAP item 4 fills it from the adapter's shapes",
+}
+
+
+def _passed(call: ast.Call, index, param: str):
+    """The expression ``call`` passes for ``param``, at position ``index``
+    (None for keyword-only), or None."""
+    for keyword in call.keywords:
+        if keyword.arg == param:
+            return keyword.value
+    if index is not None and index < len(call.args):
+        return call.args[index]
+    return None
+
+
+def test_every_defaulted_parameter_has_a_caller_outside_the_tests():
+    """Each defaulted parameter of a public module-level function in
+    ``src/framepress`` is set to a value other than its default by some
+    call, matched by name, in ``src/framepress`` or ``perfbench`` (test
+    files excluded). A parameter only tests set is an option no caller
+    needs: delete it, or give it a caller."""
+    root = Path(__file__).resolve().parent.parent
+    package = [ast.parse(p.read_text(encoding="utf-8")) for p in (root / "src/framepress").glob("*.py")]
+    harness = [
+        ast.parse(p.read_text(encoding="utf-8"))
+        for p in (root / "perfbench").glob("*.py")
+        if not p.name.startswith("test_")
+    ]
+    calls_to = {}
+    for node in (node for tree in package + harness for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls_to.setdefault(name, []).append(node)
+    unset = set()
+    for fn in (node for tree in package for node in tree.body):
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        defaulted = [(first + i, a, d) for i, (a, d) in enumerate(zip(positional[first:], fn.args.defaults))]
+        defaulted += [(None, a, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+        for index, arg, default in defaulted:
+            values = (_passed(call, index, arg.arg) for call in calls_to.get(fn.name, ()))
+            if not any(v is not None and ast.dump(v) != ast.dump(default) for v in values):
+                unset.add((fn.name, arg.arg))
+    assert unset == set(UNSET_DEFAULTS_KEPT)

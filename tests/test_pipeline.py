@@ -60,7 +60,7 @@ def test_assembly_concatenates_in_frame_order():
     sampled = make_sampled(3, 2, 4, seed=1)
     seq = assemble_sequence(sampled, 5)
     for t in range(3):
-        np.testing.assert_array_equal(seq.frame_block(t), sampled.tokens[t])
+        np.testing.assert_array_equal(seq.frame_tokens[t], sampled.tokens[t])
 
 
 def test_assembly_rejects_negative_prompt():
@@ -88,7 +88,7 @@ def test_keep_all_pipeline_preserves_token_sets():
     out = adapt_video(video, params)
     seq = assemble_sequence(sample_video(out, 6), prompt_len=0)
     for t in range(3):
-        got = sorted(map(tuple, seq.frame_block(t)))
+        got = sorted(map(tuple, seq.frame_tokens[t]))
         want = sorted(map(tuple, out.tokens[t]))
         assert got == want
 

@@ -98,6 +98,6 @@ def test_adapter_gradients_match_reference_loss(case):
             _, kept = reference.compress(features, *moved, k, "score")
             return reference.mean_pool_loss(kept, head, target)
 
-        fd = fd_gradient(loss, base.ravel(), step=1e-5).reshape(base.shape)
+        fd = fd_gradient(loss, base.ravel()).reshape(base.shape)
         err = np.linalg.norm(getattr(grads, name) - fd) / max(np.linalg.norm(fd), 1e-12)
         assert err < 1e-4, f"{name}: relative error {err:.3e}"

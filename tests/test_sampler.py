@@ -90,33 +90,34 @@ def test_select_topk_prefixes_nest(values):
         np.testing.assert_array_equal(select_topk(values, k), full[:k])
 
 
-def test_sample_video_orders():
-    out = random_output(40)
-    by_score = sample_video(out, 3, order="score")
-    by_index = sample_video(out, 3, order="index")
+def test_compress_video_orders():
+    video = synthetic_video(2, 2, 2, 3, seed=40)
+    params = random_adapter_params(6, 4, 3, 4, 2, seed=40)
+    out = adapt_video(video, params)
+    by_score = compress_video(video, params, 3, order="score")
+    by_index = compress_video(video, params, 3, order="index")
     for t in range(out.frame_count):
         assert set(by_score.indices[t].tolist()) == set(by_index.indices[t].tolist())
         assert np.all(np.diff(by_index.indices[t]) > 0)
         scores = score_frame(out.attention[t])
         kept = by_score.indices[t]
         assert np.all(np.diff(scores[kept]) <= 0)
-        np.testing.assert_array_equal(by_score.tokens[t], out.tokens[t][kept])
+        np.testing.assert_allclose(
+            by_score.tokens[t], out.tokens[t][kept], rtol=0, atol=1e-12 * np.abs(out.tokens).max()
+        )
 
 
 def test_sample_video_rejects_bad_args():
     out = random_output(41)
     video = synthetic_video(2, 2, 2, 3, seed=41)
     params = random_adapter_params(6, 4, 3, 4, 2, seed=41)
-    for sample in (
-        lambda k, order: sample_video(out, k, order),
-        lambda k, order: compress_video(video, params, k, order),
-    ):
+    for sample in (lambda k: sample_video(out, k), lambda k: compress_video(video, params, k)):
         with pytest.raises(ParameterError):
-            sample(0, "score")
+            sample(0)
         with pytest.raises(ParameterError):
-            sample(99, "score")
-        with pytest.raises(ParameterError):
-            sample(2, "random")
+            sample(99)
+    with pytest.raises(ParameterError):
+        compress_video(video, params, 2, "random")
     # compress_video checks k and order before attending, so they fail
     # first even on a video the adapter would reject.
     three_frames = synthetic_video(3, 2, 2, 3, seed=41)
@@ -145,13 +146,16 @@ def test_compress_video_is_sample_of_adapt(frames, grid, dims, queries, keep, or
     k = 1 if keep == "1" else n
     video = synthetic_video(frames, *grid, dims[0], seed=seed)
     params = random_adapter_params(n, dims[1], dims[0], m, frames, seed=seed + 1)
-    want = sample_video(adapt_video(video, params), k, order)
+    want = sample_video(adapt_video(video, params), k)
+    indices, tokens = want.indices, want.tokens
+    if order == "index":  # the same kept rows, laid out by token index
+        by_index = np.argsort(indices, axis=1)
+        indices = np.take_along_axis(indices, by_index, axis=1)
+        tokens = np.take_along_axis(tokens, by_index[:, :, None], axis=1)
     got = compress_video(video, params, k, order)
     assert got.keep == want.keep == k
-    np.testing.assert_array_equal(got.indices, want.indices)
-    np.testing.assert_allclose(
-        got.tokens, want.tokens, rtol=0, atol=1e-12 * np.abs(want.tokens).max()
-    )
+    np.testing.assert_array_equal(got.indices, indices)
+    np.testing.assert_allclose(got.tokens, tokens, rtol=0, atol=1e-12 * np.abs(tokens).max())
 
 
 def test_compress_holds_one_attention_array():

@@ -89,8 +89,9 @@ def _tiebreak_flips_with_parity(scores, k):
     return order[:k]
 
 
-def test_nesting_check_catches_broken_tiebreak():
-    result = check_nesting(select_fn=_tiebreak_flips_with_parity)
+def test_nesting_check_catches_broken_tiebreak(monkeypatch):
+    monkeypatch.setattr(verify_mod, "select_topk", _tiebreak_flips_with_parity)
+    result = check_nesting()
     assert not result.passed
     assert "not inside" in result.detail  # names the counterexample
 
