@@ -40,10 +40,10 @@ MAX_COUNT = sys.float_info.max
 
 def _priced_count(name: str, value) -> int:
     """A frame or token count as an int, refused unless it is in [1, MAX_COUNT]."""
-    _check_count(name, value)
-    if value > MAX_COUNT:  # not printed: it may run to hundreds of digits
+    count = _check_count(name, value)
+    if count > MAX_COUNT:  # not printed: it may run to hundreds of digits
         raise ParameterError(f"{name} must be at most {MAX_COUNT:.2g}")
-    return int(value)
+    return count
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,16 @@ from .errors import NumericError, ParameterError, ShapeError
 FD_STEP = 1e-5
 
 
-def _check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
+def _check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
     """The package's one count rule, for every count, k and seed: ``value``
-    must be an int or a numpy integer, never a bool, in [low, high]."""
+    must be an int or a numpy integer, never a bool, in [low, high].
+    Returns it as a plain int."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an int, got {value!r}")
     if value < low or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ParameterError(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 def _check_real(name: str, value, fraction: bool = False) -> float:

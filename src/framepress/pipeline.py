@@ -53,7 +53,7 @@ class SequenceAssembly:
         tokens = _read_only(self.frame_tokens, "frame tokens", ndim=3)
         if 0 in tokens.shape[:2]:
             raise ShapeError(f"a sequence needs frames and kept rows, got shape {tokens.shape}")
-        _check_count("prompt_len", self.prompt_len, low=0)
+        object.__setattr__(self, "prompt_len", _check_count("prompt_len", self.prompt_len, low=0))
         object.__setattr__(self, "frame_tokens", tokens)
 
     @property
@@ -102,28 +102,20 @@ class ToyTaskSpec:
     batch_videos: int = 4
 
     def __post_init__(self):
-        # Each field takes its default's type: an int field an int (not a
-        # bool), a float field an int or a float, stored as a float.
+        # Each field in declaration order, by the package's one count or
+        # real rule, stored as the plain value the rule returns; the bounds
+        # on keep and signal_patches read fields that have already passed.
         for f in fields(self):
-            value, want = getattr(self, f.name), type(f.default)
-            allowed = (int, float) if want is float else want
-            try:
-                if isinstance(value, bool) or not isinstance(value, allowed):
-                    raise TypeError
-                object.__setattr__(self, f.name, want(value))
-            except (TypeError, OverflowError):  # float() overflows past 1.8e308
-                raise ParameterError(
-                    f"config key {f.name!r} must be {want.__name__}, "
-                    f"got {type(value).__name__} {value!r}"
-                ) from None
-        for name in ("frames", "grid_h", "grid_w", "feature_dim", "queries", "embed_dim",
-                     "out_dim", "batch_videos"):
-            _check_count(name, getattr(self, name))
-        _check_count("signal_patches", self.signal_patches, high=self.patch_tokens)
-        _check_count("keep", self.keep, high=self.queries)
-        _check_count("steps", self.steps, low=0)
-        _check_real("learning_rate", self.learning_rate)
-        _check_real("noise_scale", self.noise_scale)
+            name, value = f.name, getattr(self, f.name)
+            if type(f.default) is float:
+                value = _check_real(name, value)
+            elif name == "keep":
+                value = _check_count(name, value, high=self.queries)
+            elif name == "signal_patches":
+                value = _check_count(name, value, high=self.patch_tokens)
+            else:
+                value = _check_count(name, value, low=0 if name in ("seed", "steps") else 1)
+            object.__setattr__(self, name, value)
 
     @property
     def patch_tokens(self) -> int:
@@ -132,7 +124,7 @@ class ToyTaskSpec:
 
 def spec_from_dict(raw: dict) -> ToyTaskSpec:
     """Build a :class:`ToyTaskSpec` from parsed config text, refusing
-    unknown keys; the spec itself checks each value's type."""
+    unknown keys; the spec itself checks each value."""
     unknown = set(raw) - {f.name for f in fields(ToyTaskSpec)}
     if unknown:
         raise ParameterError(f"unknown config keys {sorted(unknown)}")

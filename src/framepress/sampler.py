@@ -107,7 +107,7 @@ def sample_video(output: AdapterOutput, k: int) -> SampledTokens:
     """Keep the top-k tokens of every frame of an adapter output, in the
     descending-score order of :func:`select_topk`."""
     indices = select_topk(score_frame(output.attention), k)
-    tokens = np.take_along_axis(output.tokens, indices[:, :, None], axis=1)
+    tokens = output.tokens[np.arange(len(indices))[:, None], indices]
     tokens.setflags(write=False)
     return SampledTokens(indices, tokens)
 
@@ -132,7 +132,7 @@ def compress_video(
     indices = select_topk(score_frame(attention), k)
     if order == "index":
         indices.sort(axis=1)
-    rows = np.take_along_axis(attention, indices[:, :, None], axis=1)
+    rows = attention[np.arange(len(indices))[:, None], indices]
     del attention  # freed before the kept rows are mixed
     return SampledTokens(indices, kept_tokens(video, params, rows))
 

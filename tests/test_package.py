@@ -16,6 +16,7 @@ from framepress.curriculum import (
 from framepress.encoder import frozen_projection, synthetic_video
 from framepress.errors import ParameterError, PlanError
 from framepress.linalg import make_rng, split_rng
+from framepress.pipeline import ToyTaskSpec, assemble_sequence
 from framepress.sampler import compress_video, sample_video, select_topk
 
 
@@ -56,6 +57,12 @@ COUNT_ARGUMENTS = {
     "split_rng": ("n", lambda v, tmp: split_rng(0, v)),
     "synthetic_manifest": ("videos", lambda v, tmp: synthetic_manifest(tmp / "s.jsonl", v, 2)),
     "CostConfig": ("frames", lambda v, tmp: CostConfig(v, 16, 30.0, 0.1)),
+    "ToyTaskSpec steps": ("steps", lambda v, tmp: ToyTaskSpec(steps=v)),
+    "ToyTaskSpec seed": ("seed", lambda v, tmp: ToyTaskSpec(seed=v)),
+    # Keyed by the record that holds the check; assemble_sequence builds it.
+    "SequenceAssembly": (
+        "prompt_len", lambda v, tmp: assemble_sequence(sample_video(adapt_video(_video(), _params()), 2), v)
+    ),
     "subsample_file seed": (
         "seed", lambda v, tmp: subsample_file(_manifest(tmp), tmp / "o.jsonl", 0.5, v)
     ),
@@ -91,6 +98,9 @@ REAL_ARGUMENTS = {
     "subsample_file": (
         ParameterError, "fraction",
         lambda v, tmp: subsample_file(_manifest(tmp), tmp / "o.jsonl", v, 0),
+    ),
+    "ToyTaskSpec": (
+        ParameterError, "learning_rate", lambda v, tmp: ToyTaskSpec(learning_rate=v).learning_rate,
     ),
     "StageSpec": (
         PlanError, "stage instruct: video fraction",
@@ -169,3 +179,24 @@ def test_every_defaulted_parameter_has_a_caller_outside_the_tests():
             if not any(v is not None and ast.dump(v) != ast.dump(default) for v in values):
                 unset.add((fn.name, arg.arg))
     assert unset == set(UNSET_DEFAULTS_KEPT)
+
+
+RULES = {"_check_count", "_check_real", "_priced_count"}
+
+
+def test_every_public_caller_of_a_rule_has_a_row():
+    """Each public module-level function or class in ``src/framepress`` that
+    calls the count or real rule in its body has a row in COUNT_ARGUMENTS or
+    REAL_ARGUMENTS (keyed by its name, then an optional argument name), so
+    the rule's refusals and numpy scalars are tested at every entry point."""
+    root = Path(__file__).resolve().parent.parent
+    rows = {key.split()[0] for key in (*COUNT_ARGUMENTS, *REAL_ARGUMENTS)}
+    callers = set()
+    for path in (root / "src/framepress").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            calls = (c.func for c in ast.walk(node) if isinstance(c, ast.Call))
+            if any((f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in RULES for f in calls):
+                callers.add(node.name)
+    assert callers - rows == set()

@@ -70,6 +70,11 @@ def test_assembly_rejects_negative_prompt():
             assemble_sequence(make_sampled(1, 2, 3), prompt_len)
 
 
+def test_assembly_stores_a_numpy_prompt_len_as_a_plain_int():
+    seq = assemble_sequence(make_sampled(1, 2, 3), np.int64(5))
+    assert type(seq.prompt_len) is int and seq.total_len == 7
+
+
 def test_assembly_boundary_validation():
     with pytest.raises(ShapeError):
         SequenceAssembly(frame_tokens=np.zeros((4, 2)), prompt_len=0)
@@ -119,7 +124,7 @@ def test_spec_from_dict_round_trip_and_unknown_keys():
 )
 def test_spec_from_dict_rejects_mistyped_values(raw):
     for build in (spec_from_dict, lambda raw: ToyTaskSpec(**raw)):
-        with pytest.raises(ParameterError, match=repr(next(iter(raw)))):
+        with pytest.raises(ParameterError, match=f"^{next(iter(raw))} must be "):
             build(raw)
 
 
@@ -128,6 +133,24 @@ def test_spec_from_dict_float_field_takes_an_int():
     for spec in (spec_from_dict(raw), ToyTaskSpec(**raw)):
         assert type(spec.learning_rate) is float and spec.learning_rate == 1.0
         assert type(spec.noise_scale) is float and spec.noise_scale == 0.0
+
+
+def test_spec_of_numpy_scalars_stores_plain_numbers_and_trains_the_same():
+    # learning_rate and noise_scale are exact in float32, so both specs hold
+    # the same values.
+    plain = replace(QUICK_SPEC, learning_rate=0.5, noise_scale=0.0625)
+    scalars = ToyTaskSpec(**{
+        name: np.float32(value) if type(value) is float else np.int64(value)
+        for name, value in asdict(plain).items()
+    })
+    assert scalars == plain
+    assert all(type(getattr(scalars, f)) is type(getattr(plain, f)) for f in asdict(plain))
+    assert train_toy(scalars).to_json() == train_toy(plain).to_json()
+
+
+def test_toy_spec_refuses_a_negative_seed_where_it_is_built():
+    with pytest.raises(ParameterError, match="^seed must be >= 0, got -1$"):
+        ToyTaskSpec(seed=-1)
 
 
 def test_train_toy_learns_on_quick_task():
