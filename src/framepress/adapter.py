@@ -119,7 +119,7 @@ class AdapterParams:
 @dataclass(frozen=True)
 class AdapterOutput:
     """Compressed tokens of every frame and the attention that produced
-    them. Like the other records, it checks shapes and row sums only."""
+    them. Beside the array rule, it checks shapes and row sums only."""
 
     tokens: np.ndarray  # (T, N, C)
     attention: np.ndarray  # (T, N, M)
@@ -127,8 +127,6 @@ class AdapterOutput:
     def __post_init__(self):
         tokens = _read_only(self.tokens, "compressed tokens", ndim=3)
         attention = _read_only(self.attention, "attention weights", ndim=3)
-        if tokens.shape[0] == 0 or tokens.shape[1] == 0:
-            raise ShapeError(f"adapter output needs frames and tokens, got {tokens.shape}")
         if attention.shape[:2] != tokens.shape[:2]:
             raise ShapeError(
                 f"tokens {tokens.shape} and attention {attention.shape} "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ftv1
-from .errors import EmptyInputError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .linalg import _check_count, _read_only, make_rng
 
 DEFAULT_PATCH_SIZE = 14
@@ -32,17 +32,11 @@ class ImagePlane:
     pixels: np.ndarray  # (H, W, 3) float64
 
     def __post_init__(self):
-        raw = np.asarray(self.pixels)
-        if raw.dtype.kind not in "buif":
-            raise ParameterError(f"pixel values must be real numbers, got dtype {raw.dtype}")
-        arr = np.array(raw, dtype=np.float64, order="C", copy=True)
-        if arr.ndim != 3 or arr.shape[2] != 3:
+        arr = _read_only(self.pixels, "pixels", ndim=3)
+        if arr.shape[2] != 3:
             raise ShapeError(f"pixels must have shape (H, W, 3), got {arr.shape}")
-        if arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise ShapeError("image must be non-empty")
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise ParameterError("pixel values must be finite and within [0, 1]")
-        arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
     @property
@@ -59,18 +53,14 @@ class VideoTokenTensor:
     """Patch tokens of every frame as one read-only (T, grid_h, grid_w, D) array.
 
     This is the FTV1 features layout: token ``row * grid_w + col`` of a frame
-    is patch (row, col), as :meth:`tokens` orders them. The constructor checks
-    shape only; FTV1 reads, ImagePlane and synthetic draws check finiteness.
+    is patch (row, col), as :meth:`tokens` orders them. The constructor applies
+    the array rule only; FTV1 reads, ImagePlane and synthetic draws check finiteness.
     """
 
     features: np.ndarray  # (T, grid_h, grid_w, D)
 
     def __post_init__(self):
         feats = _read_only(self.features, "video features", ndim=4)
-        if feats.shape[0] == 0:
-            raise EmptyInputError("a video needs at least one frame")
-        if 0 in feats.shape:
-            raise ShapeError(f"video features must be non-empty, got shape {feats.shape}")
         object.__setattr__(self, "features", feats)
 
     @property

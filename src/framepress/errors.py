@@ -14,7 +14,7 @@ class ParameterError(FramepressError, ValueError):
 
 
 class EmptyInputError(FramepressError, ValueError):
-    """An operation received an empty video or manifest."""
+    """An operation received an empty manifest."""
 
 
 class NumericError(FramepressError, ArithmeticError):

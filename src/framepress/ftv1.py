@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, NumericError, ParameterError, ShapeError
+from .linalg import _real_array
 
 MAGIC = b"FTV1"
 
@@ -48,10 +49,11 @@ _IO_BUFFER = 1 << 18
 def write_tensor(path, values) -> None:
     """Write an array of rank >= 1 as an FTV1 file.
 
-    Raises NumericError for non-finite values and for finite ones too large
-    for float32 storage. The file replaces ``path`` only once it is whole.
+    Raises ParameterError unless ``values`` hold real numbers, NumericError
+    for non-finite values and for finite ones too large for float32
+    storage. The file replaces ``path`` only once it is whole.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _real_array(values, "FTV1 values")
     if arr.ndim < 1 or arr.size == 0:
         raise ShapeError(f"FTV1 tensors must have rank >= 1 and be non-empty, got shape {arr.shape}")
     flat = np.ascontiguousarray(arr).reshape(-1)

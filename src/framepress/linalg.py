@@ -1,13 +1,13 @@
 """Dense float64 kernels everything else builds on.
 
-The package's input validators (one for arrays, one for every count, k
-and seed, and one for every real-valued argument), row-wise softmax,
-single-head attention weights of queries over one frame's keys or a stack
-of frames' keys, cross-attention in which one frame's features serve as
+The package's input rules (one for every array a record or FTV1 file takes,
+one for every count, k and seed, and one for every real argument), row-wise
+softmax, single-head attention weights of queries over one frame's keys or a
+stack of frames' keys, cross-attention in which one frame's features serve as
 both keys and values and the weights are exposed, seeded RNG streams, and
-central-difference gradients for verification. The kernels are pure
-functions of their inputs and return fresh arrays: the attention kernels
-normalise their own logits in place, and :func:`softmax_rows` its copy.
+central-difference gradients for verification. The kernels are pure functions
+of their inputs and return fresh arrays: the attention kernels normalise
+their own logits in place, and :func:`softmax_rows` its copy.
 """
 
 from __future__ import annotations
@@ -52,15 +52,26 @@ def _check_real(name: str, value, fraction: bool = False) -> float:
     return real
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as float64, refused unless bool, int or float: never a
+    cast that drops an imaginary part or parses text. A float64 array is
+    returned as it is."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "buif":
+        raise ParameterError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def _read_only(values, name: str, ndim: int) -> np.ndarray:
-    """``values`` as a read-only float64 array of rank ``ndim``, for
-    constructors whose values were checked where they entered. A writable
-    input is copied first, so later writes by the caller never reach it."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ShapeError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    """The package's one array rule: ``values`` as a read-only float64 array
+    (:func:`_real_array`) of rank ``ndim`` with no zero-length axis. Memory the
+    caller can still write is copied; an array this call converted is frozen."""
+    arr = _real_array(values, name)
+    if arr.ndim != ndim or arr.size == 0:
+        raise ShapeError(f"{name} must be a non-empty {ndim}-D array, got shape {arr.shape}")
     if arr.flags.writeable:
-        arr = arr.copy()
+        if arr is values or arr.base is not None:
+            arr = arr.copy()
         arr.setflags(write=False)
     return arr
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import cost
 from .adapter import AdapterParams, adapt_video, adapter_gradients, init_adapter_params
 from .encoder import VideoTokenTensor
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError
 from .ftv1 import _parse_json
 from .linalg import _check_count, _check_real, _read_only, split_rng
 from .sampler import SampledTokens, sample_video
@@ -42,8 +42,8 @@ class SequenceAssembly:
 
     It holds the (T, K, C) kept tokens of a :class:`SampledTokens`; the
     concatenated sequence and the frame boundaries follow from their
-    shape. Like SampledTokens, it checks shapes only; writing non-finite
-    tokens to FTV1 raises NumericError.
+    shape. Like SampledTokens, it applies the array rule only; writing
+    non-finite tokens to FTV1 raises NumericError.
     """
 
     frame_tokens: np.ndarray  # (T, K, C)
@@ -51,8 +51,6 @@ class SequenceAssembly:
 
     def __post_init__(self):
         tokens = _read_only(self.frame_tokens, "frame tokens", ndim=3)
-        if 0 in tokens.shape[:2]:
-            raise ShapeError(f"a sequence needs frames and kept rows, got shape {tokens.shape}")
         object.__setattr__(self, "prompt_len", _check_count("prompt_len", self.prompt_len, low=0))
         object.__setattr__(self, "frame_tokens", tokens)
 

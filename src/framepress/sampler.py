@@ -64,9 +64,9 @@ class SampledTokens:
     """The kept tokens of each frame and where they came from.
 
     K, the tokens kept per frame, is the tokens' second dimension. The
-    constructor checks shapes and indices only: kept tokens come from an
-    adapter forward or an FTV1 read, and :func:`save_sampled` refuses
-    non-finite tokens built through the API.
+    constructor applies the array rule and checks indices only: kept tokens
+    come from an adapter forward or an FTV1 read, and :func:`save_sampled`
+    refuses non-finite tokens built through the API.
     """
 
     indices: np.ndarray  # (T, K) int64
@@ -74,8 +74,6 @@ class SampledTokens:
 
     def __post_init__(self):
         tokens = _read_only(self.tokens, "sampled tokens", ndim=3)
-        if 0 in tokens.shape[:2]:
-            raise ShapeError(f"sampled tokens need frames and kept rows, got shape {tokens.shape}")
         indices = np.asarray(self.indices)
         # A float or bool index would otherwise be truncated to an integer.
         if indices.dtype.kind not in "iu":
@@ -140,12 +138,14 @@ def compress_video(
 def save_sampled(sampled: SampledTokens, path, queries: int) -> None:
     """Write kept tokens as a rank-3 FTV1 file plus a JSON index sidecar.
 
-    ``queries`` is the N the indices were chosen from; the sidecar records
-    it so :func:`load_sampled` can bound the indices. The sidecar commits
-    the pair: the old one is removed before the tokens are written and the
-    new one replaces nothing until it is complete, so a failed write leaves
-    no sidecar rather than new tokens beside an old one.
+    ``queries`` is the N the indices were chosen from, checked before any
+    file is touched; the sidecar records it so :func:`load_sampled` can
+    bound the indices. The sidecar commits the pair: the old one is removed
+    before the tokens are written and the new one replaces nothing until it
+    is complete, so a failed write leaves no sidecar rather than new tokens
+    beside an old one.
     """
+    queries = _check_count("queries", queries, low=int(sampled.indices.max()) + 1)
     path = ftv1._output_path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     sidecar_path.unlink(missing_ok=True)

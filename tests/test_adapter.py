@@ -214,7 +214,7 @@ def test_adapter_output_validates_row_sums():
 
 
 def test_adapter_output_validates_shapes():
-    with pytest.raises(ShapeError, match="needs frames and tokens"):
+    with pytest.raises(ShapeError, match="compressed tokens must be a non-empty 3-D array"):
         AdapterOutput(tokens=np.zeros((0, 2, 2)), attention=np.zeros((0, 2, 2)))
     with pytest.raises(ShapeError, match="disagree on frames or rows"):
         AdapterOutput(tokens=np.zeros((1, 2, 2)), attention=np.full((1, 3, 2), 0.5))

@@ -13,7 +13,7 @@ from framepress.encoder import (
     save_features,
     synthetic_video,
 )
-from framepress.errors import EmptyInputError, FramepressError, NumericError, ParameterError, ShapeError
+from framepress.errors import FramepressError, NumericError, ParameterError, ShapeError
 from framepress.linalg import make_rng
 from framepress.sampler import compress_video
 
@@ -109,7 +109,7 @@ def test_patchify_requires_a_projection_of_patch_rows():
 def test_image_plane_validation():
     with pytest.raises(ShapeError):
         ImagePlane(np.zeros((4, 4)))
-    with pytest.raises(ShapeError, match="image must be non-empty"):
+    with pytest.raises(ShapeError, match="pixels must be a non-empty 3-D array"):
         ImagePlane(np.zeros((0, 4, 3)))
     with pytest.raises(ParameterError):
         ImagePlane(np.full((2, 2, 3), 1.5))
@@ -136,7 +136,7 @@ def test_video_tensor_requires_homogeneous_frames():
     left to reject is a wrong rank, no frames, and an empty dimension."""
     with pytest.raises(ShapeError):
         VideoTokenTensor(np.zeros((4, 3)))
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ShapeError):
         VideoTokenTensor(np.zeros((0, 2, 2, 3)))
     with pytest.raises(ShapeError):
         VideoTokenTensor(np.zeros((2, 2, 0, 3)))

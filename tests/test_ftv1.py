@@ -207,6 +207,19 @@ def test_write_failing_in_a_late_block_leaves_the_old_file(bad, message, tmp_pat
     assert os.listdir(tmp_path) == ["t.ftv1"]
 
 
+@pytest.mark.parametrize("bad", [np.array([1 + 2j]), np.array(["1.5"])], ids=["complex", "string"])
+def test_write_of_a_non_real_array_leaves_the_old_file(bad, tmp_path):
+    """Not cast: a complex value would lose its imaginary part, a string
+    would be parsed."""
+    path = tmp_path / "t.ftv1"
+    ftv1.write_tensor(path, np.arange(3.0))
+    old = path.read_bytes()
+    with pytest.raises(ParameterError, match=f"got dtype {bad.dtype}"):
+        ftv1.write_tensor(path, bad)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["t.ftv1"]
+
+
 def test_payloads_stream_through_a_bounded_buffer(tmp_path):
     """A write holds no whole-file copy, and a read holds only its float64
     result beside the staging buffer."""

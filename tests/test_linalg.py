@@ -152,7 +152,7 @@ def test_attention_weights_rejects_bad_shapes_and_nonfinite_logits():
 
 
 def test_as_matrix_validation():
-    with pytest.raises(ShapeError, match="table must be 2-D"):
+    with pytest.raises(ShapeError, match="table must be a non-empty 2-D array"):
         as_matrix(np.zeros(3), "table")
     with pytest.raises(NumericError, match="table contains non-finite entries"):
         as_matrix([[np.inf]], "table")
@@ -165,6 +165,10 @@ def test_as_matrix_validation():
     assert copy[0, 0] == 1.0
     # A read-only float64 input is passed on as is.
     assert as_matrix(frozen, "table") is frozen
+    # Memory the caller can still write through another object is copied too.
+    held = as_matrix(memoryview(src), "table")
+    src[0, 0] = 8.0
+    assert held[0, 0] == 7.0 and not held.flags.writeable
 
 
 def test_make_rng_is_deterministic_and_split_streams_differ():

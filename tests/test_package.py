@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 import framepress
+from framepress import ftv1
 from framepress.adapter import (
-    adapt_video, init_adapter_params, random_adapter_params, sinusoidal_pos_table,
+    AdapterOutput, AdapterParams, adapt_video, init_adapter_params, random_adapter_params,
+    sinusoidal_pos_table,
 )
 from framepress.cost import CostConfig, calibrate
 from framepress.curriculum import (
     IMAGE_DATASET_ROLES, StageSpec, make_plan, plan_to_text, subsample_file, synthetic_manifest,
 )
-from framepress.encoder import frozen_projection, synthetic_video
-from framepress.errors import ParameterError, PlanError
-from framepress.linalg import make_rng, split_rng
-from framepress.pipeline import ToyTaskSpec, assemble_sequence
-from framepress.sampler import compress_video, sample_video, select_topk
+from framepress.encoder import ImagePlane, VideoTokenTensor, frozen_projection, synthetic_video
+from framepress.errors import ParameterError, PlanError, ShapeError
+from framepress.linalg import as_matrix, make_rng, split_rng
+from framepress.pipeline import SequenceAssembly, ToyTaskSpec, assemble_sequence
+from framepress.sampler import SampledTokens, compress_video, sample_video, save_sampled, select_topk
 
 
 def test_every_export_resolves_once():
@@ -62,6 +64,11 @@ COUNT_ARGUMENTS = {
     # Keyed by the record that holds the check; assemble_sequence builds it.
     "SequenceAssembly": (
         "prompt_len", lambda v, tmp: assemble_sequence(sample_video(adapt_video(_video(), _params()), 2), v)
+    ),
+    # Indices [[0, 1]] need queries >= 2, so np.int64(2) is valid.
+    "save_sampled": (
+        "queries",
+        lambda v, tmp: save_sampled(SampledTokens([[0, 1]], np.ones((1, 2, 3))), tmp / "kept.ftv1", v),
     ),
     "subsample_file seed": (
         "seed", lambda v, tmp: subsample_file(_manifest(tmp), tmp / "o.jsonl", 0.5, v)
@@ -128,6 +135,41 @@ def test_every_real_is_an_int_or_float_and_never_a_bool(entry, tmp_path):
     assert taken == plain and type(taken) is type(plain)
 
 
+# Every entry point that takes an array: how the refusal names it, the
+# shape of a valid value, and a call that passes a value for it. At that
+# shape an array of 0.5s is valid for every call.
+ARRAY_ARGUMENTS = {
+    "VideoTokenTensor": ("video features", (1, 2, 2, 3), lambda v, tmp: VideoTokenTensor(v)),
+    "ImagePlane": ("pixels", (2, 2, 3), lambda v, tmp: ImagePlane(v)),
+    "AdapterParams": (
+        "query bank", (4, 4),
+        lambda v, tmp: AdapterParams(np.ones((4, 4)), v, np.ones((4, 4)), np.ones((2, 4))),
+    ),
+    "AdapterOutput": (
+        "compressed tokens", (2, 3, 4), lambda v, tmp: AdapterOutput(v, np.full((2, 3, 2), 0.5)),
+    ),
+    "SampledTokens": ("sampled tokens", (1, 2, 3), lambda v, tmp: SampledTokens([[0, 1]], v)),
+    "SequenceAssembly": ("frame tokens", (1, 2, 3), lambda v, tmp: SequenceAssembly(v, 0)),
+    "as_matrix": ("table", (2, 2), lambda v, tmp: as_matrix(v, "table")),
+    "write_tensor": ("FTV1 values", (2, 3), lambda v, tmp: ftv1.write_tensor(tmp / "t.ftv1", v)),
+}
+
+
+@pytest.mark.parametrize("entry", list(ARRAY_ARGUMENTS))
+def test_every_array_holds_real_numbers_on_non_empty_axes(entry, tmp_path):
+    """One rule at every entry point: a complex, a string or an object array
+    raises ParameterError naming the argument, never a cast that drops an
+    imaginary part or parses text, and a zero-length axis raises ShapeError."""
+    name, shape, call = ARRAY_ARGUMENTS[entry]
+    call(np.full(shape, 0.5), tmp_path)
+    for bad in (np.full(shape, 0.5 + 1j), np.full(shape, "0.5"), np.full(shape, 0.5, dtype=object)):
+        with pytest.raises(ParameterError, match=re.escape(f"{name} must hold real numbers, got dtype {bad.dtype}")):
+            call(bad, tmp_path)
+    for axis in range(len(shape)):
+        with pytest.raises(ShapeError):
+            call(np.full(shape[:axis] + (0,) + shape[axis + 1:], 0.5), tmp_path)
+
+
 # Defaulted parameters that no call outside the tests sets, each with the
 # reason it stays.
 UNSET_DEFAULTS_KEPT = {
@@ -181,22 +223,29 @@ def test_every_defaulted_parameter_has_a_caller_outside_the_tests():
     assert unset == set(UNSET_DEFAULTS_KEPT)
 
 
-RULES = {"_check_count", "_check_real", "_priced_count"}
+SCALAR_RULES = {"_check_count", "_check_real", "_priced_count"}
+ARRAY_RULES = {"_read_only", "_real_array", "as_matrix"}
 
 
 def test_every_public_caller_of_a_rule_has_a_row():
     """Each public module-level function or class in ``src/framepress`` that
     calls the count or real rule in its body has a row in COUNT_ARGUMENTS or
-    REAL_ARGUMENTS (keyed by its name, then an optional argument name), so
-    the rule's refusals and numpy scalars are tested at every entry point."""
+    REAL_ARGUMENTS, and each that calls the array rule a row in
+    ARRAY_ARGUMENTS (keyed by its name, then an optional argument name), so
+    each rule's refusals are tested at every entry point."""
     root = Path(__file__).resolve().parent.parent
-    rows = {key.split()[0] for key in (*COUNT_ARGUMENTS, *REAL_ARGUMENTS)}
-    callers = set()
+    scalar_rows = {key.split()[0] for key in (*COUNT_ARGUMENTS, *REAL_ARGUMENTS)}
+    array_rows = {key.split()[0] for key in ARRAY_ARGUMENTS}
+    scalar_callers, array_callers = set(), set()
     for path in (root / "src/framepress").glob("*.py"):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             calls = (c.func for c in ast.walk(node) if isinstance(c, ast.Call))
-            if any((f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in RULES for f in calls):
-                callers.add(node.name)
-    assert callers - rows == set()
+            called = {f.id if isinstance(f, ast.Name) else getattr(f, "attr", None) for f in calls}
+            if called & SCALAR_RULES:
+                scalar_callers.add(node.name)
+            if called & ARRAY_RULES:
+                array_callers.add(node.name)
+    assert scalar_callers - scalar_rows == set()
+    assert array_callers - array_rows == set()

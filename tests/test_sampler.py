@@ -239,6 +239,20 @@ def test_save_load_round_trip(tmp_path):
         )
 
 
+@pytest.mark.parametrize("queries", [0, 2, True, 2.5], ids=["zero", "the largest index", "bool", "float"])
+def test_refused_save_leaves_the_old_pair(queries, tmp_path):
+    """``queries`` must exceed every kept index, the bound load_sampled
+    applies, and is checked before either file of the pair is touched."""
+    path = tmp_path / "kept.ftv1"
+    old = SampledTokens(indices=[[0, 1]], tokens=np.ones((1, 2, 3)))
+    save_sampled(old, path, 4)
+    with pytest.raises(ParameterError, match="queries must be"):
+        save_sampled(SampledTokens(indices=[[2, 0]], tokens=np.zeros((1, 2, 3))), path, queries)
+    back = load_sampled(path)
+    np.testing.assert_array_equal(back.indices, old.indices)
+    np.testing.assert_array_equal(back.tokens, old.tokens)
+
+
 def test_load_sampled_requires_sidecar(tmp_path):
     out = random_output(43)
     sampled = sample_video(out, 2)
