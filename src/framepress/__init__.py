@@ -41,13 +41,10 @@ from .encoder import (
     synthetic_video,
 )
 from .errors import (
-    EmptyInputError,
-    FitError,
     FormatError,
     FramepressError,
     NumericError,
     ParameterError,
-    PlanError,
     ShapeError,
 )
 from .pipeline import (
@@ -75,14 +72,11 @@ __all__ = [
     "CalibrationResult",
     "CostConfig",
     "CostReport",
-    "EmptyInputError",
-    "FitError",
     "FormatError",
     "FramepressError",
     "ImagePlane",
     "NumericError",
     "ParameterError",
-    "PlanError",
     "REFERENCE_TOTALS",
     "RunReport",
     "SampledTokens",

@@ -45,9 +45,14 @@ import numpy as np
 from . import ftv1
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
-from .linalg import _check_count, _read_only, as_matrix, attention_weights, cross_attention, make_rng
+from .linalg import _check_count, _read_only, _real_array, as_matrix, attention_weights, cross_attention, make_rng
 
 CHECKPOINT_HEADER = "adapter.json"
+# The FTV1 file of each AdapterParams table, in write order, and older
+# checkpoints' additive query term, which loading folds into the queries.
+_TABLE_FILES = {name: f"{name}.ftv1" for name in ("input_proj", "queries", "pos_table", "temporal")}
+_QUERY_POS_FILE = "query_pos.ftv1"
+CHECKPOINT_FILES = (CHECKPOINT_HEADER, *_TABLE_FILES.values(), _QUERY_POS_FILE)
 _CHECKPOINT_FORMAT = "framepress-adapter"
 _CHECKPOINT_VERSION = 1
 # The checkpoint header's shape keys, each with the AdapterParams property it declares.
@@ -136,7 +141,7 @@ class AdapterOutput:
         # Written so that a NaN row fails too.
         if not np.max(deviation) <= 1e-9:
             frame = int(np.argmax(deviation))
-            raise ShapeError(f"frame {frame}: attention rows do not sum to 1")
+            raise ParameterError(f"frame {frame}: attention rows do not sum to 1")
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "attention", attention)
 
@@ -331,7 +336,7 @@ def adapter_gradients(
     adds to dA, and rows of dlogits sum to 0, so τ_t drops out of dlogits·x.
     """
     rows = np.asarray(rows)
-    g_tokens = np.asarray(row_grads, dtype=np.float64)
+    g_tokens = _real_array(row_grads, "row_grads")
     t_count, n, c = video.frame_count, params.query_count, params.width
     if rows.ndim != 2 or rows.shape[0] != t_count or g_tokens.shape != (*rows.shape, c):
         raise ShapeError(
@@ -339,7 +344,7 @@ def adapter_gradients(
         )
     # A negative row would wrap round and train the wrong query.
     if rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= n)):
-        raise ShapeError(f"rows must be integers in [0, {n})")
+        raise ParameterError(f"rows must be integers in [0, {n})")
     x = _source_tokens(video, params)  # (T, M, D), unshifted
     feature_queries, bias = _operands(params)
     att, mixed = _attend_frames(feature_queries[rows], x, params.temporal, bias[rows], params.scale)
@@ -377,7 +382,9 @@ def adapter_gradients(
 
 
 def save_checkpoint(params: AdapterParams, dirpath) -> None:
-    """Write a checkpoint directory: a JSON header plus FTV1 tensors."""
+    """Write a checkpoint directory: a JSON header plus FTV1 tensors, each
+    refused by ``ftv1._storable`` before any file is touched."""
+    tables = {name: ftv1._storable(getattr(params, name)) for name in _TABLE_FILES}
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
     header = {key: getattr(params, prop) for key, prop in _HEADER_SHAPES.items()}
@@ -386,10 +393,8 @@ def save_checkpoint(params: AdapterParams, dirpath) -> None:
     # once all four tensors under it are written.
     header_path = root / CHECKPOINT_HEADER
     header_path.unlink(missing_ok=True)
-    ftv1.write_tensor(root / "input_proj.ftv1", params.input_proj)
-    ftv1.write_tensor(root / "queries.ftv1", params.queries)
-    ftv1.write_tensor(root / "pos_table.ftv1", params.pos_table)
-    ftv1.write_tensor(root / "temporal.ftv1", params.temporal)
+    for name, values in tables.items():
+        ftv1.write_tensor(root / _TABLE_FILES[name], values)
     with ftv1._replacing(header_path) as fh:
         fh.write(json.dumps(header, indent=2, sort_keys=True) + "\n")
 
@@ -412,20 +417,15 @@ def load_checkpoint(dirpath) -> AdapterParams:
     scale = header.get("scale")
     if type(scale) not in (int, float):
         raise FormatError(f"checkpoint header needs a numeric 'scale', got {scale!r}")
-    queries = ftv1.read_tensor(root / "queries.ftv1", expect_rank=2)
+    tables = {name: ftv1.read_tensor(root / file, expect_rank=2) for name, file in _TABLE_FILES.items()}
     if header.get("query_pos"):
-        query_pos = ftv1.read_tensor(root / "query_pos.ftv1", expect_rank=2)
-        if query_pos.shape != queries.shape:
+        query_pos = ftv1.read_tensor(root / _QUERY_POS_FILE, expect_rank=2)
+        if query_pos.shape != tables["queries"].shape:
             raise FormatError(
-                f"query_pos shape {query_pos.shape} != query bank shape {queries.shape}"
+                f"query_pos shape {query_pos.shape} != query bank shape {tables['queries'].shape}"
             )
-        queries = queries + query_pos
-    params = AdapterParams(
-        input_proj=ftv1.read_tensor(root / "input_proj.ftv1", expect_rank=2),
-        queries=queries,
-        pos_table=ftv1.read_tensor(root / "pos_table.ftv1", expect_rank=2),
-        temporal=ftv1.read_tensor(root / "temporal.ftv1", expect_rank=2),
-    )
+        tables["queries"] = tables["queries"] + query_pos
+    params = AdapterParams(**tables)
     declared = tuple(header.get(key) for key in _HEADER_SHAPES)
     actual = tuple(getattr(params, prop) for prop in _HEADER_SHAPES.values())
     if declared != actual:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import cost, curriculum, ftv1
 from .adapter import (
+    CHECKPOINT_FILES,
     CHECKPOINT_HEADER,
     adapt_video,
     init_adapter_params,
@@ -41,7 +42,7 @@ from .encoder import (
 )
 from .errors import FormatError, FramepressError, ParameterError, ShapeError
 from .pipeline import assemble_sequence, spec_from_dict, train_toy
-from .sampler import KEEP_ORDERS, compress_video, load_sampled, save_sampled
+from .sampler import KEEP_ORDERS, _sidecar_path, compress_video, load_sampled, save_sampled
 from .verify import format_report, verify_all
 
 # Adapter shape of a checkpoint that --queries/--width do not set.
@@ -401,15 +402,19 @@ def main(argv=None) -> int:
     try:
         # Before any work: an empty value would read as an absent flag, a
         # path that names a directory cannot be written, and of two outputs
-        # written to one file only the last would survive.
+        # written to one file, or an output written over a checkpoint file,
+        # only the last would survive.
         for flag in _NOT_EMPTY:
             if getattr(args, flag, None) == "":
                 raise ParameterError(f"--{flag.replace('_', '-')} must not be empty")
+        outputs = [("--" + f.replace("_", "-"), getattr(args, f, None)) for f in ("out", "report", "attention_out")]
+        if args.fn is _cmd_compress:
+            outputs.append(("--out's index sidecar", _sidecar_path(args.out)))
+        if getattr(args, "checkpoint", None):
+            outputs += [("--checkpoint", Path(args.checkpoint, name)) for name in CHECKPOINT_FILES]
         written = {}
-        for flag in ("out", "report", "attention_out"):
-            path = getattr(args, flag, None)
+        for option, path in outputs:
             if path:
-                option = "--" + flag.replace("_", "-")
                 # realpath, unlike Path.resolve, raises nothing on a symlink loop.
                 resolved = os.path.realpath(ftv1._output_path(path))
                 if resolved in written:

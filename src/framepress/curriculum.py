@@ -16,7 +16,7 @@ import stat
 from array import array
 from dataclasses import asdict, dataclass
 
-from .errors import EmptyInputError, FormatError, ParameterError, PlanError
+from .errors import FormatError, ParameterError
 from .ftv1 import _IO_BUFFER, _JSON_ERRORS, _parse_json, _replacing
 from .linalg import _check_count, _check_real, make_rng
 
@@ -180,8 +180,6 @@ def _kept_positions(
     """Positions (ascending) of the records ``subsample_file`` keeps, given each
     record's video id, and the number of distinct videos."""
     distinct = list(dict.fromkeys(video_ids))
-    if not distinct:
-        raise EmptyInputError("cannot subsample an empty manifest")
     n_keep = math.floor(fraction * len(distinct))
     rng = make_rng(seed)
     chosen = rng.choice(len(distinct), size=n_keep, replace=False).tolist()
@@ -238,6 +236,8 @@ def subsample_file(
         if fields[0] != video_id:
             video_id = fields[0]
         video_ids.append(video_id)
+    if not video_ids:
+        raise FormatError(f"{src}: cannot subsample an empty manifest")
     kept, videos = _kept_positions(video_ids, fraction, seed, qa_cap_per_video)
     # Default buffering: each seek outside the buffer refills all of it.
     with open(src, "rb") as fh, _replacing(dst) as out:
@@ -315,14 +315,11 @@ class StageSpec:
 
     def __post_init__(self):
         if (self.video_dataset is None) != (self.video_fraction is None):
-            raise PlanError(
+            raise ParameterError(
                 f"stage {self.name}: video dataset and fraction must come together"
             )
         if self.video_fraction is not None:
-            try:
-                fraction = _check_real("video fraction", self.video_fraction, fraction=True)
-            except ParameterError as exc:
-                raise PlanError(f"stage {self.name}: {exc}") from None
+            fraction = _check_real(f"stage {self.name}: video fraction", self.video_fraction, fraction=True)
             object.__setattr__(self, "video_fraction", fraction)
 
 
@@ -335,7 +332,7 @@ class StagePlan:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise PlanError(
+            raise ParameterError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
             )
         stages = tuple(self.stages)
@@ -343,11 +340,11 @@ class StagePlan:
         # The three image stages, then an optional video-instruct stage.
         expected = list(STAGE_TRAINABLE)[: 4 if len(names) == 4 else 3]
         if names != expected:
-            raise PlanError(f"stage order must be {expected}, got {names}")
+            raise ParameterError(f"stage order must be {expected}, got {names}")
         video_stages = {s.name for s in stages if s.video_dataset is not None}
         allowed = set(VIDEO_PLACEMENT[self.strategy])
         if video_stages != allowed:
-            raise PlanError(
+            raise ParameterError(
                 f"strategy {self.strategy} places video data in {sorted(allowed)}, "
                 f"plan has it in {sorted(video_stages)}"
             )
@@ -373,12 +370,12 @@ def make_plan(
         )
     placement = VIDEO_PLACEMENT[strategy]
     if "pretrain" not in placement and pretrain_fraction is not None:
-        raise PlanError(
+        raise ParameterError(
             f"strategy {strategy} keeps the pretrain stage video-free; "
             "pretrain_fraction is not allowed"
         )
     if "pretrain" in placement and pretrain_fraction is None:
-        raise PlanError(f"strategy {strategy} needs a pretrain_fraction")
+        raise ParameterError(f"strategy {strategy} needs a pretrain_fraction")
     video_fraction = 1.0 if instruct_fraction is None else instruct_fraction
     stages = []
     for name in STAGE_TRAINABLE:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ftv1
 from .errors import ParameterError, ShapeError
-from .linalg import _check_count, _read_only, make_rng
+from .linalg import _check_count, _read_only, _real_array, make_rng
 
 DEFAULT_PATCH_SIZE = 14
 DEFAULT_FEATURE_DIM = 64
@@ -111,9 +111,9 @@ def patchify_encode(img: ImagePlane, patch_size: int, projection, out=None) -> n
     into it and ``out`` is returned as it is.
     """
     grid_h, grid_w = _patch_grid(img, patch_size)
-    proj = np.asarray(projection, dtype=np.float64)
+    proj = _real_array(projection, "projection")
     flat = 3 * patch_size * patch_size
-    if proj.ndim != 2 or proj.shape[0] != flat:
+    if proj.ndim != 2 or proj.shape[0] != flat or proj.shape[1] == 0:
         raise ShapeError(
             f"projection must have shape ({flat}, D), got {proj.shape}"
         )

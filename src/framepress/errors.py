@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per kind of fault,
+so catching a class catches that fault from every entry point."""
 
 
 class FramepressError(Exception):
@@ -6,23 +7,25 @@ class FramepressError(Exception):
 
 
 class ShapeError(FramepressError, ValueError):
-    """A matrix, tensor, or frame had incompatible or empty dimensions."""
+    """An array had the wrong rank or a zero-length axis, or shapes that
+    must agree did not."""
 
 
 class ParameterError(FramepressError, ValueError):
-    """An argument was outside its documented range."""
-
-
-class EmptyInputError(FramepressError, ValueError):
-    """An operation received an empty manifest."""
+    """A value or type was outside its documented range: a count, a real
+    number, an array's dtype, token indices, attention rows, a stage plan,
+    calibration points, an output path."""
 
 
 class NumericError(FramepressError, ArithmeticError):
-    """A computation produced or received non-finite values."""
+    """A computation produced or received non-finite values, or values too
+    large for their storage."""
 
 
 class FormatError(FramepressError, ValueError):
-    """A binary or text artifact did not conform to its file format.
+    """A file's bytes or text did not conform to its format: an FTV1 tensor,
+    a JSON document, a checkpoint, an index sidecar, a manifest (an empty
+    one too).
 
     ``offset`` is the byte position at which decoding failed, when known.
     """
@@ -32,11 +35,3 @@ class FormatError(FramepressError, ValueError):
             message = f"{message} (at byte {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class PlanError(FramepressError, ValueError):
-    """A stage plan request violated its strategy's stage placement rules."""
-
-
-class FitError(FramepressError, ValueError):
-    """A calibration fit was degenerate (for example, all abscissae equal)."""

@@ -14,7 +14,8 @@ buffer, never a whole-file copy.
 Also home to the package's one atomic write, ``_replacing`` (used by
 :func:`write_tensor`, the manifest, checkpoint header and sidecar writers,
 and the CLI's text outputs; text goes through an ``_IO_BUFFER`` buffer),
-and its one JSON reader, ``_parse_json``.
+its one check of the values a tensor write can store, ``_storable``, and
+its one JSON reader, ``_parse_json``.
 """
 
 from __future__ import annotations
@@ -44,18 +45,32 @@ _BLOCK_VALUES = 1 << 18
 # through: 256 KiB, where Python's default of 8 KiB makes a 500 MiB
 # manifest cost ~62k reads.
 _IO_BUFFER = 1 << 18
+# The smallest magnitude float32 rounds to inf, halfway from its largest to 2^128.
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 
 
-def write_tensor(path, values) -> None:
-    """Write an array of rank >= 1 as an FTV1 file.
-
-    Raises ParameterError unless ``values`` hold real numbers, NumericError
-    for non-finite values and for finite ones too large for float32
-    storage. The file replaces ``path`` only once it is whole.
-    """
+def _storable(values) -> np.ndarray:
+    """``values`` as the float64 array an FTV1 file can store, refused as a
+    write would be: ParameterError unless they hold real numbers,
+    ShapeError for rank 0 or an empty axis, NumericError for non-finite
+    values and for finite ones float32 storage rounds to inf. Every writer
+    runs it on each payload before it touches a file."""
     arr = _real_array(values, "FTV1 values")
     if arr.ndim < 1 or arr.size == 0:
         raise ShapeError(f"FTV1 tensors must have rank >= 1 and be non-empty, got shape {arr.shape}")
+    low, high = arr.min(), arr.max()  # NaN if any value is
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise NumericError("FTV1 tensors must be finite")
+    if max(-low, high) >= _FLOAT32_OVERFLOW:
+        raise NumericError("FTV1 values overflow float32 storage")
+    return arr
+
+
+def write_tensor(path, values) -> None:
+    """Write an array of rank >= 1 as an FTV1 file, refused by
+    :func:`_storable` before the file is opened; it replaces ``path`` only
+    once it is whole."""
+    arr = _storable(values)
     flat = np.ascontiguousarray(arr).reshape(-1)
     stage = np.empty(min(flat.size, _BLOCK_VALUES), dtype="<f4")
     with _replacing(path, binary=True) as fh:
@@ -65,14 +80,7 @@ def write_tensor(path, values) -> None:
         for start in range(0, flat.size, _BLOCK_VALUES):
             block = flat[start : start + _BLOCK_VALUES]
             stored = stage[: block.size]
-            with np.errstate(over="ignore"):
-                stored[...] = block
-            # Casting keeps NaN and inf and turns float32 overflow into inf,
-            # so one scan of the stored values catches both.
-            if not np.isfinite(stored).all():
-                if np.isfinite(flat[start:]).all():
-                    raise NumericError("FTV1 values overflow float32 storage")
-                raise NumericError("FTV1 tensors must be finite")
+            stored[...] = block
             fh.write(stored)
 
 

@@ -26,6 +26,8 @@ from .linalg import _check_count, _check_real, _read_only, split_rng
 from .sampler import SampledTokens, sample_video
 
 SCHEMA_VERSION = 1
+# The scale of the toy batch's noise features.
+_NOISE_SCALE = 0.05
 # What a report field of each annotation must be in JSON: the type, the
 # types of a list's items, and how an error names it.
 _JSON_OF = {
@@ -94,7 +96,6 @@ class ToyTaskSpec:
     keep: int = 16
     out_dim: int = 8
     signal_patches: int = 4
-    noise_scale: float = 0.05
     steps: int = 150
     learning_rate: float = 0.5
     batch_videos: int = 4
@@ -172,21 +173,14 @@ def _make_batch(spec: ToyTaskSpec, data_rng, target_rng):
     regression targets."""
     b, t = spec.batch_videos, spec.frames
     m, d, s = spec.patch_tokens, spec.feature_dim, spec.signal_patches
-    # A noise_scale near the float64 limit overflows the draw: bad input,
-    # refused below, not a divergence for the step loop to report.
-    with np.errstate(over="ignore", invalid="ignore"):
-        feats = spec.noise_scale * data_rng.normal(size=(b * t, m, d))
-        signal = np.empty((b * t, d))  # each frame's mean signal-patch feature
-        for f in range(b * t):
-            pos = np.sort(data_rng.choice(m, size=s, replace=False))
-            feats[f, pos] += data_rng.normal(size=d)
-            signal[f] = feats[f, pos].mean(axis=0)
-        readout = target_rng.normal(size=(d, spec.out_dim)) / np.sqrt(d)
-        targets = signal.reshape(b, t, d).mean(axis=1) @ readout
-    if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(targets))):
-        raise ParameterError(
-            f"noise_scale {spec.noise_scale} overflows the drawn toy batch"
-        )
+    feats = _NOISE_SCALE * data_rng.normal(size=(b * t, m, d))
+    signal = np.empty((b * t, d))  # each frame's mean signal-patch feature
+    for f in range(b * t):
+        pos = np.sort(data_rng.choice(m, size=s, replace=False))
+        feats[f, pos] += data_rng.normal(size=d)
+        signal[f] = feats[f, pos].mean(axis=0)
+    readout = target_rng.normal(size=(d, spec.out_dim)) / np.sqrt(d)
+    targets = signal.reshape(b, t, d).mean(axis=1) @ readout
     # Read-only, so the B videos' frames, in order, are one video that
     # wraps the draw without a copy.
     feats.setflags(write=False)

@@ -13,6 +13,7 @@ asking the adapter for the tokens of the kept rows.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,7 +78,7 @@ class SampledTokens:
         indices = np.asarray(self.indices)
         # A float or bool index would otherwise be truncated to an integer.
         if indices.dtype.kind not in "iu":
-            raise ShapeError(f"token indices must be integers, got dtype {indices.dtype}")
+            raise ParameterError(f"token indices must be integers, got dtype {indices.dtype}")
         indices = np.array(indices, dtype=np.int64)
         indices.setflags(write=False)
         if indices.shape != tokens.shape[:2]:
@@ -85,10 +86,10 @@ class SampledTokens:
                 f"expected indices of shape {tokens.shape[:2]}, got {indices.shape}"
             )
         if indices.min() < 0:
-            raise ShapeError("token indices must be >= 0")
+            raise ParameterError("token indices must be >= 0")
         repeats = np.any(np.diff(np.sort(indices, axis=1), axis=1) == 0, axis=1)
         if repeats.any():
-            raise ShapeError(f"frame {int(np.argmax(repeats))}: duplicate token indices")
+            raise ParameterError(f"frame {int(np.argmax(repeats))}: duplicate token indices")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "tokens", tokens)
 
@@ -135,19 +136,24 @@ def compress_video(
     return SampledTokens(indices, kept_tokens(video, params, rows))
 
 
+def _sidecar_path(path) -> Path:
+    """The index sidecar beside the token file ``path``."""
+    return Path(f"{os.fspath(path)}.json")
+
+
 def save_sampled(sampled: SampledTokens, path, queries: int) -> None:
     """Write kept tokens as a rank-3 FTV1 file plus a JSON index sidecar.
 
-    ``queries`` is the N the indices were chosen from, checked before any
-    file is touched; the sidecar records it so :func:`load_sampled` can
-    bound the indices. The sidecar commits the pair: the old one is removed
-    before the tokens are written and the new one replaces nothing until it
-    is complete, so a failed write leaves no sidecar rather than new tokens
-    beside an old one.
+    ``queries``, the N the indices were chosen from, and the tokens
+    (``ftv1._storable``) are checked before any file is touched; the sidecar
+    records ``queries`` so :func:`load_sampled` can bound the indices. The
+    sidecar commits the pair: the old one is removed before the tokens are
+    written and the new one replaces nothing until it is complete, so a
+    failed write leaves no sidecar rather than new tokens beside an old one.
     """
     queries = _check_count("queries", queries, low=int(sampled.indices.max()) + 1)
-    path = ftv1._output_path(path)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
+    ftv1._storable(sampled.tokens)
+    sidecar_path = _sidecar_path(ftv1._output_path(path))
     sidecar_path.unlink(missing_ok=True)
     ftv1.write_tensor(path, sampled.tokens)
     sidecar = {"keep": sampled.keep, "queries": queries, "indices": sampled.indices.tolist()}
@@ -161,9 +167,8 @@ def load_sampled(path) -> SampledTokens:
     A sidecar without ``"queries"`` (written before it was recorded) loads
     with its indices bounded by the int64 range alone.
     """
-    path = Path(path)
     stacked = ftv1.read_tensor(path, expect_rank=3)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
+    sidecar_path = _sidecar_path(path)
     sidecar = ftv1._read_json(sidecar_path, "index sidecar")
     keep = sidecar.get("keep")
     if type(keep) is not int or keep != stacked.shape[1]:

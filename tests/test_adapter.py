@@ -20,7 +20,7 @@ from framepress.adapter import (
     sinusoidal_pos_table,
 )
 from framepress.encoder import VideoTokenTensor, synthetic_video
-from framepress.errors import FormatError, ParameterError, ShapeError
+from framepress.errors import FormatError, NumericError, ParameterError, ShapeError
 from framepress.linalg import fd_gradient, make_rng
 
 
@@ -205,11 +205,11 @@ def test_params_shape_validation():
 
 def test_adapter_output_validates_row_sums():
     bad_att = np.array([[0.6, 0.6]])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError):
         AdapterOutput(tokens=(np.zeros((1, 2)),), attention=(bad_att,))
     nan_row = np.full((2, 1, 2), 0.5)
     nan_row[1, 0, 0] = np.nan
-    with pytest.raises(ShapeError, match="frame 1"):
+    with pytest.raises(ParameterError, match="frame 1"):
         AdapterOutput(tokens=np.zeros((2, 1, 2)), attention=nan_row)
 
 
@@ -265,7 +265,7 @@ def test_gradients_refuse_rows_out_of_range():
     video = synthetic_video(1, 2, 2, 3, seed=38)
     params = small_params(seed=39, frames=1)
     for row in (-1, 3, 1.0):
-        with pytest.raises(ShapeError, match=r"rows must be integers in \[0, 3\)"):
+        with pytest.raises(ParameterError, match=r"rows must be integers in \[0, 3\)"):
             adapter_gradients(video, params, [[row]], np.ones((1, 1, 4)))
     # Rows for two frames of a one-frame video, and grads of the wrong width.
     for rows, grads in (([[0], [1]], np.ones((2, 1, 4))), ([[0]], np.ones((1, 1, 3)))):
@@ -314,6 +314,22 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.temporal, params.temporal)
     assert back.scale == params.scale
     assert "query_pos" not in (tmp_path / "ckpt" / "adapter.json").read_text()
+
+
+@pytest.mark.parametrize("table", ["input_proj", "queries", "pos_table", "temporal"])
+def test_refused_checkpoint_save_leaves_the_old_checkpoint(table, tmp_path):
+    """A table float32 cannot store is refused before any file is touched:
+    the old header and all four old tables stay as they were."""
+    params = init_adapter_params(queries=3, width=4, feature_dim=3, grid_h=2, grid_w=2, frames=2, seed=5)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(params, ckpt)
+    old = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+    values = getattr(params, table).copy()
+    values[0, 0] = 1e39
+    with pytest.raises(NumericError, match="FTV1 values overflow float32 storage"):
+        save_checkpoint(replace(params, **{table: values}), ckpt)
+    assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == old
+    np.testing.assert_array_equal(load_checkpoint(ckpt).queries, params.queries)
 
 
 def test_checkpoint_legacy_query_pos_is_folded(tmp_path):

@@ -263,6 +263,13 @@ def _with_checkpoint(tmp_path, name, *flags):
     return argv + (["--k", "2"] if name == "compress" else []) + list(flags)
 
 
+def _out_in_checkpoint(tmp_path, name, file):
+    """``name`` argv against a checkpoint, with ``--out`` naming ``file`` in it."""
+    argv = _with_checkpoint(tmp_path, name)
+    argv[argv.index("--out") + 1] = str(tmp_path / "ckpt" / file)
+    return argv
+
+
 def _with_header(tmp_path, old, new):
     """``compress`` against a checkpoint whose header has ``old`` replaced
     by ``new``."""
@@ -339,9 +346,6 @@ BAD_INPUTS = {
     "cost total past float range": lambda tmp: _cost_with_csv(tmp, "k,tflops\n1,1e300\n2,2e300\n") + [
         "--k", "10000000000"
     ],
-    "config noise_scale overflowing the batch": lambda tmp: _train_toy_with_config(
-        tmp, '{"noise_scale": 1e308, "steps": 1}'
-    ),
     "compress --k refused with a new checkpoint": lambda tmp: _fuzz_features(tmp)[1] + [
         "--checkpoint", str(tmp / "ckpt"), "--k", "99"
     ],
@@ -378,6 +382,11 @@ BAD_INPUTS = {
         "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
         "--attention-out", os.path.join(".", os.path.relpath(tmp / "a.ftv1")),
     ],
+    "compress --out onto a checkpoint table": lambda tmp: _out_in_checkpoint(tmp, "compress", "queries.ftv1"),
+    "compress --out whose sidecar is the checkpoint header": lambda tmp: _out_in_checkpoint(
+        tmp, "compress", "adapter"
+    ),
+    "adapt --out onto a checkpoint table": lambda tmp: _out_in_checkpoint(tmp, "adapt", "temporal.ftv1"),
     "verify --report ending in a separator": lambda tmp: ["verify", "--report", f"{tmp / 'd'}{os.sep}"],
     "train-toy --report ending in a separator": lambda tmp: [
         "train-toy", "--report", f"{tmp / 'd'}{os.sep}"
@@ -435,7 +444,6 @@ NAMED_IN_ERROR = {
     "csv k past float range": "measured.csv:3: k must be at most 1.8e+308",
     "csv tflops overflowing the fit": "the fit of c0 and c1 to these points overflows",
     "cost total past float range": "the cost at k=10000000000 overflows float64",
-    "config noise_scale overflowing the batch": "noise_scale 1e+308 overflows",
     "compress --k refused with a new checkpoint": "k must be in [1, 32], got 99",
     "non-UTF-8 sidecar": "kept.ftv1.json",
     "sidecar keep differs from the token file": "kept.ftv1.json",
@@ -466,6 +474,11 @@ NAMED_IN_ERROR = {
     "adapt --attention-out ending in a separator": f"d{os.sep} names a directory",
     "adapt --out and --attention-out one file": "--out and --attention-out name the same file",
     "adapt --attention-out naming --out relatively": "--out and --attention-out name the same file",
+    "compress --out onto a checkpoint table": "--out and --checkpoint name the same file",
+    "compress --out whose sidecar is the checkpoint header": (
+        "--out's index sidecar and --checkpoint name the same file"
+    ),
+    "adapt --out onto a checkpoint table": "--out and --checkpoint name the same file",
     "verify --report ending in a separator": f"d{os.sep} names a directory",
     "train-toy --report ending in a separator": f"d{os.sep} names a directory",
     "encode --grid too large to allocate": "(1, 99999999, 99999999, 64)",
@@ -494,6 +507,9 @@ NAMED_IN_ERROR = {
 NEVER_CALLED = {
     "adapt --out and --attention-out one file": "adapt_video",
     "adapt --attention-out naming --out relatively": "adapt_video",
+    "compress --out onto a checkpoint table": "load_features",
+    "compress --out whose sidecar is the checkpoint header": "load_features",
+    "adapt --out onto a checkpoint table": "load_features",
     "verify --report ending in a separator": "verify_all",
     "train-toy --report ending in a separator": "train_toy",
     "train-toy --report empty": "train_toy",
@@ -502,13 +518,18 @@ NEVER_CALLED = {
 }
 
 
+def _tree(root):
+    """Every file and directory under ``root``, with each file's bytes."""
+    return {p.relative_to(root): p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypatch):
     argv = BAD_INPUTS[case](tmp_path)
     if case in NEVER_CALLED:
         monkeypatch.setattr(cli, NEVER_CALLED[case], lambda *a: pytest.fail("ran before the path check"))
     capsys.readouterr()  # drop what setting up the inputs printed
-    files = sorted(os.listdir(tmp_path))
+    files = _tree(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow warnings
         code, out, err = run(capsys, *argv)
@@ -517,7 +538,7 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypat
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert NAMED_IN_ERROR.get(case, "") in err
-    assert sorted(os.listdir(tmp_path)) == files  # nothing written
+    assert _tree(tmp_path) == files  # nothing written, in subdirectories too
 
 
 def test_an_unexpected_value_error_is_raised_not_reported(monkeypatch):
@@ -767,6 +788,23 @@ def test_sidecar_is_written_last(tmp_path, capsys, monkeypatch):
     assert (code, err) == (2, "error: disk full\n")
     with pytest.raises(FormatError, match="missing index sidecar"):
         load_sampled(out)
+
+
+def test_compress_refused_for_its_values_leaves_the_old_pair(tmp_path, capsys):
+    """Tokens float32 cannot store are refused before the old sidecar is
+    removed, so the older pair still assembles."""
+    feats, big, kept = tmp_path / "f.ftv1", tmp_path / "big.ftv1", tmp_path / "kept.ftv1"
+    assert run(capsys, "encode", "--dim", "8", "--out", str(feats))[0] == 0
+    compress = ["compress", "--k", "4", "--queries", "8", "--width", "8", "--out", str(kept)]
+    assert run(capsys, *compress, "--features", str(feats))[0] == 0
+    old = load_sampled(kept)
+    ftv1.write_tensor(big, np.full(ftv1.read_tensor(feats).shape, 3e38))
+    code, _, err = run(capsys, *compress, "--features", str(big))
+    assert (code, err) == (2, "error: FTV1 values overflow float32 storage\n")
+    back = load_sampled(kept)
+    np.testing.assert_array_equal(back.indices, old.indices)
+    np.testing.assert_array_equal(back.tokens, old.tokens)
+    assert run(capsys, "assemble", "--tokens", str(kept))[0] == 0
 
 
 class _HalfWriter:

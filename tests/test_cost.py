@@ -14,7 +14,7 @@ from framepress.cost import (
     sweep,
     sweep_csv,
 )
-from framepress.errors import FitError, ParameterError
+from framepress.errors import ParameterError
 
 # Independent least-squares fit of the reference totals, frozen here so a
 # regression in `calibrate` cannot hide behind its own output.
@@ -40,7 +40,7 @@ def test_calibrated_model_reproduces_reference_totals():
 def test_calibrate_input_validation():
     with pytest.raises(ParameterError):
         calibrate([(4, 32.0)])
-    with pytest.raises(FitError):
+    with pytest.raises(ParameterError):
         calibrate([(4, 32.0), (4, 33.0)])
     with pytest.raises(ParameterError):
         calibrate([(0, 1.0), (2, 2.0)])

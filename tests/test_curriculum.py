@@ -28,7 +28,7 @@ from framepress.curriculum import (
     subsample_file,
     synthetic_manifest,
 )
-from framepress.errors import EmptyInputError, FormatError, ParameterError, PlanError
+from framepress.errors import FormatError, ParameterError
 
 TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
 
@@ -108,7 +108,7 @@ def test_subsample_errors(tmp_path):
         subsample_file(src, out, 1.2, seed=0)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n", encoding="utf-8")
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(FormatError, match="empty.jsonl: cannot subsample an empty manifest"):
         subsample_file(empty, out, 0.5, seed=0)
     assert not out.exists()
 
@@ -496,11 +496,11 @@ def test_make_plan_image_roles_and_trainables():
 
 
 def test_make_plan_forbidden_fractions():
-    with pytest.raises(PlanError):
+    with pytest.raises(ParameterError):
         make_plan("S3-IV", pretrain_fraction=0.5)
-    with pytest.raises(PlanError):
+    with pytest.raises(ParameterError):
         make_plan("S4-V", pretrain_fraction=0.1)
-    with pytest.raises(PlanError):
+    with pytest.raises(ParameterError):
         make_plan("S2-S3-IV", instruct_fraction=0.1)  # missing pretrain fraction
     with pytest.raises(ParameterError):
         make_plan("S9-X")
@@ -515,14 +515,14 @@ def test_stage_plan_invariant_enforced_on_construction():
         trainable=("adapter",),
     )
     ok = make_plan("S4-V")
-    with pytest.raises(PlanError):
+    with pytest.raises(ParameterError):
         StagePlan(
             strategy="S4-V",
             stages=(ok.stages[0], bad_stage, ok.stages[2], ok.stages[3]),
         )
-    with pytest.raises(PlanError, match="unknown strategy 'S9-X'"):
+    with pytest.raises(ParameterError, match="unknown strategy 'S9-X'"):
         StagePlan(strategy="S9-X", stages=ok.stages)
-    with pytest.raises(PlanError, match=r"stage order must be \['align', 'pretrain', 'instruct'\]"):
+    with pytest.raises(ParameterError, match=r"stage order must be \['align', 'pretrain', 'instruct'\]"):
         StagePlan(strategy="S3-IV", stages=(ok.stages[1], ok.stages[0], ok.stages[2]))
 
 
@@ -537,7 +537,7 @@ def test_stage_plan_invariant_enforced_on_construction():
     ids=["dataset without a fraction", "fraction without a dataset", "fraction 0", "fraction 1.5"],
 )
 def test_stage_spec_refuses_a_bad_video_mix(dataset, fraction, message):
-    with pytest.raises(PlanError, match="stage instruct: " + message):
+    with pytest.raises(ParameterError, match="stage instruct: " + message):
         StageSpec("instruct", IMAGE_DATASET_ROLES["instruct"], dataset, fraction, ("adapter", "llm"))
 
 

@@ -73,6 +73,19 @@ def test_write_rejects_bad_tensors(tmp_path):
     assert not path.exists()
 
 
+def test_write_refuses_exactly_the_values_float32_rounds_to_inf(tmp_path):
+    """The bound is 2^128 - 2^103, halfway from float32's largest value to
+    2^128: the value just below it is stored as that largest value."""
+    path, limit = tmp_path / "t.ftv1", 2.0**128 - 2.0**103
+    below = np.nextafter(limit, 0.0)
+    ftv1.write_tensor(path, np.array([below, -below]))
+    top = float(np.finfo(np.float32).max)
+    assert ftv1.read_tensor(path).tolist() == [top, -top]
+    for bad in (limit, -limit):
+        with pytest.raises(NumericError, match="overflow float32 storage"):
+            ftv1.write_tensor(path, np.array([bad]))
+
+
 def test_read_errors_carry_byte_offsets(tmp_path):
     cases = [
         (b"NOPE" + b"\x00" * 8, 0),  # bad magic

@@ -8,15 +8,15 @@ import pytest
 import framepress
 from framepress import ftv1
 from framepress.adapter import (
-    AdapterOutput, AdapterParams, adapt_video, init_adapter_params, random_adapter_params,
-    sinusoidal_pos_table,
+    AdapterOutput, AdapterParams, adapt_video, adapter_gradients, init_adapter_params,
+    random_adapter_params, sinusoidal_pos_table,
 )
 from framepress.cost import CostConfig, calibrate
 from framepress.curriculum import (
     IMAGE_DATASET_ROLES, StageSpec, make_plan, plan_to_text, subsample_file, synthetic_manifest,
 )
-from framepress.encoder import ImagePlane, VideoTokenTensor, frozen_projection, synthetic_video
-from framepress.errors import ParameterError, PlanError, ShapeError
+from framepress.encoder import ImagePlane, VideoTokenTensor, frozen_projection, patchify_encode, synthetic_video
+from framepress.errors import ParameterError, ShapeError
 from framepress.linalg import as_matrix, make_rng, split_rng
 from framepress.pipeline import SequenceAssembly, ToyTaskSpec, assemble_sequence
 from framepress.sampler import SampledTokens, compress_video, sample_video, save_sampled, select_topk
@@ -91,32 +91,23 @@ def test_every_count_is_an_int_or_numpy_integer_and_never_a_bool(entry, tmp_path
     call(np.int64(2), tmp_path)
 
 
-# Every entry point that takes a real number: the error class, how the
-# refusal names the argument, and a call that passes a value for it.
+# Every entry point that takes a real number: how the refusal names the
+# argument, and a call that passes a value for it.
 REAL_ARGUMENTS = {
-    "CostConfig": (
-        ParameterError, "per_token_tflops",
-        lambda v, tmp: CostConfig(8, 16, 31.7, v).per_token_tflops,
-    ),
+    "CostConfig": ("per_token_tflops", lambda v, tmp: CostConfig(8, 16, 31.7, v).per_token_tflops),
     "calibrate": (
-        ParameterError, "the calibration total at k=4",
-        lambda v, tmp: calibrate([(4, v), (16, 33.47)]).points[0][1],
+        "the calibration total at k=4", lambda v, tmp: calibrate([(4, v), (16, 33.47)]).points[0][1],
     ),
-    "subsample_file": (
-        ParameterError, "fraction",
-        lambda v, tmp: subsample_file(_manifest(tmp), tmp / "o.jsonl", v, 0),
-    ),
-    "ToyTaskSpec": (
-        ParameterError, "learning_rate", lambda v, tmp: ToyTaskSpec(learning_rate=v).learning_rate,
-    ),
+    "subsample_file": ("fraction", lambda v, tmp: subsample_file(_manifest(tmp), tmp / "o.jsonl", v, 0)),
+    "ToyTaskSpec": ("learning_rate", lambda v, tmp: ToyTaskSpec(learning_rate=v).learning_rate),
     "StageSpec": (
-        PlanError, "stage instruct: video fraction",
+        "stage instruct: video fraction",
         lambda v, tmp: StageSpec(
             "instruct", IMAGE_DATASET_ROLES["instruct"], "VideoInstruct", v, ("adapter", "llm")
         ).video_fraction,
     ),
     "make_plan": (
-        PlanError, "stage instruct: video fraction",
+        "stage instruct: video fraction",
         lambda v, tmp: plan_to_text(make_plan("S3-IV", instruct_fraction=v)),
     ),
 }
@@ -124,11 +115,12 @@ REAL_ARGUMENTS = {
 
 @pytest.mark.parametrize("entry", list(REAL_ARGUMENTS))
 def test_every_real_is_an_int_or_float_and_never_a_bool(entry, tmp_path):
-    """One rule at every entry point: a bool or a string raises an error
-    naming the argument, and a numpy float is taken as the float it holds."""
-    error, name, call = REAL_ARGUMENTS[entry]
+    """One rule at every entry point: a bool or a string raises
+    ParameterError naming the argument, and a numpy float is taken as the
+    float it holds."""
+    name, call = REAL_ARGUMENTS[entry]
     for bad in (True, "0.5"):
-        with pytest.raises(error, match=re.escape(f"{name} must be a real number, got {bad!r}")):
+        with pytest.raises(ParameterError, match=re.escape(f"{name} must be a real number, got {bad!r}")):
             call(bad, tmp_path)
     plain = call(0.5, tmp_path)
     taken = call(np.float32(0.5), tmp_path)
@@ -152,6 +144,12 @@ ARRAY_ARGUMENTS = {
     "SequenceAssembly": ("frame tokens", (1, 2, 3), lambda v, tmp: SequenceAssembly(v, 0)),
     "as_matrix": ("table", (2, 2), lambda v, tmp: as_matrix(v, "table")),
     "write_tensor": ("FTV1 values", (2, 3), lambda v, tmp: ftv1.write_tensor(tmp / "t.ftv1", v)),
+    "patchify_encode": (
+        "projection", (12, 2), lambda v, tmp: patchify_encode(ImagePlane(np.full((2, 2, 3), 0.5)), 2, v),
+    ),
+    "adapter_gradients": (
+        "row_grads", (2, 1, 4), lambda v, tmp: adapter_gradients(_video(), _params(), [[0], [1]], v),
+    ),
 }
 
 
@@ -189,12 +187,9 @@ def _passed(call: ast.Call, index, param: str):
     return None
 
 
-def test_every_defaulted_parameter_has_a_caller_outside_the_tests():
-    """Each defaulted parameter of a public module-level function in
-    ``src/framepress`` is set to a value other than its default by some
-    call, matched by name, in ``src/framepress`` or ``perfbench`` (test
-    files excluded). A parameter only tests set is an option no caller
-    needs: delete it, or give it a caller."""
+def _package_and_calls():
+    """The parsed modules of ``src/framepress``, and every call in them or
+    in ``perfbench`` (test files excluded), keyed by the name called."""
     root = Path(__file__).resolve().parent.parent
     package = [ast.parse(p.read_text(encoding="utf-8")) for p in (root / "src/framepress").glob("*.py")]
     harness = [
@@ -208,6 +203,23 @@ def test_every_defaulted_parameter_has_a_caller_outside_the_tests():
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             calls_to.setdefault(name, []).append(node)
+    return package, calls_to
+
+
+def _set_elsewhere(calls, index, param: str, default) -> bool:
+    """Whether one of ``calls`` passes ``param`` (at position ``index``, or by
+    name) a value other than ``default``."""
+    values = (_passed(call, index, param) for call in calls)
+    return any(v is not None and ast.dump(v) != ast.dump(default) for v in values)
+
+
+def test_every_defaulted_parameter_has_a_caller_outside_the_tests():
+    """Each defaulted parameter of a public module-level function in
+    ``src/framepress`` is set to a value other than its default by some
+    call, matched by name, in ``src/framepress`` or ``perfbench`` (test
+    files excluded). A parameter only tests set is an option no caller
+    needs: delete it, or give it a caller."""
+    package, calls_to = _package_and_calls()
     unset = set()
     for fn in (node for tree in package for node in tree.body):
         if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
@@ -217,10 +229,36 @@ def test_every_defaulted_parameter_has_a_caller_outside_the_tests():
         defaulted = [(first + i, a, d) for i, (a, d) in enumerate(zip(positional[first:], fn.args.defaults))]
         defaulted += [(None, a, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
         for index, arg, default in defaulted:
-            values = (_passed(call, index, arg.arg) for call in calls_to.get(fn.name, ()))
-            if not any(v is not None and ast.dump(v) != ast.dump(default) for v in values):
+            if not _set_elsewhere(calls_to.get(fn.name, ()), index, arg.arg, default):
                 unset.add((fn.name, arg.arg))
     assert unset == set(UNSET_DEFAULTS_KEPT)
+
+
+def test_every_defaulted_dataclass_field_has_a_caller_outside_the_tests():
+    """The same for each defaulted field of a public dataclass in
+    ``src/framepress``: some call outside the tests builds the class with a
+    value other than its default, by position or name, or ``replace``s it
+    by name. A field only tests set is a setting no caller needs."""
+    package, calls_to = _package_and_calls()
+    unset = set()
+    for cls in (node for tree in package for node in tree.body):
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        if not any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list):
+            continue
+        # A field(init=False) is not the caller's to set.
+        init = [
+            f for f in cls.body
+            if isinstance(f, ast.AnnAssign) and not (f.value and "init=False" in ast.unparse(f.value))
+        ]
+        for index, f in enumerate(init):
+            name = f.target.id
+            if f.value is not None and not (
+                _set_elsewhere(calls_to.get(cls.name, ()), index, name, f.value)
+                or _set_elsewhere(calls_to.get("replace", ()), None, name, f.value)
+            ):
+                unset.add((cls.name, name))
+    assert unset == set()
 
 
 SCALAR_RULES = {"_check_count", "_check_real", "_priced_count"}

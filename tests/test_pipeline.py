@@ -105,8 +105,6 @@ def test_toy_spec_validation():
         replace(QUICK_SPEC, signal_patches=5)  # grid has only 4 patches
     with pytest.raises(ParameterError):
         replace(QUICK_SPEC, learning_rate=float("nan"))
-    with pytest.raises(ParameterError, match="noise_scale must be finite and >= 0"):
-        replace(QUICK_SPEC, noise_scale=-0.1)
 
 
 def test_spec_from_dict_round_trip_and_unknown_keys():
@@ -129,16 +127,14 @@ def test_spec_from_dict_rejects_mistyped_values(raw):
 
 
 def test_spec_from_dict_float_field_takes_an_int():
-    raw = {"learning_rate": 1, "noise_scale": 0}
+    raw = {"learning_rate": 1}
     for spec in (spec_from_dict(raw), ToyTaskSpec(**raw)):
         assert type(spec.learning_rate) is float and spec.learning_rate == 1.0
-        assert type(spec.noise_scale) is float and spec.noise_scale == 0.0
 
 
 def test_spec_of_numpy_scalars_stores_plain_numbers_and_trains_the_same():
-    # learning_rate and noise_scale are exact in float32, so both specs hold
-    # the same values.
-    plain = replace(QUICK_SPEC, learning_rate=0.5, noise_scale=0.0625)
+    # learning_rate is exact in float32, so both specs hold the same values.
+    plain = replace(QUICK_SPEC, learning_rate=0.5)
     scalars = ToyTaskSpec(**{
         name: np.float32(value) if type(value) is float else np.int64(value)
         for name, value in asdict(plain).items()

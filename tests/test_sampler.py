@@ -174,7 +174,7 @@ def test_compress_holds_one_attention_array():
 
 
 def test_sampled_tokens_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError):
         SampledTokens(
             indices=np.array([[0, 1], [1, 1]]),  # duplicate in frame 1
             tokens=np.zeros((2, 2, 3)),
@@ -189,14 +189,14 @@ def test_sampled_tokens_validation():
             indices=np.array([[0, 1]]),  # one frame of indices for two of tokens
             tokens=np.zeros((2, 2, 3)),
         )
-    with pytest.raises(ShapeError, match="token indices must be >= 0"):
+    with pytest.raises(ParameterError, match="token indices must be >= 0"):
         SampledTokens(indices=np.array([[0, -1]]), tokens=np.zeros((1, 2, 3)))
     for t, k in ((0, 2), (2, 0)):  # no frames, no kept rows
         with pytest.raises(ShapeError):
             SampledTokens(indices=np.zeros((t, k)), tokens=np.zeros((t, k, 3)))
     # Non-integer indices are refused, not truncated.
     for indices in ([[1.7, 2.2]], [[np.nan, 1.0]], np.array([[True, False]])):
-        with pytest.raises(ShapeError, match="integers"):
+        with pytest.raises(ParameterError, match="integers"):
             SampledTokens(indices=indices, tokens=np.zeros((1, 2, 3)))
 
 
@@ -239,15 +239,29 @@ def test_save_load_round_trip(tmp_path):
         )
 
 
-@pytest.mark.parametrize("queries", [0, 2, True, 2.5], ids=["zero", "the largest index", "bool", "float"])
-def test_refused_save_leaves_the_old_pair(queries, tmp_path):
+@pytest.mark.parametrize(
+    "queries, token, error, message",
+    [
+        (0, 0.0, ParameterError, "queries must be"),
+        (2, 0.0, ParameterError, "queries must be"),
+        (True, 0.0, ParameterError, "queries must be"),
+        (2.5, 0.0, ParameterError, "queries must be"),
+        (4, np.nan, NumericError, "FTV1 tensors must be finite"),
+        (4, 1e39, NumericError, "FTV1 values overflow float32 storage"),
+    ],
+    ids=["zero", "the largest index", "bool", "float", "NaN token", "token past float32"],
+)
+def test_refused_save_leaves_the_old_pair(queries, token, error, message, tmp_path):
     """``queries`` must exceed every kept index, the bound load_sampled
-    applies, and is checked before either file of the pair is touched."""
+    applies, and the tokens must be storable in float32; both are checked
+    before either file of the pair is touched."""
     path = tmp_path / "kept.ftv1"
     old = SampledTokens(indices=[[0, 1]], tokens=np.ones((1, 2, 3)))
     save_sampled(old, path, 4)
-    with pytest.raises(ParameterError, match="queries must be"):
-        save_sampled(SampledTokens(indices=[[2, 0]], tokens=np.zeros((1, 2, 3))), path, queries)
+    tokens = np.zeros((1, 2, 3))
+    tokens[0, 1, 2] = token
+    with pytest.raises(error, match=message):
+        save_sampled(SampledTokens(indices=[[2, 0]], tokens=tokens), path, queries)
     back = load_sampled(path)
     np.testing.assert_array_equal(back.indices, old.indices)
     np.testing.assert_array_equal(back.tokens, old.tokens)
