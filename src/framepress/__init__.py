@@ -9,7 +9,6 @@ dataset curriculum tools, and a self-verification suite around it.
 
 from .adapter import (
     AdapterGrads,
-    AdapterOutput,
     AdapterParams,
     adapt_video,
     adapter_gradients,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdapterGrads",
-    "AdapterOutput",
     "AdapterParams",
     "CalibrationResult",
     "CostConfig",

@@ -19,14 +19,15 @@ each frame's D-wide features serve as both keys and values, and only the
 mixed rows a caller keeps are projected. The forward and the backward
 work in feature space alike.
 
-Each caller has one forward path. A sampler selects before mixing:
-:func:`attend` gives the whole video's (T, N, M) attention from one
+Each caller has one forward path. Inference (``compress``) selects before
+mixing: :func:`attend` gives the whole video's (T, N, M) attention from one
 stacked call on the unshifted features (the temporal vector only shifts
 each logit row, which the softmax ignores), and :func:`kept_tokens` mixes,
-shifts and projects only the rows it keeps. The full forward
-(:func:`adapt_video`) and the backward, over the rows a loss reads, attend
-frame by frame in one loop that shifts each frame as it attends it; the
-benchmark pins its one ``cross_attention`` call per frame per training step.
+shifts and projects only the rows it keeps. The training forward
+(:func:`adapt_video`, plain ``(tokens, attention)`` arrays) and the
+backward, over the rows a loss reads, attend frame by frame in one loop
+that shifts each frame as it attends it; the benchmark pins its one
+``cross_attention`` call per frame per training step.
 
 Besides the forward pass this module carries its own reverse-mode
 gradients (the whole block is small enough that hand-written backprop
@@ -45,7 +46,7 @@ import numpy as np
 from . import ftv1
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
-from .linalg import _check_count, _read_only, _real_array, as_matrix, attention_weights, cross_attention, make_rng
+from .linalg import _check_count, _real_array, as_matrix, attention_weights, cross_attention, make_rng
 
 CHECKPOINT_HEADER = "adapter.json"
 # The FTV1 file of each AdapterParams table, in write order, and older
@@ -119,43 +120,6 @@ class AdapterParams:
     @property
     def frame_count(self) -> int:
         return self.temporal.shape[0]
-
-
-@dataclass(frozen=True)
-class AdapterOutput:
-    """Compressed tokens of every frame and the attention that produced
-    them. Beside the array rule, it checks shapes and row sums only."""
-
-    tokens: np.ndarray  # (T, N, C)
-    attention: np.ndarray  # (T, N, M)
-
-    def __post_init__(self):
-        tokens = _read_only(self.tokens, "compressed tokens", ndim=3)
-        attention = _read_only(self.attention, "attention weights", ndim=3)
-        if attention.shape[:2] != tokens.shape[:2]:
-            raise ShapeError(
-                f"tokens {tokens.shape} and attention {attention.shape} "
-                "disagree on frames or rows"
-            )
-        deviation = np.abs(attention.sum(axis=2) - 1.0).max(axis=1)
-        # Written so that a NaN row fails too.
-        if not np.max(deviation) <= 1e-9:
-            frame = int(np.argmax(deviation))
-            raise ParameterError(f"frame {frame}: attention rows do not sum to 1")
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "attention", attention)
-
-    @property
-    def frame_count(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def query_count(self) -> int:
-        return self.tokens.shape[1]
-
-    @property
-    def source_tokens(self) -> int:
-        return self.attention.shape[2]
 
 
 @dataclass(frozen=True)
@@ -314,13 +278,14 @@ def kept_tokens(video: VideoTokenTensor, params: AdapterParams, rows: np.ndarray
     return _project(mixed, params)
 
 
-def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> AdapterOutput:
-    """Compress every frame of a video, preserving frame order."""
+def adapt_video(video: VideoTokenTensor, params: AdapterParams) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only pair ``(tokens, attention)``, (T, N, C) and (T, N, M):
+    every query row of every frame, in frame order."""
     queries, bias = (np.broadcast_to(a, (params.frame_count, *a.shape)) for a in _operands(params))
     x = _source_tokens(video, params)
     attention, mixed = _attend_frames(queries, x, params.temporal, bias, params.scale)
-    attention.setflags(write=False)  # so AdapterOutput keeps it without a copy
-    return AdapterOutput(tokens=_project(mixed, params), attention=attention)
+    attention.setflags(write=False)
+    return _project(mixed, params), attention
 
 
 def adapter_gradients(

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-One subcommand per pipeline step (encode, adapt, compress, assemble),
+One subcommand per pipeline step (encode, compress, assemble),
 plus the cost model, dataset tooling, the toy training loop, and the
 self-verification suite. Exit codes: 0 on success, 1 when verification
 fails, 2 on bad input (including files that cannot be read or written
@@ -23,7 +23,7 @@ from . import cost, curriculum, ftv1
 from .adapter import (
     CHECKPOINT_FILES,
     CHECKPOINT_HEADER,
-    adapt_video,
+    attend,
     init_adapter_params,
     load_checkpoint,
     save_checkpoint,
@@ -143,22 +143,6 @@ def _load_or_init_params(args, video: VideoTokenTensor):
     return params, bool(args.checkpoint)
 
 
-def _cmd_adapt(args) -> int:
-    video = load_features(args.features)
-    params, new = _load_or_init_params(args, video)
-    out = adapt_video(video, params)
-    if new:
-        save_checkpoint(params, args.checkpoint)
-    ftv1.write_tensor(args.out, out.tokens)
-    if args.attention_out:
-        ftv1.write_tensor(args.attention_out, out.attention)
-    print(
-        f"compressed {out.source_tokens} -> {out.query_count} tokens per frame "
-        f"({out.frame_count} frames) -> {args.out}"
-    )
-    return 0
-
-
 def _cmd_compress(args) -> int:
     video = load_features(args.features)
     params, new = _load_or_init_params(args, video)
@@ -166,6 +150,8 @@ def _cmd_compress(args) -> int:
     if new:
         save_checkpoint(params, args.checkpoint)
     save_sampled(sampled, args.out, params.query_count)
+    if args.attention_out:
+        ftv1.write_tensor(args.attention_out, attend(video, params))
     print(
         f"kept top-{sampled.keep} of {params.query_count} tokens per frame "
         f"({sampled.frame_count} frames) -> {args.out}"
@@ -304,8 +290,8 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framepress",
-        description="Video token compression pipeline: encode, adapt, "
-        "sample, assemble, cost, data tooling, verification.",
+        description="Video token compression pipeline: encode, compress, "
+        "assemble, cost, data tooling, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -319,28 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_encode)
 
-    for name, helptext in (
-        ("adapt", "features -> compressed tokens (no pruning)"),
-        ("compress", "features -> top-k kept tokens per frame"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--features", required=True, help="FTV1 (T, gh, gw, D) file")
-        p.add_argument("--checkpoint", help="adapter checkpoint directory")
-        p.add_argument(
-            "--queries", type=int, help=f"new checkpoints: default {DEFAULT_QUERIES}"
-        )
-        p.add_argument(
-            "--width", type=int, help=f"new checkpoints: default {DEFAULT_WIDTH}"
-        )
-        p.add_argument("--seed", type=int, default=0, help="new checkpoints: default 0")
-        p.add_argument("--out", required=True)
-        if name == "adapt":
-            p.add_argument("--attention-out")
-            p.set_defaults(fn=_cmd_adapt)
-        else:
-            p.add_argument("--k", type=int, required=True)
-            p.add_argument("--order", choices=KEEP_ORDERS, default="score")
-            p.set_defaults(fn=_cmd_compress)
+    p = sub.add_parser("compress", help="features -> top-k kept tokens per frame")
+    p.add_argument("--features", required=True, help="FTV1 (T, gh, gw, D) file")
+    p.add_argument("--checkpoint", help="adapter checkpoint directory")
+    p.add_argument("--queries", type=int, help=f"new checkpoints: default {DEFAULT_QUERIES}")
+    p.add_argument("--width", type=int, help=f"new checkpoints: default {DEFAULT_WIDTH}")
+    p.add_argument("--seed", type=int, default=0, help="new checkpoints: default 0")
+    p.add_argument("--out", required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--order", choices=KEEP_ORDERS, default="score")
+    p.add_argument("--attention-out", help="also write every query row's (T, N, M) attention here")
+    p.set_defaults(fn=_cmd_compress)
 
     p = sub.add_parser("assemble", help="kept tokens -> decoder-ready sequence")
     p.add_argument("--tokens", required=True, help="file written by compress")

@@ -1,11 +1,11 @@
 """Dense float64 kernels everything else builds on.
 
-The package's input rules (one for every array a record or FTV1 file takes,
-one for every count, k and seed, and one for every real argument), row-wise
-softmax, single-head attention weights of queries over one frame's keys or a
-stack of frames' keys, cross-attention in which one frame's features serve as
-both keys and values and the weights are exposed, seeded RNG streams, and
-central-difference gradients for verification. The kernels are pure functions
+The package's input rules (one for every array a record, kernel or FTV1 file
+takes, one for every count, k and seed, and one for every real argument),
+row-wise softmax, single-head attention weights of queries over one frame's
+keys or a stack of frames' keys, cross-attention in which one frame's
+features serve as both keys and values and the weights are exposed, seeded
+RNG streams, and central-difference gradients for verification. The kernels are pure functions
 of their inputs and return fresh arrays: the attention kernels normalise
 their own logits in place, and :func:`softmax_rows` its copy.
 """
@@ -104,9 +104,11 @@ def softmax_rows(m) -> np.ndarray:
     Rows run along the last axis of a matrix or of a stack of matrices.
     Every output row is nonnegative and sums to 1 within 1e-12. Raises
     ShapeError unless ``m`` is a non-empty array of rank 2 or more and
-    NumericError if it has non-finite entries. ``m`` is never written.
+    NumericError if it has non-finite entries. ``m`` is never written: it is
+    copied once, unless taking it as float64 already made a new array.
     """
-    return _softmax_in_place(np.array(m, dtype=np.float64))
+    arr = _real_array(m, "softmax input")
+    return _softmax_in_place(arr.copy() if arr is m or arr.base is not None else arr)
 
 
 def _attention_weights(q: np.ndarray, k: np.ndarray, scale, bias) -> np.ndarray:
@@ -121,7 +123,7 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, scale, bias) -> np.ndarray:
         raise ShapeError(
             f"queries and keys must share a column count, got {q.shape} vs {k.shape}"
         )
-    bias = np.asarray(bias, dtype=np.float64)
+    bias = _real_array(bias, "bias")
     want = (q.shape[0], k.shape[-2])
     if bias.shape != want:
         raise ShapeError(f"bias must have shape {want} (queries, keys), got {bias.shape}")
@@ -147,7 +149,7 @@ def attention_weights(queries, keys, scale: float, bias) -> np.ndarray:
     of the wrong rank or width and on a bias of the wrong shape, and
     NumericError on non-finite logits.
     """
-    q, k = np.asarray(queries, dtype=np.float64), np.asarray(keys, dtype=np.float64)
+    q, k = _real_array(queries, "queries"), _real_array(keys, "keys")
     if q.ndim != 2 or k.ndim not in (2, 3):
         raise ShapeError(f"queries must be 2-D and keys 2-D or 3-D, got {q.shape}, {k.shape}")
     return _attention_weights(q, k, scale, bias)
@@ -164,7 +166,7 @@ def cross_attention(queries, features, scale: float, bias) -> tuple[np.ndarray, 
     ShapeError on operands that are not compatible matrices and
     NumericError on non-finite scores.
     """
-    q, f = np.asarray(queries, dtype=np.float64), np.asarray(features, dtype=np.float64)
+    q, f = _real_array(queries, "queries"), _real_array(features, "features")
     if q.ndim != 2 or f.ndim != 2:
         raise ShapeError(f"attention operands must be 2-D, got {q.shape}, {f.shape}")
     weights = _attention_weights(q, f, scale, bias)
@@ -197,9 +199,9 @@ def fd_gradient(f: Callable[[np.ndarray], float], x: Sequence[float] | np.ndarra
     Evaluates ``(f(x + h e_i) - f(x - h e_i)) / (2 h)`` per coordinate,
     with ``h = FD_STEP``.
     """
-    base = np.asarray(x, dtype=np.float64)
-    if base.ndim != 1:
-        raise ShapeError(f"x must be a vector, got shape {base.shape}")
+    base = _real_array(x, "x")
+    if base.ndim != 1 or base.size == 0:
+        raise ShapeError(f"x must be a non-empty vector, got shape {base.shape}")
     grad = np.empty_like(base)
     for i in range(base.size):
         hi = base.copy()

@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import ftv1
-from .adapter import AdapterOutput, AdapterParams, attend, kept_tokens
+from .adapter import AdapterParams, attend, kept_tokens
 from .encoder import VideoTokenTensor
 from .errors import FormatError, ParameterError, ShapeError
-from .linalg import _check_count, _read_only
+from .linalg import _check_count, _read_only, _real_array
 
 KEEP_ORDERS = ("score", "index")
 
@@ -39,7 +39,7 @@ def score_frame(attention) -> np.ndarray:
     spreads evenly scores 1/M, a token locked onto a single source patch
     scores 1.
     """
-    att = np.asarray(attention, dtype=np.float64)
+    att = _real_array(attention, "attention")
     if att.ndim < 2 or 0 in att.shape:
         raise ShapeError(f"attention must be a non-empty matrix, got shape {att.shape}")
     return att.max(axis=-1)
@@ -52,7 +52,7 @@ def select_topk(scores, k: int) -> np.ndarray:
     The result is ordered by descending score (ascending index within a
     tie), so its length-J prefix is exactly the selection for k=J.
     """
-    values = np.asarray(scores, dtype=np.float64)
+    values = _real_array(scores, "scores")
     if values.ndim < 1 or 0 in values.shape:
         raise ShapeError(f"scores must be non-empty, got shape {values.shape}")
     _check_count("k", k, high=values.shape[-1])
@@ -102,11 +102,15 @@ class SampledTokens:
         return self.tokens.shape[0]
 
 
-def sample_video(output: AdapterOutput, k: int) -> SampledTokens:
-    """Keep the top-k tokens of every frame of an adapter output, in the
-    descending-score order of :func:`select_topk`."""
-    indices = select_topk(score_frame(output.attention), k)
-    tokens = output.tokens[np.arange(len(indices))[:, None], indices]
+def sample_video(output, k: int) -> SampledTokens:
+    """Keep the top-k tokens of every frame of an ``adapt_video`` pair
+    ``(tokens, attention)``, in the descending-score order of
+    :func:`select_topk`."""
+    tokens, attention = (np.asarray(a) for a in output)
+    if tokens.ndim != 3 or attention.ndim != 3 or tokens.shape[:2] != attention.shape[:2]:
+        raise ShapeError(f"tokens {tokens.shape} and attention {attention.shape} disagree on frames or rows")
+    indices = select_topk(score_frame(attention), k)
+    tokens = tokens[np.arange(len(indices))[:, None], indices]
     tokens.setflags(write=False)
     return SampledTokens(indices, tokens)
 

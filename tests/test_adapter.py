@@ -9,7 +9,6 @@ from conftest import traced_peak
 from framepress import adapter as adapter_mod
 from framepress import ftv1
 from framepress.adapter import (
-    AdapterOutput,
     AdapterParams,
     adapt_video,
     adapter_gradients,
@@ -44,15 +43,15 @@ def test_adapt_frame_matches_manual_computation():
     rng = make_rng(11)
     params = small_params(seed=12, frames=1)
     feats = rng.normal(size=(4, 3))
-    out = adapt_video(one_frame(feats), params)
+    tokens, attention = adapt_video(one_frame(feats), params)
     projected = (feats + params.temporal[0]) @ params.input_proj
     keys = projected + params.pos_table
     for i in range(params.query_count):
         logits = params.scale * keys @ params.queries[i]
         e = np.exp(logits - logits.max())
         w = e / e.sum()
-        np.testing.assert_allclose(out.attention[0, i], w, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(out.tokens[0, i], w @ projected, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(attention[0, i], w, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(tokens[0, i], w @ projected, atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize(
@@ -70,9 +69,9 @@ def test_both_associations_give_the_same_function(shape):
     e = np.exp(logits - logits.max(axis=2, keepdims=True))
     attention = e / e.sum(axis=2, keepdims=True)
     tokens = attention @ projected
-    out = adapt_video(video, params)
-    np.testing.assert_allclose(out.attention, attention, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(out.tokens, tokens, rtol=0, atol=1e-12 * np.abs(tokens).max())
+    got_tokens, got_attention = adapt_video(video, params)
+    np.testing.assert_allclose(got_attention, attention, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_tokens, tokens, rtol=0, atol=1e-12 * np.abs(tokens).max())
 
 
 def test_adapt_holds_the_mixed_features_once():
@@ -160,10 +159,10 @@ def test_positional_table_touches_keys_not_values():
     unpositioned = adapt_video(
         one_frame(feats), replace(params, pos_table=np.zeros_like(params.pos_table))
     )
-    assert np.max(np.abs(out.attention - unpositioned.attention)) > 1e-3
-    for o in (out, unpositioned):
+    assert np.max(np.abs(out[1] - unpositioned[1])) > 1e-3
+    for tokens, attention in (out, unpositioned):
         np.testing.assert_allclose(
-            o.tokens[0], o.attention[0] @ projected, atol=1e-12, rtol=0
+            tokens[0], attention[0] @ projected, atol=1e-12, rtol=0
         )
 
 
@@ -175,9 +174,8 @@ def test_temporal_vectors_shift_features_before_projection():
     shifted = VideoTokenTensor(video.features + params.temporal[:, None, None, :])
     zero_t = replace(params, temporal=np.zeros_like(params.temporal))
     manual = adapt_video(shifted, zero_t)
-    for t in range(2):
-        np.testing.assert_array_equal(out.tokens[t], manual.tokens[t])
-        np.testing.assert_array_equal(out.attention[t], manual.attention[t])
+    for got, want in zip(out, manual):  # tokens, then attention
+        np.testing.assert_array_equal(got, want)
 
 
 def test_default_scale_is_inverse_sqrt_width():
@@ -203,23 +201,6 @@ def test_params_shape_validation():
             AdapterParams(**{**tables, field: np.zeros(shape)})
 
 
-def test_adapter_output_validates_row_sums():
-    bad_att = np.array([[0.6, 0.6]])
-    with pytest.raises(ParameterError):
-        AdapterOutput(tokens=(np.zeros((1, 2)),), attention=(bad_att,))
-    nan_row = np.full((2, 1, 2), 0.5)
-    nan_row[1, 0, 0] = np.nan
-    with pytest.raises(ParameterError, match="frame 1"):
-        AdapterOutput(tokens=np.zeros((2, 1, 2)), attention=nan_row)
-
-
-def test_adapter_output_validates_shapes():
-    with pytest.raises(ShapeError, match="compressed tokens must be a non-empty 3-D array"):
-        AdapterOutput(tokens=np.zeros((0, 2, 2)), attention=np.zeros((0, 2, 2)))
-    with pytest.raises(ShapeError, match="disagree on frames or rows"):
-        AdapterOutput(tokens=np.zeros((1, 2, 2)), attention=np.full((1, 3, 2), 0.5))
-
-
 def test_sinusoidal_table_layout():
     table = sinusoidal_pos_table(2, 3, 8)
     assert table.shape == (6, 8)
@@ -240,11 +221,11 @@ def test_gradients_match_finite_differences_seed3():
     names = ("input_proj", "queries", "pos_table", "temporal")
 
     def loss(p):
-        out = adapt_video(video, p)
-        return float(sum(np.sum(t**2) for t in out.tokens))
+        tokens, _ = adapt_video(video, p)
+        return float(np.sum(tokens**2))
 
-    out = adapt_video(video, params)
-    token_grads = np.stack([2.0 * t for t in out.tokens])
+    tokens, _ = adapt_video(video, params)
+    token_grads = 2.0 * tokens
     grads = adapter_gradients(video, params, np.tile(np.arange(3), (2, 1)), token_grads)
 
     for name in names:

@@ -17,8 +17,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from framepress import cli, curriculum, ftv1
-from framepress.adapter import load_checkpoint, save_checkpoint
+from framepress.adapter import adapt_video, load_checkpoint, save_checkpoint
 from framepress.curriculum import synthetic_manifest
+from framepress.encoder import load_features
 from framepress.errors import FormatError
 from framepress.sampler import load_sampled
 from framepress.verify import CheckResult
@@ -56,21 +57,44 @@ def test_encode_adapt_compress_assemble_chain(tmp_path, capsys):
     assert ftv1.read_tensor(seq, expect_rank=2).shape == (8, 8)
 
 
-def test_adapt_writes_tokens_and_attention(tmp_path, capsys):
+def test_compress_writes_attention_beside_the_tokens(tmp_path, capsys):
     feats = tmp_path / "feats.ftv1"
     run(capsys, "encode", "--frames", "2", "--grid", "2x2", "--dim", "4",
         "--seed", "2", "--out", str(feats))
     code, out, _ = run(
-        capsys, "adapt", "--features", str(feats), "--queries", "3", "--width", "4",
+        capsys, "compress", "--features", str(feats), "--queries", "3", "--width", "4", "--k", "2",
         "--out", str(tmp_path / "tok.ftv1"),
         "--attention-out", str(tmp_path / "att.ftv1"),
     )
     assert code == 0
-    assert ftv1.read_tensor(tmp_path / "tok.ftv1").shape == (2, 3, 4)
+    assert ftv1.read_tensor(tmp_path / "tok.ftv1").shape == (2, 2, 4)
     att = ftv1.read_tensor(tmp_path / "att.ftv1")
-    assert att.shape == (2, 3, 4)
+    assert att.shape == (2, 3, 4)  # every query row, not only the kept ones
     # float32 storage still keeps rows summing to 1 tightly
     np.testing.assert_allclose(att.sum(axis=2), 1.0, atol=1e-6)
+
+
+def test_compress_keeping_every_row_by_index_is_the_full_forward(tmp_path, capsys, monkeypatch):
+    """At the CLI defaults, compress --k N --order index --attention-out
+    writes the tokens and attention of adapt_video, the training forward."""
+    feats, ckpt = tmp_path / "feats.ftv1", tmp_path / "ckpt"
+    assert run(capsys, "encode", "--out", str(feats))[0] == 0
+    written, write_tensor = {}, ftv1.write_tensor
+
+    def recording(path, values):
+        written[Path(path).name] = np.array(values)
+        write_tensor(path, values)
+
+    monkeypatch.setattr(ftv1, "write_tensor", recording)
+    code, _, _ = run(
+        capsys, "compress", "--features", str(feats), "--checkpoint", str(ckpt),
+        "--k", str(cli.DEFAULT_QUERIES), "--order", "index",
+        "--out", str(tmp_path / "tok.ftv1"), "--attention-out", str(tmp_path / "att.ftv1"),
+    )
+    assert code == 0
+    tokens, attention = adapt_video(load_features(feats), load_checkpoint(ckpt))
+    np.testing.assert_allclose(written["tok.ftv1"], tokens, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(written["att.ftv1"], attention, rtol=0, atol=1e-12)
 
 
 def test_encode_from_npy_images(tmp_path, capsys):
@@ -110,7 +134,7 @@ def test_encode_images_default_patch(tmp_path, capsys):
     assert ftv1.read_tensor(plain).shape == (1, 2, 3, 64)
 
 
-@pytest.mark.parametrize("command", ["adapt", "compress"])
+@pytest.mark.parametrize("command", ["compress"])
 def test_nan_features_file_exits_2_naming_the_byte(command, tmp_path, capsys):
     """Finiteness is checked once, as the file is read, with the byte offset."""
     feats, out_path = _fuzz_features(tmp_path)[0], tmp_path / "k.ftv1"
@@ -119,8 +143,7 @@ def test_nan_features_file_exits_2_naming_the_byte(command, tmp_path, capsys):
     at = 8 + 4 * 4 + 4 * 5  # header of a rank-4 file, then value 5
     data[at : at + 4] = struct.pack("<f", math.nan)
     feats.write_bytes(bytes(data))
-    argv = [command, "--features", str(feats), "--out", str(out_path)]
-    code, out, err = run(capsys, *argv, *(["--k", "2"] if command == "compress" else []))
+    code, out, err = run(capsys, command, "--features", str(feats), "--out", str(out_path), "--k", "2")
     assert (code, out) == (2, "")
     assert err == f"error: non-finite value nan (at byte {at})\n"
     assert not out_path.exists()
@@ -251,21 +274,19 @@ def _train_toy_with_config(tmp_path, text):
     return ["train-toy", "--config", str(cfg)]
 
 
-def _with_checkpoint(tmp_path, name, *flags):
-    """``name`` argv against a 6-query, 8-wide checkpoint, plus ``flags``."""
+def _with_checkpoint(tmp_path, *flags):
+    """``compress`` argv against a 6-query, 8-wide checkpoint, plus ``flags``."""
     feats, ckpt = tmp_path / "feats.ftv1", tmp_path / "ckpt"
     assert cli.main(["encode", "--frames", "2", "--grid", "2x2", "--dim", "4", "--out", str(feats)]) == 0
-    assert cli.main([
-        "adapt", "--features", str(feats), "--checkpoint", str(ckpt), "--queries", "6",
-        "--width", "8", "--out", str(tmp_path / "tok.ftv1"),
-    ]) == 0
-    argv = [name, "--features", str(feats), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.ftv1")]
-    return argv + (["--k", "2"] if name == "compress" else []) + list(flags)
+    argv = ["compress", "--features", str(feats), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.ftv1"),
+            "--k", "2"]
+    assert cli.main([*argv, "--queries", "6", "--width", "8"]) == 0
+    return argv + list(flags)
 
 
-def _out_in_checkpoint(tmp_path, name, file):
-    """``name`` argv against a checkpoint, with ``--out`` naming ``file`` in it."""
-    argv = _with_checkpoint(tmp_path, name)
+def _out_in_checkpoint(tmp_path, file):
+    """``compress`` argv against a checkpoint, with ``--out`` naming ``file`` in it."""
+    argv = _with_checkpoint(tmp_path)
     argv[argv.index("--out") + 1] = str(tmp_path / "ckpt" / file)
     return argv
 
@@ -273,7 +294,7 @@ def _out_in_checkpoint(tmp_path, name, file):
 def _with_header(tmp_path, old, new):
     """``compress`` against a checkpoint whose header has ``old`` replaced
     by ``new``."""
-    argv = _with_checkpoint(tmp_path, "compress")
+    argv = _with_checkpoint(tmp_path)
     header = tmp_path / "ckpt" / "adapter.json"
     header.write_bytes(header.read_bytes().replace(old, new))
     return argv
@@ -312,10 +333,8 @@ BAD_INPUTS = {
     "malformed config": lambda tmp: _train_toy_with_config(tmp, '{"steps": 5'),
     "config value of the wrong type": lambda tmp: _train_toy_with_config(tmp, '{"steps": "2"}'),
     "config int given a bool": lambda tmp: _train_toy_with_config(tmp, '{"frames": true}'),
-    "compress --queries conflicts with checkpoint": lambda tmp: _with_checkpoint(
-        tmp, "compress", "--queries", "12"
-    ),
-    "adapt --width conflicts with checkpoint": lambda tmp: _with_checkpoint(tmp, "adapt", "--width", "16"),
+    "compress --queries conflicts with checkpoint": lambda tmp: _with_checkpoint(tmp, "--queries", "12"),
+    "compress --width conflicts with checkpoint": lambda tmp: _with_checkpoint(tmp, "--width", "16"),
     "mismatched --images sizes": lambda tmp: _encode_images(tmp, (28, 28, 3), (28, 42, 3)),
     "negative --frames": lambda tmp: ["encode", "--frames", "-1", "--out", str(tmp / "f.ftv1")],
     "non-UTF-8 csv": lambda tmp: _cost_with_csv(tmp, b"k,tflops\n4,32.1\xff\n"),
@@ -370,23 +389,18 @@ BAD_INPUTS = {
     "plan --out ending in a separator": lambda tmp: [
         "plan", "--strategy", "S4-V", "--out", f"{tmp / 'd'}{os.sep}"
     ],
-    "adapt --attention-out ending in a separator": lambda tmp: [
-        "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
-        "--attention-out", f"{tmp / 'd'}{os.sep}",
+    "compress --attention-out ending in a separator": lambda tmp: _fuzz_features(tmp)[1] + [
+        "--attention-out", f"{tmp / 'd'}{os.sep}"
     ],
-    "adapt --out and --attention-out one file": lambda tmp: [
-        "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
-        "--attention-out", str(tmp / "a.ftv1"),
+    "compress --out and --attention-out one file": lambda tmp: _fuzz_features(tmp)[1] + [
+        "--attention-out", str(tmp / "k.ftv1")
     ],
-    "adapt --attention-out naming --out relatively": lambda tmp: [
-        "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
-        "--attention-out", os.path.join(".", os.path.relpath(tmp / "a.ftv1")),
+    "compress --attention-out naming --out relatively": lambda tmp: _fuzz_features(tmp)[1] + [
+        "--attention-out", os.path.join(".", os.path.relpath(tmp / "k.ftv1"))
     ],
-    "compress --out onto a checkpoint table": lambda tmp: _out_in_checkpoint(tmp, "compress", "queries.ftv1"),
-    "compress --out whose sidecar is the checkpoint header": lambda tmp: _out_in_checkpoint(
-        tmp, "compress", "adapter"
-    ),
-    "adapt --out onto a checkpoint table": lambda tmp: _out_in_checkpoint(tmp, "adapt", "temporal.ftv1"),
+    "compress --out onto a checkpoint table": lambda tmp: _out_in_checkpoint(tmp, "queries.ftv1"),
+    "compress --out whose sidecar is the checkpoint header": lambda tmp: _out_in_checkpoint(tmp, "adapter"),
+    "compress --out onto the temporal table": lambda tmp: _out_in_checkpoint(tmp, "temporal.ftv1"),
     "verify --report ending in a separator": lambda tmp: ["verify", "--report", f"{tmp / 'd'}{os.sep}"],
     "train-toy --report ending in a separator": lambda tmp: [
         "train-toy", "--report", f"{tmp / 'd'}{os.sep}"
@@ -405,14 +419,7 @@ BAD_INPUTS = {
     "csv first k written 4.0": lambda tmp: _cost_with_csv(tmp, "4.0,32.14\n16,33.47\n32,35.24\n"),
     # An empty value would otherwise read as the flag left out.
     "compress --checkpoint empty": lambda tmp: _fuzz_features(tmp)[1] + ["--checkpoint", ""],
-    "adapt --checkpoint empty": lambda tmp: [
-        "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
-        "--checkpoint", "",
-    ],
-    "adapt --attention-out empty": lambda tmp: [
-        "adapt", "--features", str(_fuzz_features(tmp)[0]), "--out", str(tmp / "a.ftv1"),
-        "--attention-out", "",
-    ],
+    "compress --attention-out empty": lambda tmp: _fuzz_features(tmp)[1] + ["--attention-out", ""],
     "assemble --out empty": lambda tmp: _fuzz_kept(tmp, "")[1] + ["--out", ""],
     "plan --out empty": lambda tmp: ["plan", "--strategy", "S4-V", "--out", ""],
     "train-toy --report empty": lambda tmp: ["train-toy", "--report", ""],
@@ -471,14 +478,14 @@ NAMED_IN_ERROR = {
     "encode --out ending in a separator": f"d{os.sep} names a directory",
     "compress --out ending in a separator": f"d{os.sep} names a directory",
     "plan --out ending in a separator": f"d{os.sep} names a directory",
-    "adapt --attention-out ending in a separator": f"d{os.sep} names a directory",
-    "adapt --out and --attention-out one file": "--out and --attention-out name the same file",
-    "adapt --attention-out naming --out relatively": "--out and --attention-out name the same file",
+    "compress --attention-out ending in a separator": f"d{os.sep} names a directory",
+    "compress --out and --attention-out one file": "--out and --attention-out name the same file",
+    "compress --attention-out naming --out relatively": "--out and --attention-out name the same file",
     "compress --out onto a checkpoint table": "--out and --checkpoint name the same file",
     "compress --out whose sidecar is the checkpoint header": (
         "--out's index sidecar and --checkpoint name the same file"
     ),
-    "adapt --out onto a checkpoint table": "--out and --checkpoint name the same file",
+    "compress --out onto the temporal table": "--out and --checkpoint name the same file",
     "verify --report ending in a separator": f"d{os.sep} names a directory",
     "train-toy --report ending in a separator": f"d{os.sep} names a directory",
     "encode --grid too large to allocate": "(1, 99999999, 99999999, 64)",
@@ -486,8 +493,7 @@ NAMED_IN_ERROR = {
     "config sizes too large to allocate": "do not fit in memory",
     "csv first k written 4.0": "measured.csv:1: expected 'k,tflops', got '4.0,32.14'",
     "compress --checkpoint empty": "--checkpoint must not be empty",
-    "adapt --checkpoint empty": "--checkpoint must not be empty",
-    "adapt --attention-out empty": "--attention-out must not be empty",
+    "compress --attention-out empty": "--attention-out must not be empty",
     "assemble --out empty": "--out must not be empty",
     "plan --out empty": "--out must not be empty",
     "train-toy --report empty": "--report must not be empty",
@@ -505,11 +511,11 @@ NAMED_IN_ERROR = {
 
 # The work a case's output path must be refused before.
 NEVER_CALLED = {
-    "adapt --out and --attention-out one file": "adapt_video",
-    "adapt --attention-out naming --out relatively": "adapt_video",
+    "compress --out and --attention-out one file": "compress_video",
+    "compress --attention-out naming --out relatively": "compress_video",
     "compress --out onto a checkpoint table": "load_features",
     "compress --out whose sidecar is the checkpoint header": "load_features",
-    "adapt --out onto a checkpoint table": "load_features",
+    "compress --out onto the temporal table": "load_features",
     "verify --report ending in a separator": "verify_all",
     "train-toy --report ending in a separator": "train_toy",
     "train-toy --report empty": "train_toy",
@@ -605,7 +611,7 @@ FUZZ_TARGETS = {
     "features": _fuzz_features,
     "kept tokens": lambda tmp: _fuzz_kept(tmp, ""),
     "sidecar": lambda tmp: _fuzz_kept(tmp, ".json"),
-    "checkpoint header": lambda tmp: (tmp / "ckpt" / "adapter.json", _with_checkpoint(tmp, "compress")),
+    "checkpoint header": lambda tmp: (tmp / "ckpt" / "adapter.json", _with_checkpoint(tmp)),
     "calibration csv": lambda tmp: (
         tmp / "measured.csv", _cost_with_csv(tmp, "k,tflops\n4,32.14\n16,33.47\n32,35.24\n64,38.79\n")
     ),
@@ -889,7 +895,7 @@ def test_ftv1_outputs_are_replaced_atomically(command, tmp_path, capsys, monkeyp
 
 
 def test_checkpoint_flags_must_match_an_existing_checkpoint(tmp_path, capsys):
-    argv = _with_checkpoint(tmp_path, "compress")
+    argv = _with_checkpoint(tmp_path)
     for flags in ([], ["--queries", "6"], ["--queries", "6", "--width", "8"]):
         code, out, _ = run(capsys, *argv, *flags)
         assert code == 0 and "top-2 of 6" in out

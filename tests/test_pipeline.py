@@ -92,9 +92,10 @@ def test_keep_all_pipeline_preserves_token_sets():
     )
     out = adapt_video(video, params)
     seq = assemble_sequence(sample_video(out, 6), prompt_len=0)
+    tokens, _ = out
     for t in range(3):
         got = sorted(map(tuple, seq.frame_tokens[t]))
-        want = sorted(map(tuple, out.tokens[t]))
+        want = sorted(map(tuple, tokens[t]))
         assert got == want
 
 

@@ -6,11 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from framepress.adapter import (
-    AdapterOutput,
-    adapt_video,
-    random_adapter_params,
-)
+from framepress.adapter import adapt_video, random_adapter_params
 from framepress.encoder import synthetic_video
 from framepress import ftv1
 from framepress.errors import FormatError, NumericError, ParameterError, ShapeError
@@ -28,10 +24,11 @@ from framepress.sampler import (
 
 
 def random_output(seed, frames=2, n=6, m=10, c=4):
+    """A random ``(tokens, attention)`` pair shaped like ``adapt_video``'s."""
     rng = make_rng(seed)
     att = np.stack([softmax_rows(rng.normal(size=(n, m))) for _ in range(frames)])
     tok = rng.normal(size=(frames, n, c))
-    return AdapterOutput(tokens=tok, attention=att)
+    return tok, att
 
 
 def test_score_frame_is_row_max():
@@ -93,17 +90,17 @@ def test_select_topk_prefixes_nest(values):
 def test_compress_video_orders():
     video = synthetic_video(2, 2, 2, 3, seed=40)
     params = random_adapter_params(6, 4, 3, 4, 2, seed=40)
-    out = adapt_video(video, params)
+    tokens, attention = adapt_video(video, params)
     by_score = compress_video(video, params, 3, order="score")
     by_index = compress_video(video, params, 3, order="index")
-    for t in range(out.frame_count):
+    for t in range(video.frame_count):
         assert set(by_score.indices[t].tolist()) == set(by_index.indices[t].tolist())
         assert np.all(np.diff(by_index.indices[t]) > 0)
-        scores = score_frame(out.attention[t])
+        scores = score_frame(attention[t])
         kept = by_score.indices[t]
         assert np.all(np.diff(scores[kept]) <= 0)
         np.testing.assert_allclose(
-            by_score.tokens[t], out.tokens[t][kept], rtol=0, atol=1e-12 * np.abs(out.tokens).max()
+            by_score.tokens[t], tokens[t][kept], rtol=0, atol=1e-12 * np.abs(tokens).max()
         )
 
 
@@ -124,6 +121,13 @@ def test_sample_video_rejects_bad_args():
     for k, order in ((99, "score"), (2, "random")):
         with pytest.raises(ParameterError):
             compress_video(three_frames, params, k, order)
+
+
+def test_sample_video_refuses_a_pair_that_disagrees():
+    tokens, attention = random_output(43)
+    for pair in ((tokens[:1], attention), (tokens[:, :5], attention), (tokens[0], attention[0])):
+        with pytest.raises(ShapeError, match="disagree on frames or rows"):
+            sample_video(pair, 2)
 
 
 @given(
@@ -210,9 +214,6 @@ def test_non_finite_sampled_tokens_reach_no_file(bad, tmp_path):
         save_sampled(sampled, tmp_path / "kept.ftv1", 4)
     with pytest.raises(NumericError):
         ftv1.write_tensor(tmp_path / "seq.ftv1", assemble_sequence(sampled, 0).video_tokens)
-    output = AdapterOutput(tokens=tokens, attention=np.full((2, 2, 4), 0.25))
-    with pytest.raises(NumericError):
-        ftv1.write_tensor(tmp_path / "adapted.ftv1", output.tokens)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -220,7 +221,7 @@ def test_save_load_round_trip(tmp_path):
     out = random_output(42, frames=3, n=5, m=7, c=4)
     sampled = sample_video(out, 2)
     path = tmp_path / "kept.ftv1"
-    save_sampled(sampled, path, out.query_count)
+    save_sampled(sampled, path, 5)
     sidecar_path = path.with_suffix(".ftv1.json")
     sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
     assert sidecar.pop("queries") == 5
@@ -271,7 +272,7 @@ def test_load_sampled_requires_sidecar(tmp_path):
     out = random_output(43)
     sampled = sample_video(out, 2)
     path = tmp_path / "kept.ftv1"
-    save_sampled(sampled, path, out.query_count)
+    save_sampled(sampled, path, 5)
     path.with_suffix(".ftv1.json").unlink()
     with pytest.raises(FormatError):
         load_sampled(path)

@@ -12,6 +12,7 @@ from framepress import cost, curriculum, ftv1
 from framepress.adapter import AdapterGrads
 from framepress.verify import (
     check_attention_validity,
+    check_compression_robustness,
     check_determinism_roundtrips,
     check_gradients,
     check_nesting,
@@ -109,19 +110,22 @@ def test_sequence_check_catches_frames_out_of_order(monkeypatch):
     assert "frame 0 out of place" in result.detail
 
 
+def _nan_in_last_row(weights):
+    weights = weights.copy()
+    weights[..., -1, 0] = np.nan
+    return weights
+
+
 def test_attention_check_reports_rows_that_do_not_sum_to_one(monkeypatch):
+    """The check fails rows off by 1%, and a NaN row, by itself."""
     import framepress.adapter as adapter_mod
 
-    cross_attention = adapter_mod.cross_attention
-
-    def leaky(*args, **kwargs):
-        weights, out = cross_attention(*args, **kwargs)
-        return 1.01 * weights, out
-
-    monkeypatch.setattr(adapter_mod, "cross_attention", leaky)
-    result = check_attention_validity()
-    assert not result.passed
-    assert result.detail.startswith("case 0: ")
+    attention_weights = adapter_mod.attention_weights
+    for plant, dev in ((lambda w: 1.01 * w, "1.00e-02"), (_nan_in_last_row, "nan")):
+        monkeypatch.setattr(adapter_mod, "attention_weights", lambda *args: plant(attention_weights(*args)))
+        result = check_attention_validity()
+        assert not result.passed
+        assert result.detail == f"case 0: attention row-sum dev {dev} > 1e-9"
 
 
 def test_attention_check_reports_scores_outside_their_range(monkeypatch):
@@ -158,18 +162,30 @@ def test_gradient_check_fails_a_point_with_a_tight_margin(monkeypatch):
 def test_permutation_check_catches_a_source_position_leak(monkeypatch):
     """Tokens that carry 1e-9 of each source position's index-weighted
     features move when the sources are shuffled."""
-    adapt_video = verify_mod.adapt_video
+    kept_tokens = verify_mod.kept_tokens
 
-    def leaky(video, params):
-        out = adapt_video(video, params)
+    def leaky(video, params, rows):
         x = video.tokens()
         leak = 1e-9 * np.einsum("m,tm->t", np.arange(x.shape[1]), x[:, :, 0])
-        return replace(out, tokens=out.tokens + leak[:, None, None])
+        return kept_tokens(video, params, rows) + leak[:, None, None]
 
-    monkeypatch.setattr(verify_mod, "adapt_video", leaky)
+    monkeypatch.setattr(verify_mod, "kept_tokens", leaky)
     result = check_permutation_equivariance()
     assert not result.passed
     assert result.detail.startswith("case 0 (") and "output moved by" in result.detail
+
+
+@pytest.mark.parametrize(
+    "pruned, passed", [(0.126, False), (0.074, False), (0.124, True)], ids=["above", "below", "within"]
+)
+def test_compression_check_bounds_the_gap_both_ways(pruned, passed, monkeypatch):
+    """Final losses stubbed against a baseline of 0.1: the pruned run must
+    land within TOY_REL_TOL (25%) of it, from above or from below."""
+    losses = {verify_mod.TOY_PRUNED_SPEC.keep: pruned, verify_mod.TOY_BASELINE_SPEC.keep: 0.1}
+    monkeypatch.setattr(
+        verify_mod, "train_toy", lambda spec: SimpleNamespace(final_metrics={"final_loss": losses[spec.keep]})
+    )
+    assert check_compression_robustness().passed is passed
 
 
 def _second_run_drifts(monkeypatch):
